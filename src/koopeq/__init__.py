@@ -3,7 +3,7 @@ the Koopman spectra estimated from their trajectories."""
 
 from .compare import (DecompositionSettings, SpectrumComparison, SweepResult,
                       Verdict, classify, directed_hausdorff, sweep,
-                      symmetric_hausdorff, wasserstein_distance)
+                      wasserstein_distance)
 from .corpus import (AlgorithmId, ConjugacyKind, ConjugacyMap, IterativeMap,
                      conjugacy_map, custom_map, make_algorithm,
                      verify_commutation)
@@ -25,6 +25,6 @@ __all__ = [
     "directed_hausdorff", "dmd", "edmd", "grad_negcos", "grad_quadratic",
     "iterate", "make_algorithm", "multi_snapshots", "principal_eigenvalues",
     "prox_l2", "prox_neglogdet", "reconstruct", "snapshots", "sweep",
-    "sym_flatten", "sym_unflatten", "symmetric_hausdorff",
-    "verify_commutation", "wasserstein_distance",
+    "sym_flatten", "sym_unflatten", "verify_commutation",
+    "wasserstein_distance",
 ]

@@ -17,15 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, serialize
-from .compare import classify
+from .compare import DecompositionSettings, classify
 from .corpus import AlgorithmId, make_algorithm
 from .errors import (CardinalityMismatchError, ConfigurationError,
                      DegenerateDataError, InsufficientDataError,
                      InvalidInputError, InvalidObservableError, KoopeqError,
                      NumericFailureError, ParseError, UnsupportedPairError)
 from .oracles import Oracle, OracleKind
-from .spectral import Dictionary, RankPolicy, dmd, edmd, principal_eigenvalues
-from .trajectory import Centering, RunConfig, iterate, snapshots
+from .spectral import Dictionary, RankPolicy, principal_eigenvalues
+from .trajectory import Centering, RunConfig, iterate
 
 EXIT_CONJUGATE = 0
 EXIT_SEMI = 10
@@ -186,21 +186,21 @@ def cmd_run(args) -> int:
             raise ConfigurationError("--x0 is required when --algo is given")
         cfg = RunConfig(max_iters=args.max_iters, eps=args.eps, overflow_cap=args.cap)
         traj = iterate(imap, _parse_x0(args.x0), cfg)
-    snap = snapshots(traj.discard_prefix(args.discard), _centering_of(args))
-    policy = RankPolicy(rank=args.rank, rel_tol=args.svd_tol)
+    dct = None
     if args.method == "edmd":
-        dim = snap.X.shape[0]
         if args.dictionary == "identity":
-            dct = Dictionary.identity(dim)
+            dct = Dictionary.identity(traj.dim)
         elif args.dictionary == "monomials":
-            dct = Dictionary.monomials(dim, args.degree)
+            dct = Dictionary.monomials(traj.dim, args.degree)
         else:
-            if dim != 1:
+            if traj.dim != 1:
                 raise ConfigurationError("the log dictionary is scalar only")
             dct = Dictionary.custom(1, [("log", lambda s: float(np.log(s[0])))])
-        spec = edmd(snap, dct, policy)
-    else:
-        spec = dmd(snap, policy)
+    settings = DecompositionSettings(method=args.method, dictionary=dct,
+                                     rank_policy=RankPolicy(rank=args.rank,
+                                                            rel_tol=args.svd_tol),
+                                     centering=_centering_of(args), discard=args.discard)
+    spec = settings.spectrum(traj)
     principal = principal_eigenvalues(spec)
     out = Path(args.out) if args.out else Path(_default_outdir()) / "spectrum.json"
     out.parent.mkdir(parents=True, exist_ok=True)

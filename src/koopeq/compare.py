@@ -12,14 +12,13 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .corpus import IterativeMap
 from .errors import (CardinalityMismatchError, DegenerateDataError,
                      InsufficientDataError, InvalidInputError, KoopeqError)
 from .spectral import (Dictionary, KoopmanSpectrum, RankPolicy, dmd, edmd,
                        principal_eigenvalues)
-from .trajectory import Centering, RunConfig, iterate, snapshots
+from .trajectory import Centering, RunConfig, Trajectory, iterate, snapshots
 
 # conjugacy tolerances: tight for plain DMD on both sides, loose when a
 # dictionary lifting is involved (dictionary-induced eigenvalue error)
@@ -38,10 +37,12 @@ class Verdict(Enum):
     DISTINCT = "distinct"
 
 
-def wasserstein_distance(A, B) -> float:
+def optimal_matching(A, B) -> tuple[float, list[tuple[int, int]]]:
     """Order-1 Wasserstein distance between equal-size eigenvalue multisets
-    with uniform weights: the minimum over pairings of the mean |a - b|,
-    computed by exact optimal assignment."""
+    with uniform weights (the minimum over pairings of the mean |a - b|) and
+    the index pairs of the optimal assignment that attains it."""
+    from scipy.optimize import linear_sum_assignment
+
     A = np.asarray(A, dtype=complex).ravel()
     B = np.asarray(B, dtype=complex).ravel()
     if A.size == 0 or B.size == 0:
@@ -50,16 +51,13 @@ def wasserstein_distance(A, B) -> float:
         raise CardinalityMismatchError(f"set sizes differ: {A.size} vs {B.size}")
     cost = np.abs(A[:, None] - B[None, :])
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum() / A.size)
+    pairs = [(int(i), int(j)) for i, j in zip(rows, cols)]
+    return float(cost[rows, cols].sum() / A.size), pairs
 
 
-def optimal_matching(A, B) -> list[tuple[int, int]]:
-    """Index pairs of the optimal assignment behind wasserstein_distance."""
-    A = np.asarray(A, dtype=complex).ravel()
-    B = np.asarray(B, dtype=complex).ravel()
-    cost = np.abs(A[:, None] - B[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return [(int(i), int(j)) for i, j in zip(rows, cols)]
+def wasserstein_distance(A, B) -> float:
+    """The distance part of optimal_matching."""
+    return optimal_matching(A, B)[0]
 
 
 def directed_hausdorff(A, B) -> float:
@@ -70,10 +68,6 @@ def directed_hausdorff(A, B) -> float:
     if A.size == 0 or B.size == 0:
         raise InvalidInputError("eigenvalue sets must be non-empty")
     return float(np.max(np.min(np.abs(A[:, None] - B[None, :]), axis=1)))
-
-
-def symmetric_hausdorff(A, B) -> float:
-    return max(directed_hausdorff(A, B), directed_hausdorff(B, A))
 
 
 @dataclass
@@ -97,10 +91,6 @@ class SpectrumComparison:
     notes: list = field(default_factory=list)
 
 
-def _uses_edmd(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum) -> bool:
-    return "edmd" in (spec_a.method, spec_b.method)
-
-
 def classify(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum,
              eps_conj: Optional[float] = None, eps_semi: Optional[float] = None,
              ignore_unit_constant: bool = True,
@@ -115,7 +105,7 @@ def classify(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum,
     SEMI_CONJUGATE direction when one set embeds in the other within eps_semi,
     otherwise DISTINCT.
     """
-    edmd_involved = _uses_edmd(spec_a, spec_b)
+    edmd_involved = "edmd" in (spec_a.method, spec_b.method)
     if eps_conj is None:
         eps_conj = EPS_EDMD if edmd_involved else EPS_DMD
     if eps_semi is None:
@@ -143,8 +133,7 @@ def classify(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum,
     wass = None
     matching = []
     if pa.size == pb.size:
-        wass = wasserstein_distance(pa, pb)
-        matching = optimal_matching(pa, pb)
+        wass, matching = optimal_matching(pa, pb)
         if wass <= eps_conj:
             verdict = Verdict.CONJUGATE
         elif dab <= eps_semi:
@@ -167,13 +156,23 @@ def classify(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum,
 
 @dataclass(frozen=True)
 class DecompositionSettings:
-    """How sweep cells (and the reference) turn a trajectory into a spectrum."""
+    """How a trajectory turns into a spectrum: the one path shared by sweeps,
+    presets and the command line."""
 
     method: str = "dmd"
     dictionary: Optional[Dictionary] = None
     rank_policy: RankPolicy = RankPolicy()
     centering: Optional[Centering] = None  # None = per-trajectory default
     discard: int = 0  # leading transient states dropped before pairing
+
+    def spectrum(self, traj: Trajectory) -> KoopmanSpectrum:
+        """Drop the transient, pair the snapshots and decompose them."""
+        snap = snapshots(traj.discard_prefix(self.discard), self.centering)
+        if self.method == "edmd":
+            if self.dictionary is None:
+                raise InvalidInputError("edmd needs a dictionary")
+            return edmd(snap, self.dictionary, self.rank_policy)
+        return dmd(snap, self.rank_policy)
 
 
 # sweep cell flags
@@ -193,44 +192,37 @@ class SweepResult:
     principal_a: np.ndarray
 
 
-def _spectrum_from_trajectory(traj, settings: DecompositionSettings) -> KoopmanSpectrum:
-    snap = snapshots(traj.discard_prefix(settings.discard), settings.centering)
-    if settings.method == "edmd":
-        if settings.dictionary is None:
-            raise InvalidInputError("edmd needs a dictionary")
-        return edmd(snap, settings.dictionary, settings.rank_policy)
-    return dmd(snap, settings.rank_policy)
-
-
 def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
           cfg: RunConfig = RunConfig(),
-          settings: DecompositionSettings = DecompositionSettings(),
-          lattice_tol: float = 1e-6, max_power: int = MAX_POWER_DMD) -> SweepResult:
+          settings: DecompositionSettings = DecompositionSettings()) -> SweepResult:
     """Distance field between map_a's spectrum at a fixed initial condition
     and map_b's spectrum at every point of a rectangular grid.
 
     `grid` is a pair of 1-D axis arrays; cell (i, j) starts map_b at
-    (axis1[i], axis2[j]). Cells are Wasserstein distances between principal
-    sets, falling back to symmetric Hausdorff when cardinalities differ
-    (flagged). A grid point that is itself a fixed point yields no dynamics
-    data and scores 0 (flagged): the vacuous limit of its neighbours. Genuine
-    per-cell failures become NaN cells and never abort the sweep.
+    (axis1[i], axis2[j]). Each cell is scored by `classify`'s rules: the
+    Wasserstein distance between principal sets, or the larger directed
+    Hausdorff distance when their cardinalities differ (flagged). A grid point
+    whose data has no principal eigenvalues (it sits on a fixed point) scores
+    0 (flagged): the vacuous limit of its neighbours. Genuine per-cell
+    failures become NaN cells and never abort the sweep. A reference without
+    principal eigenvalues has nothing to compare against and is rejected.
     """
     axis1 = np.asarray(grid[0], dtype=float)
     axis2 = np.asarray(grid[1], dtype=float)
     if axis1.size == 0 or axis2.size == 0:
         raise InvalidInputError("grid axes must be non-empty")
-    traj_a = iterate(map_a, x0_a, cfg)
-    spec_a = _spectrum_from_trajectory(traj_a, settings)
-    pa = principal_eigenvalues(spec_a, lattice_tol=lattice_tol, max_power=max_power)
+    spec_a = settings.spectrum(iterate(map_a, x0_a, cfg))
+    # the reference scored against itself: its principal set by classify's rules
+    pa = classify(spec_a, spec_a).principal_a
+    if pa.size == 0:
+        raise DegenerateDataError("the reference spectrum has no principal eigenvalues")
 
     distances = np.zeros((axis1.size, axis2.size))
     flags = np.zeros((axis1.size, axis2.size), dtype=int)
     for i, a in enumerate(axis1):
         for j, b in enumerate(axis2):
             try:
-                traj_b = iterate(map_b, np.array([a, b]), cfg)
-                spec_b = _spectrum_from_trajectory(traj_b, settings)
+                spec_b = settings.spectrum(iterate(map_b, np.array([a, b]), cfg))
             except (InsufficientDataError, DegenerateDataError):
                 distances[i, j] = 0.0
                 flags[i, j] = CELL_FIXED_POINT
@@ -239,15 +231,14 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
                 distances[i, j] = np.nan
                 flags[i, j] = CELL_FAILED
                 continue
-            pb = principal_eigenvalues(spec_b, lattice_tol=lattice_tol,
-                                       max_power=max_power)
-            if pb.size == 0:
+            cmp = classify(spec_a, spec_b)
+            if cmp.principal_b.size == 0:
                 distances[i, j] = 0.0
                 flags[i, j] = CELL_FIXED_POINT
-            elif pb.size == pa.size:
-                distances[i, j] = wasserstein_distance(pa, pb)
+            elif cmp.wasserstein is not None:
+                distances[i, j] = cmp.wasserstein
             else:
-                distances[i, j] = symmetric_hausdorff(pa, pb)
+                distances[i, j] = max(cmp.directed_hausdorff_ab, cmp.directed_hausdorff_ba)
                 flags[i, j] = CELL_HAUSDORFF
     return SweepResult(axis1=axis1, axis2=axis2, distances=distances, flags=flags,
                        spectrum_a=spec_a, principal_a=pa)

@@ -14,15 +14,14 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from . import serialize, svgplot
-from .compare import (DecompositionSettings, classify, sweep)
+from .compare import DecompositionSettings, classify, sweep
 from .corpus import AlgorithmId, ConjugacyKind, conjugacy_map, make_algorithm
 from .errors import ConfigurationError
 from .oracles import Oracle, OracleKind, sym_flatten
-from .spectral import Dictionary, RankPolicy, dmd, edmd
-from .trajectory import Centering, RunConfig, iterate, snapshots
+from .spectral import Dictionary, RankPolicy
+from .trajectory import Centering, RunConfig, iterate
 
 PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 
@@ -61,16 +60,10 @@ def _negcos():
 _DMD_PLAIN = DecompositionSettings(method="dmd", centering=Centering.NONE)
 _FIG5_SETTINGS_A = DecompositionSettings(method="dmd", rank_policy=RankPolicy.fixed(2),
                                          centering=Centering.FIXED_POINT, discard=1)
-_FIG5_SETTINGS_A_LOGDET = DecompositionSettings(method="dmd",
-                                                rank_policy=RankPolicy.fixed(2),
-                                                centering=Centering.FIXED_POINT,
-                                                discard=20)
 _FIG5_SETTINGS_B = DecompositionSettings(method="dmd", rank_policy=RankPolicy.fixed(2),
                                          centering=Centering.FIXED_POINT, discard=0)
-_FIG5_SETTINGS_B_LOGDET = DecompositionSettings(method="dmd",
-                                                rank_policy=RankPolicy.fixed(2),
-                                                centering=Centering.FIXED_POINT,
-                                                discard=20)
+_FIG5_SETTINGS_LOGDET = DecompositionSettings(method="dmd", rank_policy=RankPolicy.fixed(2),
+                                              centering=Centering.FIXED_POINT, discard=20)
 
 
 def _presets() -> dict:
@@ -105,7 +98,7 @@ def _presets() -> dict:
             VariantConfig("l2", l2, l2, (0.0, 0.0, 2.0), RunConfig(max_iters=60),
                           _FIG5_SETTINGS_A, _FIG5_SETTINGS_B),
             VariantConfig("logdet", logdet, l2_mat, x0_logdet, RunConfig(max_iters=60),
-                          _FIG5_SETTINGS_A_LOGDET, _FIG5_SETTINGS_B_LOGDET),
+                          _FIG5_SETTINGS_LOGDET, _FIG5_SETTINGS_LOGDET),
         ))
     return {"fig1": fig1, "fig3": fig3, "fig4": fig4, "fig5": fig5}
 
@@ -151,13 +144,6 @@ def _derive_x0_b(preset: ExperimentPreset, variant: VariantConfig, map_a):
     return np.atleast_1d(cmap.h(x0))
 
 
-def _spectrum_of(traj, settings: DecompositionSettings):
-    snap = snapshots(traj.discard_prefix(settings.discard), settings.centering)
-    if settings.method == "edmd":
-        return edmd(snap, settings.dictionary, settings.rank_policy)
-    return dmd(snap, settings.rank_policy)
-
-
 def run_preset(name: str, outdir, resolution: Optional[int] = None) -> dict:
     """Run one preset, write its files under outdir, return the manifest."""
     if name == "fig2":
@@ -180,8 +166,8 @@ def run_preset(name: str, outdir, resolution: Optional[int] = None) -> dict:
         x0_b = _derive_x0_b(preset, variant, map_a)
         traj_a = iterate(map_a, variant.x0_a, variant.run_cfg)
         traj_b = iterate(map_b, x0_b, variant.run_cfg)
-        spec_a = _spectrum_of(traj_a, variant.settings_a)
-        spec_b = _spectrum_of(traj_b, variant.settings_b)
+        spec_a = variant.settings_a.spectrum(traj_a)
+        spec_b = variant.settings_b.spectrum(traj_b)
         if variant.compare_swapped:
             cmp = classify(spec_b, spec_a)
         else:
@@ -252,6 +238,8 @@ def run_sweep_preset(resolution: Optional[int], oracle: str, outdir) -> dict:
     axis = np.linspace(FIG2_RANGE[0], FIG2_RANGE[1], resolution)
     result = sweep(map_a, FIG2_X0_A, map_b, (axis, axis),
                    cfg=defaults["cfg"], settings=defaults["settings"])
+
+    from scipy import ndimage
 
     F = result.distances
     finite = F[np.isfinite(F)]

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Optional
 
 import numpy as np
 
-from .compare import ComparisonTolerances, SpectrumComparison, Verdict
+from .compare import SpectrumComparison
 from .errors import ParseError
 from .spectral import KoopmanSpectrum, principal_eigenvalues
 from .trajectory import Trajectory, TrajectoryStatus
@@ -114,23 +115,6 @@ def comparison_to_dict(cmp: SpectrumComparison) -> dict:
     }
 
 
-def comparison_from_dict(d: dict) -> SpectrumComparison:
-    try:
-        return SpectrumComparison(
-            wasserstein=d["wasserstein"],
-            directed_hausdorff_ab=d["directed_hausdorff_ab"],
-            directed_hausdorff_ba=d["directed_hausdorff_ba"],
-            matching=[tuple(p) for p in d["matching"]],
-            verdict=Verdict(d["verdict"]),
-            tolerances_used=ComparisonTolerances(**d["tolerances"]),
-            principal_a=np.array([_pair2c(p) for p in d["principal_a"]], dtype=complex),
-            principal_b=np.array([_pair2c(p) for p in d["principal_b"]], dtype=complex),
-            notes=list(d.get("notes", [])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed comparison file: {exc}") from exc
-
-
 def write_trajectory_csv(path, labeled_trajectories) -> None:
     """One CSV holding several aligned trajectories: column blocks
     `<label>_<i>` per trajectory, rows indexed by iteration k. Shorter
@@ -170,7 +154,7 @@ def ingest_external_trajectory(path, eps: float = 1e-12) -> Trajectory:
     """Read a trajectory produced outside this package.
 
     Expected format: header `k,x0,x1,...`, one row per iterate with k counting
-    up from 0 without gaps. Returns status BUDGET_EXHAUSTED (convergence is
+    up from 0 without gaps and finite state cells. Returns status BUDGET_EXHAUSTED (convergence is
     unknown for external data) unless the final two rows coincide within eps.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -197,6 +181,8 @@ def ingest_external_trajectory(path, eps: float = 1e-12) -> Trajectory:
                 vals = [float(c) for c in row[1:]]
             except ValueError:
                 raise ParseError(f"non-numeric cell in row {lineno}", line=lineno) from None
+            if not all(map(math.isfinite, vals)):
+                raise ParseError(f"non-finite cell in row {lineno}", line=lineno)
             if k != len(rows):
                 kind = "duplicate" if k < len(rows) else "gap in"
                 raise ParseError(f"{kind} iteration index k={k}", line=lineno)

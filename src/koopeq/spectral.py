@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateDataError, InvalidInputError,
-                     InvalidObservableError)
+                     InvalidObservableError, NumericFailureError)
 from .trajectory import SnapshotPair
 
 PAIR_TOL = 1e-10  # conjugate-partner detection
@@ -131,10 +131,6 @@ class RankPolicy:
     def fixed(rank: int) -> "RankPolicy":
         return RankPolicy(rank=rank)
 
-    @staticmethod
-    def threshold(rel_tol: float) -> "RankPolicy":
-        return RankPolicy(rel_tol=rel_tol)
-
 
 @dataclass
 class KoopmanSpectrum:
@@ -156,11 +152,6 @@ class KoopmanSpectrum:
     reconstruction_error: float
     centering_tag: str = "identity"
 
-    @property
-    def triplets(self):
-        return [(self.eigenvalues[r], self.modes[:, r], self.eigfn_coeffs[r])
-                for r in range(self.eigenvalues.size)]
-
 
 def _canonical_order(lam: np.ndarray) -> np.ndarray:
     return np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
@@ -181,17 +172,21 @@ def _truncated_svd(X: np.ndarray, policy: RankPolicy):
 
 
 def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag):
-    """Shared DMD/EDMD core: reduced operator, eigentriplets, training error."""
-    U, s, Vh = _truncated_svd(PX, policy)
-    reduced = U.conj().T @ PY @ Vh.conj().T / s
-    lam, W = np.linalg.eig(reduced)
-    if method == "dmd":
-        B = np.eye(Xstate.shape[0])
-    else:
-        # least-squares recovery of the state from the lifted basis
-        B = Xstate @ np.linalg.pinv(PX, rcond=1e-12)
-    modes = B @ (U @ W)
-    coeffs = np.linalg.solve(W, U.conj().T)
+    """Shared DMD/EDMD core: reduced operator, eigentriplets, training error.
+    A LAPACK failure (non-finite data, no convergence) is a NumericFailureError."""
+    try:
+        U, s, Vh = _truncated_svd(PX, policy)
+        reduced = U.conj().T @ PY @ Vh.conj().T / s
+        lam, W = np.linalg.eig(reduced)
+        if method == "dmd":
+            B = np.eye(Xstate.shape[0])
+        else:
+            # least-squares recovery of the state from the lifted basis
+            B = Xstate @ np.linalg.pinv(PX, rcond=1e-12)
+        modes = B @ (U @ W)
+        coeffs = np.linalg.solve(W, U.conj().T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"{method} failed: {exc}") from exc
     order = _canonical_order(lam)
     lam, modes, coeffs = lam[order], modes[:, order], coeffs[order]
     Yhat = (modes * lam) @ (coeffs @ PX)

@@ -1,9 +1,14 @@
 """Command-line interface: commands, exit-status contract, file schemas."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import koopeq
 from koopeq import serialize
 from koopeq.cli import main
 from koopeq.errors import ParseError
@@ -45,6 +50,27 @@ def test_run_external_trajectory(tmp_path):
                    "--out", str(out)) == 0
     spec = read_spectrum(out)
     assert abs(spec.eigenvalues[0] - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_run_traj_non_finite_cell_exit_102(tmp_path, capsys, cell):
+    csv = tmp_path / "ext.csv"
+    csv.write_text(f"k,x0\n0,1.0\n1,0.5\n2,{cell}\n3,0.125\n")
+    assert run_cli("run", "--traj", str(csv), "--out", str(tmp_path / "s.json")) == 102
+    err = capsys.readouterr().err
+    assert err.startswith("error: kind=parse line=4 ")
+    assert err.count("\n") == 1
+
+
+def test_cli_import_defers_scipy():
+    # optimize and ndimage serve one call site each; `koopeq run` needs neither
+    src = str(Path(koopeq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, koopeq.cli; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.optimize', 'scipy.ndimage')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_spectrum_round_trip_full_precision(tmp_path):

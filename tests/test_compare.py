@@ -3,14 +3,16 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from koopeq import (AlgorithmId, Centering, DecompositionSettings, Oracle,
                     OracleKind, RunConfig, Verdict, classify,
-                    conjugacy_map, directed_hausdorff, dmd, iterate,
+                    conjugacy_map, custom_map, directed_hausdorff, dmd, iterate,
                     make_algorithm, snapshots, sweep, wasserstein_distance)
-from koopeq.compare import CELL_FIXED_POINT, CELL_HAUSDORFF
-from koopeq.errors import CardinalityMismatchError, InvalidInputError
+from koopeq.compare import CELL_FAILED, CELL_FIXED_POINT, CELL_HAUSDORFF
+from koopeq.errors import (CardinalityMismatchError, DegenerateDataError,
+                           InvalidInputError)
 from koopeq.spectral import KoopmanSpectrum
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
@@ -49,9 +51,22 @@ def test_wasserstein_single_pair():
     assert wasserstein_distance([0.6], [0.5]) == pytest.approx(0.1)
 
 
-def test_wasserstein_crossing_assignment():
+def test_wasserstein_crossing_assignment(monkeypatch):
     # both pairings enumerated: optimum pairs (0, 0.1) and (1, 0.9)
     assert wasserstein_distance([0.0, 1.0], [0.1, 0.9]) == pytest.approx(0.1)
+    # classify solves the assignment once and reports it as a permutation
+    # whose mean pair distance is the Wasserstein distance
+    calls = []
+    solve = scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                        lambda cost: calls.append(cost) or solve(cost))
+    cmp = classify(synthetic_spectrum([0.9, -0.85]), synthetic_spectrum([-0.88, 0.86]))
+    assert len(calls) == 1
+    assert sorted(cmp.matching) == [(0, 1), (1, 0)]
+    pa, pb = cmp.principal_a, cmp.principal_b
+    mean = sum(abs(pa[i] - pb[j]) for i, j in cmp.matching) / len(cmp.matching)
+    assert mean == pytest.approx(cmp.wasserstein, rel=1e-12)
+    assert cmp.wasserstein == pytest.approx(0.035)
 
 
 def test_wasserstein_cardinality_error():
@@ -163,6 +178,12 @@ def test_classify_edmd_gets_loose_tolerance():
     assert cmp_tight.verdict is Verdict.DISTINCT
 
 
+def test_settings_edmd_needs_dictionary():
+    traj = iterate(make_algorithm(AlgorithmId.ALGO4, QUAD), (1.0,), RunConfig(max_iters=20))
+    with pytest.raises(InvalidInputError):
+        DecompositionSettings(method="edmd").spectrum(traj)
+
+
 def test_classify_degenerate_spectra_distinct():
     sa = synthetic_spectrum([1.0])  # only the constant mode
     sb = synthetic_spectrum([0.5])
@@ -188,12 +209,17 @@ def test_lemma_inclusion_for_embedded_pair():
 def test_sweep_single_cell_at_conjugate_image():
     map_a = make_algorithm(AlgorithmId.ALGO1, QUAD)
     map_b = make_algorithm(AlgorithmId.ALGO2, QUAD)
+    cfg = RunConfig(max_iters=40)
+    settings = DecompositionSettings(centering=Centering.NONE)
     res = sweep(map_a, (0.1, 0.1), map_b, (np.array([0.1]), np.array([0.0])),
-                cfg=RunConfig(max_iters=40),
-                settings=DecompositionSettings(centering=Centering.NONE))
+                cfg=cfg, settings=settings)
     assert res.distances.shape == (1, 1)
     assert res.distances[0, 0] < 1e-12
     assert res.flags[0, 0] == 0
+    # the cell is scored by classify's rules
+    cmp = classify(res.spectrum_a, settings.spectrum(iterate(map_b, (0.1, 0.0), cfg)))
+    assert res.distances[0, 0] == cmp.wasserstein
+    assert np.array_equal(res.principal_a, cmp.principal_a)
 
 
 def test_sweep_fixed_point_cell_flagged():
@@ -231,8 +257,38 @@ def test_sweep_hausdorff_fallback_flag():
     # cardinalities differ, so cells fall back to symmetric Hausdorff
     map_a = make_algorithm(AlgorithmId.ALGO4, QUAD)
     map_b = make_algorithm(AlgorithmId.ALGO2, QUAD)
+    cfg = RunConfig(max_iters=40)
+    settings = DecompositionSettings(centering=Centering.NONE)
     res = sweep(map_a, (1.0,), map_b, (np.array([0.5]), np.array([0.2])),
-                cfg=RunConfig(max_iters=40),
-                settings=DecompositionSettings(centering=Centering.NONE))
+                cfg=cfg, settings=settings)
     assert res.flags[0, 0] == CELL_HAUSDORFF
     assert res.distances[0, 0] > 0
+    cmp = classify(res.spectrum_a, settings.spectrum(iterate(map_b, (0.5, 0.2), cfg)))
+    assert cmp.wasserstein is None
+    assert res.distances[0, 0] == max(cmp.directed_hausdorff_ab, cmp.directed_hausdorff_ba)
+
+
+def test_sweep_rejects_reference_without_principal_eigenvalues():
+    # a shear has only unit eigenvalues, which classify's rules drop
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    imap = custom_map(lambda x: shear @ x, dim=2)
+    with pytest.raises(DegenerateDataError):
+        sweep(imap, (0.0, 1.0), imap, (np.array([0.5]), np.array([1.0])),
+              cfg=RunConfig(max_iters=20),
+              settings=DecompositionSettings(centering=Centering.NONE))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_linalg_failure_is_failed_cell():
+    # the cell with x[0] > 0 reaches x[0] > 1 and steps to an infinite state,
+    # which np.linalg rejects; that cell fails alone, the other keeps its value
+    M = np.diag([2.0, 0.5])
+    map_a = custom_map(lambda x: M @ x, dim=2)
+    map_b = custom_map(lambda x: np.array([np.inf, 1.0]) if x[0] > 1.0 else M @ x, dim=2)
+    res = sweep(map_a, (-0.3, 0.2), map_b, (np.array([-0.3, 0.3]), np.array([0.2])),
+                cfg=RunConfig(max_iters=60),
+                settings=DecompositionSettings(centering=Centering.NONE))
+    assert res.flags[1, 0] == CELL_FAILED
+    assert np.isnan(res.distances[1, 0])
+    assert res.flags[0, 0] == 0
+    assert res.distances[0, 0] < 1e-12
