@@ -12,7 +12,8 @@ from .oracles import (Oracle, OracleKind, grad_negcos, grad_quadratic, prox_l2,
 from .spectral import (Dictionary, DictionaryKind, KoopmanSpectrum, RankPolicy,
                        dmd, edmd, principal_eigenvalues, reconstruct)
 from .trajectory import (Centering, RunConfig, SnapshotPair, Trajectory,
-                         TrajectoryStatus, iterate, multi_snapshots, snapshots)
+                         TrajectoryStatus, iterate, iterate_many, multi_snapshots,
+                         snapshots)
 
 __version__ = "0.1.0"
 
@@ -23,8 +24,8 @@ __all__ = [
     "SnapshotPair", "SpectrumComparison", "SweepResult", "Trajectory",
     "TrajectoryStatus", "Verdict", "classify", "conjugacy_map", "custom_map",
     "directed_hausdorff", "dmd", "edmd", "grad_negcos", "grad_quadratic",
-    "iterate", "make_algorithm", "multi_snapshots", "principal_eigenvalues",
-    "prox_l2", "prox_neglogdet", "reconstruct", "snapshots", "sweep",
-    "sym_flatten", "sym_unflatten", "verify_commutation",
+    "iterate", "iterate_many", "make_algorithm", "multi_snapshots",
+    "principal_eigenvalues", "prox_l2", "prox_neglogdet", "reconstruct",
+    "snapshots", "sweep", "sym_flatten", "sym_unflatten", "verify_commutation",
     "wasserstein_distance",
 ]

@@ -18,7 +18,8 @@ from .errors import (CardinalityMismatchError, DegenerateDataError,
                      InsufficientDataError, InvalidInputError, KoopeqError)
 from .spectral import (Dictionary, KoopmanSpectrum, RankPolicy, dmd, edmd,
                        principal_eigenvalues)
-from .trajectory import Centering, RunConfig, Trajectory, iterate, snapshots
+from .trajectory import (Centering, RunConfig, Trajectory, iterate, iterate_many,
+                         snapshots)
 
 # conjugacy tolerances: tight for plain DMD on both sides, loose when a
 # dictionary lifting is involved (dictionary-induced eigenvalue error)
@@ -198,19 +199,23 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
     """Distance field between map_a's spectrum at a fixed initial condition
     and map_b's spectrum at every point of a rectangular grid.
 
-    `grid` is a pair of 1-D axis arrays; cell (i, j) starts map_b at
-    (axis1[i], axis2[j]). Each cell is scored by `classify`'s rules: the
-    Wasserstein distance between principal sets, or the larger directed
-    Hausdorff distance when their cardinalities differ (flagged). A grid point
-    whose data has no principal eigenvalues (it sits on a fixed point) scores
-    0 (flagged): the vacuous limit of its neighbours. Genuine per-cell
-    failures become NaN cells and never abort the sweep. A reference without
-    principal eigenvalues has nothing to compare against and is rejected.
+    `grid` is a pair of 1-D axis arrays; cell (i, j) starts map_b, which must
+    act on R^2, at (axis1[i], axis2[j]). The cells of a grid row run through
+    one `iterate_many` call, as one block for a columnwise map_b. Each cell is
+    scored by `classify`'s rules: the Wasserstein distance between principal
+    sets, or the larger directed Hausdorff distance when their cardinalities
+    differ (flagged). A grid point whose data has no principal eigenvalues
+    (it sits on a fixed point) scores 0 (flagged): the vacuous limit of its
+    neighbours. Genuine per-cell failures become NaN cells and never abort
+    the sweep. A reference without principal eigenvalues has nothing to
+    compare against and is rejected.
     """
     axis1 = np.asarray(grid[0], dtype=float)
     axis2 = np.asarray(grid[1], dtype=float)
     if axis1.size == 0 or axis2.size == 0:
         raise InvalidInputError("grid axes must be non-empty")
+    if map_b.dim != 2:
+        raise InvalidInputError(f"the grid holds 2-D starts, map_b expects {map_b.dim}")
     spec_a = settings.spectrum(iterate(map_a, x0_a, cfg))
     # the reference scored against itself: its principal set by classify's rules
     pa = classify(spec_a, spec_a).principal_a
@@ -220,9 +225,12 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
     distances = np.zeros((axis1.size, axis2.size))
     flags = np.zeros((axis1.size, axis2.size), dtype=int)
     for i, a in enumerate(axis1):
-        for j, b in enumerate(axis2):
+        starts = np.column_stack([np.full(axis2.size, a), axis2])
+        for j, traj in enumerate(iterate_many(map_b, starts, cfg)):
             try:
-                spec_b = settings.spectrum(iterate(map_b, np.array([a, b]), cfg))
+                if isinstance(traj, KoopeqError):
+                    raise traj  # the error iterate raised for this start
+                spec_b = settings.spectrum(traj)
             except (InsufficientDataError, DegenerateDataError):
                 distances[i, j] = 0.0
                 flags[i, j] = CELL_FIXED_POINT

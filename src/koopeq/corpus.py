@@ -34,7 +34,8 @@ class AlgorithmId(Enum):
 class IterativeMap:
     """A state-update map x -> step(x) on R^dim.
 
-    Immutable after construction; `step` must be pure.
+    Immutable after construction; `step` must be pure. The step of a
+    `columnwise` map must also accept a (dim, N) block of states.
     """
 
     id: AlgorithmId
@@ -43,6 +44,16 @@ class IterativeMap:
     oracle_f: Optional[Oracle] = None
     oracle_g: Optional[Oracle] = None
     tag: str = ""
+
+    @property
+    def columnwise(self) -> bool:
+        """Whether the map acts on each state on its own: given a (dim, N)
+        block of states, one per column, its step returns their images bit
+        for bit as N single steps would. True for algorithms 1-5, whose
+        gradient oracles act element by element; not for the proximal ones of
+        6 and 7 (a whole-vector norm, an eigendecomposition) or for black-box
+        maps, whose output shape cannot show whether they mix columns."""
+        return self.oracle_f is not None and self.oracle_f.is_gradient
 
 
 def custom_map(step: Callable[[Array], Array], dim: int, tag: str = "custom") -> IterativeMap:

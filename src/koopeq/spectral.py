@@ -173,7 +173,9 @@ def _truncated_svd(X: np.ndarray, policy: RankPolicy):
 
 def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag):
     """Shared DMD/EDMD core: reduced operator, eigentriplets, training error.
-    A LAPACK failure (non-finite data, no convergence) is a NumericFailureError."""
+    Non-finite data and a LAPACK failure are a NumericFailureError."""
+    if not (np.all(np.isfinite(PX)) and np.all(np.isfinite(PY))):
+        raise NumericFailureError(f"{method} failed: the data holds non-finite values")
     try:
         U, s, Vh = _truncated_svd(PX, policy)
         reduced = U.conj().T @ PY @ Vh.conj().T / s
@@ -267,6 +269,7 @@ def principal_eigenvalues(spectrum, lattice_tol: float = 1e-6, max_power: int = 
     decided = np.zeros(lam.size, dtype=bool)
     keep = np.zeros(lam.size, dtype=bool)
     retained: list[complex] = []
+    products = np.empty(0, dtype=complex)  # lattice of `retained`; None when stale
     for i in range(lam.size):
         if decided[i]:
             continue
@@ -276,13 +279,15 @@ def principal_eigenvalues(spectrum, lattice_tol: float = 1e-6, max_power: int = 
                 if not decided[j] and abs(lam[j] - np.conj(lam[i])) <= PAIR_TOL:
                     group.append(j)
                     break
-        products = _lattice_products(retained, max_power)
+        if products is None:
+            products = _lattice_products(retained, max_power)
         is_product = products.size > 0 and np.min(np.abs(products - lam[i])) <= lattice_tol
         for j in group:
             decided[j] = True
             keep[j] = not is_product
         if not is_product:
             retained.extend(lam[j] for j in group)
+            products = None
     return lam[keep]
 
 

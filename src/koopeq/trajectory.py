@@ -10,7 +10,7 @@ import numpy as np
 
 from .corpus import IterativeMap
 from .errors import (ConfigurationError, InsufficientDataError, InvalidInputError,
-                     NumericFailureError)
+                     KoopeqError, NumericFailureError)
 
 
 class TrajectoryStatus(Enum):
@@ -104,6 +104,83 @@ def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
             status = TrajectoryStatus.DIVERGED
             break
     return Trajectory(states=np.array(states), status=status, fixed_point_estimate=fpe)
+
+
+def iterate_many(imap: IterativeMap, X0, cfg: RunConfig = RunConfig()) -> list:
+    """`iterate` from every row of X0 (shape (N, dim)).
+
+    Returns, per row, the Trajectory that `iterate` returns or the KoopeqError
+    it raises, bit for bit. A columnwise map steps the finite starts together
+    as one (dim, N) block, applying `iterate`'s stop rules to each column and
+    stepping only the columns still running; its history buffer grows with
+    the longest run, not with `cfg.max_iters`. Other maps, other starts, and
+    the columns of a block step that raises a KoopeqError run through
+    `iterate` itself.
+    """
+    X0 = np.asarray(X0, dtype=float)
+    if X0.ndim != 2:
+        raise InvalidInputError("X0 must hold one initial state per row")
+    out = [None] * X0.shape[0]
+    serial = range(X0.shape[0])
+    if imap.columnwise and X0.shape[1] == imap.dim:
+        finite = np.all(np.isfinite(X0), axis=1)
+        rows = np.flatnonzero(finite)
+        serial = [*np.flatnonzero(~finite), *_iterate_block(imap, X0[rows], rows, cfg, out)]
+    for j in serial:
+        try:
+            out[j] = iterate(imap, X0[j], cfg)
+        except KoopeqError as exc:
+            out[j] = exc
+    return out
+
+
+def _column_norms(D: np.ndarray, threshold: float) -> np.ndarray:
+    """Euclidean norm of each column of D. A norm within rounding of
+    `threshold` is taken again by np.linalg.norm, as `iterate` takes it, so
+    that comparing it with the threshold comes out the same."""
+    v = np.sqrt((D * D).sum(axis=0))
+    for c in (np.abs(v - threshold) <= 1e-9 * threshold).nonzero()[0]:
+        v[c] = np.linalg.norm(D[:, c])
+    return v
+
+
+def _iterate_block(imap: IterativeMap, X0: np.ndarray, rows: np.ndarray,
+                   cfg: RunConfig, out: list) -> list:
+    """Step the finite starts X0 (shape (n, dim)) as columns of one block and
+    store the result of start c in out[rows[c]]. Returns the rows still
+    running when a block step failed, for `iterate` to redo."""
+    n = X0.shape[0]
+    # H[k, :, c]: state k of start c; doubled as the longest run needs it
+    H = np.empty((min(cfg.max_iters, 63) + 1, imap.dim, n))
+    H[0] = X0.T
+    run = np.arange(n)
+    for k in range(cfg.max_iters):
+        if run.size == 0:
+            return []
+        X = H[k] if run.size == n else H[k][:, run]
+        try:
+            Xn = np.asarray(imap.step(X), dtype=float)
+        except KoopeqError:
+            return list(rows[run])
+        if k + 1 == len(H):
+            H = np.concatenate([H, np.empty((min(len(H), cfg.max_iters + 1 - len(H)),
+                                             imap.dim, n))])
+        H[k + 1][:, run] = Xn
+        nan = np.isnan(Xn).any(axis=0)
+        conv = ~nan & (_column_norms(Xn - X, cfg.eps) <= cfg.eps)
+        div = ~nan & ~conv & (_column_norms(Xn, cfg.overflow_cap) >= cfg.overflow_cap)
+        for c in run[nan]:
+            partial = Trajectory(H[:k + 1, :, c].copy(), TrajectoryStatus.BUDGET_EXHAUSTED)
+            out[rows[c]] = NumericFailureError("NaN produced mid-run", partial=partial)
+        for c in run[conv]:
+            out[rows[c]] = Trajectory(H[:k + 2, :, c].copy(), TrajectoryStatus.CONVERGED,
+                                      fixed_point_estimate=H[k + 1, :, c].copy())
+        for c in run[div]:
+            out[rows[c]] = Trajectory(H[:k + 2, :, c].copy(), TrajectoryStatus.DIVERGED)
+        run = run[~(nan | conv | div)]
+    for c in run:
+        out[rows[c]] = Trajectory(H[:, :, c].copy(), TrajectoryStatus.BUDGET_EXHAUSTED)
+    return []
 
 
 def default_centering(traj: Trajectory) -> Centering:

@@ -1,4 +1,5 @@
 """Spectral distances, verdicts, and the initial-condition sweep."""
+import dataclasses
 import itertools
 
 import numpy as np
@@ -292,3 +293,58 @@ def test_sweep_linalg_failure_is_failed_cell():
     assert np.isnan(res.distances[1, 0])
     assert res.flags[0, 0] == 0
     assert res.distances[0, 0] < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_non_finite_data_is_failed_cell():
+    # centred on the infinite final state, the data holds inf and NaN: a
+    # numeric failure, not a cell that sits on a fixed point
+    M = np.diag([2.0, 0.5])
+    map_a = custom_map(lambda x: M @ x, dim=2)
+    map_b = custom_map(lambda x: np.array([np.inf, 1.0]) if x[0] > 1.0 else M @ x, dim=2)
+    res = sweep(map_a, (-0.3, 0.2), map_b, (np.array([0.3, 0.6]), np.array([0.2])),
+                cfg=RunConfig(max_iters=60),
+                settings=DecompositionSettings(centering=Centering.FIXED_POINT))
+    assert list(res.flags[:, 0]) == [CELL_FAILED, CELL_FAILED]
+    assert np.all(np.isnan(res.distances))
+
+
+def test_sweep_rejects_map_b_not_on_the_plane():
+    map_a = make_algorithm(AlgorithmId.ALGO1, QUAD)
+    map_b = make_algorithm(AlgorithmId.ALGO4, QUAD)
+    with pytest.raises(InvalidInputError):
+        sweep(map_a, (0.1, 0.1), map_b, (np.array([0.5]), np.array([0.2])),
+              cfg=RunConfig(max_iters=40))
+
+
+def test_sweep_block_rows_match_serial_rows():
+    map_a = make_algorithm(AlgorithmId.ALGO1, NEGCOS)
+    map_b = make_algorithm(AlgorithmId.ALGO2, NEGCOS)
+    assert map_b.columnwise
+    axis = np.linspace(-2.0, 2.0, 5)  # the origin cell sits on a fixed point
+    cfg = RunConfig(max_iters=200)
+    settings = DecompositionSettings(centering=Centering.FIXED_POINT, discard=150)
+    block = sweep(map_a, (0.1, 0.1), map_b, (axis, axis), cfg=cfg, settings=settings)
+    serial_b = custom_map(map_b.step, 2)
+    assert not serial_b.columnwise
+    serial = sweep(map_a, (0.1, 0.1), serial_b, (axis, axis), cfg=cfg, settings=settings)
+    assert block.flags[2, 2] == CELL_FIXED_POINT
+    assert np.array_equal(block.flags, serial.flags)
+    assert np.array_equal(block.distances, serial.distances, equal_nan=True)
+
+
+@pytest.mark.parametrize("row_length", [1, 9])
+def test_sweep_steps_a_row_as_one_block(row_length):
+    imap = make_algorithm(AlgorithmId.ALGO2, QUAD)
+    calls = []
+
+    def step(x):
+        calls.append(1)
+        return imap.step(x)
+
+    counted = dataclasses.replace(imap, step=step)
+    cfg = RunConfig(max_iters=40)
+    sweep(counted, (0.1, 0.1), counted,
+          (np.array([0.5]), np.linspace(-1.0, 1.0, row_length)), cfg=cfg,
+          settings=DecompositionSettings(centering=Centering.NONE))
+    assert len(calls) <= 2 * cfg.max_iters

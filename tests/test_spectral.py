@@ -1,4 +1,5 @@
 """Decompositions: DMD, EDMD, principal extraction, reconstruction."""
+import itertools
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ from koopeq import (AlgorithmId, Centering, Dictionary, Oracle, OracleKind,
                     TrajectoryStatus, custom_map, dmd, edmd, iterate,
                     make_algorithm, multi_snapshots, principal_eigenvalues,
                     reconstruct, snapshots)
+from koopeq import spectral
 from koopeq.errors import (DegenerateDataError, InvalidInputError,
-                           InvalidObservableError)
+                           InvalidObservableError, NumericFailureError)
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
 
@@ -25,6 +27,15 @@ def test_dmd_scalar_halving():
     assert spec.eigenvalues.size == 1
     assert abs(spec.eigenvalues[0] - 0.5) < 1e-12
     assert spec.method == "dmd" and spec.rank == 1
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_dmd_non_finite_data_is_numeric_failure(bad):
+    X = np.array([[bad, 1.0, 0.5], [0.0, 0.2, 0.1]])
+    with pytest.raises(NumericFailureError):
+        dmd(SnapshotPair(X=X, Y=0.5 * X))
+    with pytest.raises(NumericFailureError):
+        dmd(SnapshotPair(X=0.5 * X[:, ::-1], Y=X))
 
 
 def test_dmd_algo1_centered_default_budget():
@@ -225,6 +236,26 @@ def test_principal_ignore_unit():
 
 def test_principal_empty():
     assert principal_eigenvalues(np.empty(0, complex)).size == 0
+
+
+def test_principal_builds_lattice_once_per_retained_group(monkeypatch):
+    # a lattice-shaped spectrum: four generators (one conjugate pair, so
+    # three groups) and every product of two to four of them
+    gens = [0.9, 0.5 + 0.4j, 0.5 - 0.4j, -0.6]
+    lam = [np.prod(c) for k in range(1, 5)
+           for c in itertools.combinations_with_replacement(gens, k)]
+    calls = []
+    build = spectral._lattice_products
+
+    def counted(retained, max_power):
+        calls.append(len(retained))
+        return build(retained, max_power)
+
+    monkeypatch.setattr(spectral, "_lattice_products", counted)
+    p = principal_eigenvalues(np.array(lam))
+    assert len(lam) == 69
+    np.testing.assert_allclose(np.sort_complex(p), np.sort_complex(gens), atol=1e-12)
+    assert len(calls) <= 3
 
 
 # ---------------------------------------------------------------------------

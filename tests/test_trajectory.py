@@ -1,14 +1,17 @@
 """Iteration harness and snapshot assembly."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from koopeq import (AlgorithmId, Centering, Oracle, OracleKind, RunConfig,
                     Trajectory, TrajectoryStatus, custom_map, iterate,
-                    make_algorithm, multi_snapshots, snapshots)
+                    iterate_many, make_algorithm, multi_snapshots, snapshots)
 from koopeq.errors import (ConfigurationError, InsufficientDataError,
-                           NumericFailureError)
+                           InvalidInputError, KoopeqError, NumericFailureError)
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
+NEGCOS = Oracle(OracleKind.GRAD_NEGCOS)
 
 
 def test_run_config_validation():
@@ -62,6 +65,136 @@ def test_iterate_validates_x0():
     imap = make_algorithm(AlgorithmId.ALGO1, QUAD)
     with pytest.raises(Exception):
         iterate(imap, (1.0,))  # wrong length
+
+
+# ---------------------------------------------------------------------------
+# iterate_many
+
+
+def looped_iterate(imap, X0, cfg):
+    """The reference: iterate row by row, keeping the error it raises."""
+    out = []
+    for x0 in X0:
+        try:
+            out.append(iterate(imap, x0, cfg))
+        except KoopeqError as exc:
+            out.append(exc)
+    return out
+
+
+def assert_same_trajectory(a, b):
+    assert a.status is b.status
+    assert a.states.shape == b.states.shape
+    assert np.array_equal(a.states, b.states)
+    if b.fixed_point_estimate is None:
+        assert a.fixed_point_estimate is None
+    else:
+        assert np.array_equal(a.fixed_point_estimate, b.fixed_point_estimate)
+
+
+def assert_same_results(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        if isinstance(b, KoopeqError):
+            assert str(a) == str(b)
+            if isinstance(b, NumericFailureError):
+                assert_same_trajectory(a.partial, b.partial)
+        else:
+            assert_same_trajectory(a, b)
+
+
+@pytest.mark.parametrize("oracle", [QUAD, NEGCOS], ids=["quad", "negcos"])
+@pytest.mark.parametrize("algo", [1, 2, 3, 4, 5])
+def test_iterate_many_matches_iterate(algo, oracle):
+    imap = make_algorithm(AlgorithmId(algo), oracle)
+    assert imap.columnwise
+    rng = np.random.default_rng(algo)
+    X0 = rng.uniform(-2.0, 2.0, (25, imap.dim))
+    if algo == 5:
+        X0 = np.abs(X0) + 0.05  # algorithm 5 acts on the positive reals
+    for cfg in (RunConfig(max_iters=40), RunConfig(max_iters=300, eps=1e-8, overflow_cap=50.0)):
+        assert_same_results(iterate_many(imap, X0, cfg), looped_iterate(imap, X0, cfg))
+
+
+def test_iterate_many_mixed_stops_in_one_block():
+    imap = make_algorithm(AlgorithmId.ALGO1, QUAD)
+    cfg = RunConfig(max_iters=40, eps=1e-3, overflow_cap=2.5)
+    X0 = np.array([[0.01, 0.01], [1.0, 0.5], [2.0, 2.0], [np.nan, 0.0],
+                   [0.0, np.inf], [-0.02, 0.01], [0.0, 0.0]])
+    got = iterate_many(imap, X0, cfg)
+    assert_same_results(got, looped_iterate(imap, X0, cfg))
+    assert [getattr(t, "status", None) for t in got] == [
+        TrajectoryStatus.CONVERGED, TrajectoryStatus.BUDGET_EXHAUSTED,
+        TrajectoryStatus.DIVERGED, None, None, TrajectoryStatus.CONVERGED,
+        TrajectoryStatus.CONVERGED]
+    assert isinstance(got[3], InvalidInputError) and isinstance(got[4], InvalidInputError)
+
+
+def test_iterate_many_history_grows_with_the_run_not_the_budget():
+    # a budget whose full history would not fit in memory: starts that stop
+    # early must not pay for it, and a run past the first buffer still matches
+    imap = make_algorithm(AlgorithmId.ALGO1, QUAD)
+    X0 = np.array([[1e-3, 0.0], [1.0, -0.5]])
+    got = iterate_many(imap, X0, RunConfig(max_iters=10**12, eps=1e-9))
+    assert_same_results(got, looped_iterate(imap, X0, RunConfig(max_iters=10**12, eps=1e-9)))
+    assert all(t.status is TrajectoryStatus.CONVERGED for t in got)
+    assert len(got[1]) > 64
+
+
+def test_iterate_many_nan_error_carries_partial():
+    # x -> x * x, NaN past 100: a column that squares past 100 fails with
+    # the states before the NaN step, the others converge
+    imap = dataclasses.replace(make_algorithm(AlgorithmId.ALGO4, QUAD),
+                               step=lambda x: np.where(x > 100.0, np.nan, x * x))
+    assert imap.columnwise
+    X0 = np.array([[0.5], [3.0], [1.0], [20.0]])
+    cfg = RunConfig(overflow_cap=1e12)
+    got = iterate_many(imap, X0, cfg)
+    assert_same_results(got, looped_iterate(imap, X0, cfg))
+    assert isinstance(got[1], NumericFailureError)
+    np.testing.assert_array_equal(got[1].partial.states[:, 0], [3.0, 9.0, 81.0, 6561.0])
+    assert len(got[3].partial) == 2
+    assert got[0].status is got[2].status is TrajectoryStatus.CONVERGED
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_iterate_many_block_step_error_falls_back():
+    # log of a negative start is NaN, which the oracle rejects for the whole
+    # block; the rows then run one by one and only that start fails
+    imap = make_algorithm(AlgorithmId.ALGO5, QUAD)
+    X0 = np.array([[0.5], [-1.0], [2.0]])
+    cfg = RunConfig(max_iters=60)
+    with pytest.raises(InvalidInputError):
+        imap.step(X0.T)
+    got = iterate_many(imap, X0, cfg)
+    assert_same_results(got, looped_iterate(imap, X0, cfg))
+    assert isinstance(got[1], InvalidInputError)
+    assert got[0].status is got[2].status is TrajectoryStatus.CONVERGED
+
+
+def test_iterate_many_serial_for_non_columnwise_maps():
+    l2 = Oracle(OracleKind.PROX_L2, gamma=0.3, domain_dim=2)
+    alg6 = make_algorithm(AlgorithmId.ALGO6, l2, l2)
+    assert not alg6.columnwise
+    rng = np.random.default_rng(6)
+    X0 = rng.uniform(-1.0, 1.0, (4, alg6.dim))
+    cfg = RunConfig(max_iters=60)
+    assert_same_results(iterate_many(alg6, X0, cfg), looped_iterate(alg6, X0, cfg))
+
+    shapes = []
+
+    def step(x):
+        shapes.append(x.shape)
+        return 0.5 * x
+
+    imap = custom_map(step, dim=2)
+    assert not imap.columnwise
+    X0 = np.array([[1.0, 2.0], [0.0, 0.0], [-1.0, 3.0]])
+    assert_same_results(iterate_many(imap, X0, cfg), looped_iterate(imap, X0, cfg))
+    assert set(shapes) == {(2,)}
+    with pytest.raises(InvalidInputError):
+        iterate_many(imap, np.array([1.0, 2.0]), cfg)
 
 
 # ---------------------------------------------------------------------------
