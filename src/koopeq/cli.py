@@ -133,7 +133,8 @@ def _build_parser():
 
 def _apply_config(parser, subparsers, argv, args):
     """Strictly merge a JSON config file: its keys mirror the flag names of
-    the chosen command; unknown keys are rejected; explicit flags win."""
+    the chosen command, each value parsed by its flag like its string form
+    (switches take true or false); unknown keys are rejected; flags win."""
     if not getattr(args, "config", None):
         return args
     try:
@@ -145,12 +146,20 @@ def _apply_config(parser, subparsers, argv, args):
         raise ParseError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParseError("config file must hold a JSON object")
-    allowed = {k for k in vars(args) if k not in ("command", "config")}
-    unknown = set(cfg) - allowed
+    actions = {a.dest: a for a in subparsers[args.command]._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    unknown = set(cfg) - set(actions)
     if unknown:
         raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-    subparsers[args.command].set_defaults(**cfg)
-    return parser.parse_args(argv)
+    given = []
+    for key, value in cfg.items():
+        flag, switch = actions[key].option_strings[-1], actions[key].nargs == 0
+        if isinstance(value, bool) is not switch or not isinstance(value, (str, int, float)):
+            kind = "true or false" if switch else "a string or a number"
+            raise ConfigurationError(f"config field {key} takes {kind}")
+        if value or not switch:
+            given.append(flag if switch else f"{flag}={value}")
+    return parser.parse_args([args.command] + given + argv[argv.index(args.command) + 1:])
 
 
 def _make_oracles(args):

@@ -78,6 +78,10 @@ def spectrum_from_dict(d: dict) -> KoopmanSpectrum:
         raise ParseError(f"malformed spectrum file: {exc}") from exc
     if modes.size and modes.shape[1] != lam.size:
         raise ParseError("modes do not match the eigenvalue count")
+    for key, values in (("eigenvalues", lam), ("modes", modes),
+                        ("eigfn_coeffs", coeffs), ("reconstruction_error", err)):
+        if not np.all(np.isfinite(values)):
+            raise ParseError(f"spectrum file holds a non-finite value in {key!r}")
     meta = d.get("meta", {})
     return KoopmanSpectrum(eigenvalues=lam, modes=modes, eigfn_coeffs=coeffs,
                            method=d["method"], rank=rank,

@@ -234,42 +234,26 @@ def edmd(snap: SnapshotPair, dictionary: Dictionary,
                       "edmd", dictionary.tag, snap.observable_tag)
 
 
-def _lattice_products(retained: list, max_power: int) -> np.ndarray:
-    """Products prod(lam_i ** k_i) over 2 <= sum(k_i) <= max_power."""
-    out = []
-    n = len(retained)
-    for total in range(2, max_power + 1):
-        for combo in itertools.combinations_with_replacement(range(n), total):
-            p = 1.0 + 0.0j
-            for i in combo:
-                p *= retained[i]
-            out.append(p)
-    return np.array(out) if out else np.empty(0, dtype=complex)
-
-
 def principal_eigenvalues(spectrum, lattice_tol: float = 1e-6, max_power: int = 4,
-                          ignore_unit: bool = False,
-                          unit_tol: Optional[float] = None) -> np.ndarray:
+                          ignore_unit: bool = False) -> np.ndarray:
     """Reduce a spectrum to its generating set.
 
     Walking the eigenvalues in descending modulus, an eigenvalue is dropped
-    when it lies within lattice_tol of some product of already-retained
-    eigenvalues with integer exponents summing to between 2 and max_power.
-    Conjugate pairs are kept or dropped together. With ignore_unit, eigenvalues
-    within unit_tol (default lattice_tol) of 1 are removed first: they are the
-    constant-observable mode, not dynamics.
+    when it lies within lattice_tol of a product of 2 to max_power retained
+    eigenvalues, repeats allowed. Conjugate pairs are kept or dropped together.
+    With ignore_unit, eigenvalues within lattice_tol of 1 are removed first:
+    they are the constant-observable mode, not dynamics.
     """
     lam = np.asarray(getattr(spectrum, "eigenvalues", spectrum), dtype=complex).ravel()
-    if lam.size == 0:
-        return lam
     lam = lam[_canonical_order(lam)]
     if ignore_unit:
-        tol1 = lattice_tol if unit_tol is None else unit_tol
-        lam = lam[np.abs(lam - 1.0) > tol1]
+        lam = lam[np.abs(lam - 1.0) > lattice_tol]
     decided = np.zeros(lam.size, dtype=bool)
     keep = np.zeros(lam.size, dtype=bool)
-    retained: list[complex] = []
-    products = np.empty(0, dtype=complex)  # lattice of `retained`; None when stale
+    # levels[d]: every product of d retained eigenvalues; `joining` enters at the next test
+    levels = [[1.0 + 0.0j]] + [[] for _ in range(max_power)]
+    joining: list[complex] = []
+    products = np.empty(0, dtype=complex)
     for i in range(lam.size):
         if decided[i]:
             continue
@@ -279,15 +263,17 @@ def principal_eigenvalues(spectrum, lattice_tol: float = 1e-6, max_power: int = 
                 if not decided[j] and abs(lam[j] - np.conj(lam[i])) <= PAIR_TOL:
                     group.append(j)
                     break
-        if products is None:
-            products = _lattice_products(retained, max_power)
+        if joining:
+            for r, d in itertools.product(joining, range(1, max_power + 1)):
+                levels[d] += [p * r for p in levels[d - 1]]
+            joining = []
+            products = np.array([p for level in levels[2:] for p in level], dtype=complex)
         is_product = products.size > 0 and np.min(np.abs(products - lam[i])) <= lattice_tol
         for j in group:
             decided[j] = True
             keep[j] = not is_product
         if not is_product:
-            retained.extend(lam[j] for j in group)
-            products = None
+            joining.extend(lam[j] for j in group)
     return lam[keep]
 
 

@@ -1,5 +1,7 @@
 """Command-line interface: commands, exit-status contract, file schemas."""
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -127,6 +129,30 @@ def test_compare_schema_violation_exit_102(tmp_path, capsys):
     assert "kind=parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, index, value", [
+    ("eigenvalues", (0, 0), math.nan),
+    ("eigenvalues", (0, 1), math.inf),
+    ("modes", (0, 0, 1), -math.inf),
+    ("eigfn_coeffs", (0, 0, 0), math.nan),
+    ("reconstruction_error", (), math.inf)])
+def test_compare_non_finite_spectrum_exit_102(tmp_path, capsys, key, index, value):
+    a = tmp_path / "a.json"
+    run_cli("run", "--algo", "4", "--oracle", "quad", "--x0", "1.0", "--out", str(a))
+    d = json.loads(a.read_text())
+    if index:
+        *outer, last = index
+        functools.reduce(lambda node, i: node[i], outer, d[key])[last] = value
+    else:
+        d[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))  # NaN, Infinity and -Infinity tokens
+    capsys.readouterr()
+    assert run_cli("compare", str(a), str(bad), "--out", str(tmp_path / "c.json")) == 102
+    err = capsys.readouterr().err
+    assert err.startswith("error: kind=parse ") and key in err
+    assert err.count("\n") == 1
+
+
 def test_usage_error_exit_101(capsys):
     assert run_cli("run", "--algo", "9") == 101
     assert "kind=configuration" in capsys.readouterr().err
@@ -145,6 +171,45 @@ def test_config_file_strict(tmp_path, capsys):
     bad.write_text(json.dumps({"algo": 4, "banana": 1}))
     assert run_cli("run", "--config", str(bad)) == 101
     assert "banana" in capsys.readouterr().err
+
+
+RUN_ALGO4 = ("--algo", "4", "--oracle", "quad", "--x0", "1.0")
+
+
+@pytest.mark.parametrize("cfg, flags, code", [
+    ({"algo": 4, "oracle": "quad", "x0": 5}, (), 0),
+    ({"algo": 4, "oracle": "quad", "x0": "-1.0"}, (), 0),
+    ({"algo": 9, "oracle": "quad", "x0": "1.0"}, (), 101),
+    ({"algo": 4, "oracle": "nope", "x0": "1.0"}, (), 101),
+    ({"eps": None}, RUN_ALGO4, 101),
+    ({"method": "edmd", "degree": 2.5}, RUN_ALGO4, 101),
+    ({"x0": ["1.0"]}, RUN_ALGO4, 101),
+    ({"max_iters": True}, RUN_ALGO4, 101)])
+def test_config_values_parse_like_flags(tmp_path, capsys, cfg, flags, code):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "s.json"
+    assert run_cli("run", *flags, "--config", str(path), "--out", str(out)) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: kind=configuration ") and err.count("\n") == 1
+    else:
+        assert out.exists() and err == ""
+
+
+@pytest.mark.parametrize("keep_unit, code", [(True, 0), (False, 0), ("yes", 101), (1, 101)])
+def test_config_switch_takes_only_booleans(tmp_path, capsys, keep_unit, code):
+    s = tmp_path / "s.json"
+    run_cli("run", *RUN_ALGO4, "--out", str(s))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"keep_unit": keep_unit}))
+    out = tmp_path / "c.json"
+    assert run_cli("compare", str(s), str(s), "--config", str(path), "--out", str(out)) == code
+    if code:
+        assert "keep_unit" in capsys.readouterr().err
+    else:
+        notes = json.loads(out.read_text())["notes"]
+        assert any("unit-constant" in n for n in notes) is not keep_unit
 
 
 def test_config_flag_overrides_file(tmp_path):

@@ -1,5 +1,7 @@
 """Decompositions: DMD, EDMD, principal extraction, reconstruction."""
+import functools
 import itertools
+import operator
 import warnings
 
 import numpy as np
@@ -238,24 +240,85 @@ def test_principal_empty():
     assert principal_eigenvalues(np.empty(0, complex)).size == 0
 
 
-def test_principal_builds_lattice_once_per_retained_group(monkeypatch):
-    # a lattice-shaped spectrum: four generators (one conjugate pair, so
-    # three groups) and every product of two to four of them
+def test_principal_lattice_shaped_spectrum():
+    # four generators (one conjugate pair) and every product of two to four
     gens = [0.9, 0.5 + 0.4j, 0.5 - 0.4j, -0.6]
     lam = [np.prod(c) for k in range(1, 5)
            for c in itertools.combinations_with_replacement(gens, k)]
-    calls = []
-    build = spectral._lattice_products
-
-    def counted(retained, max_power):
-        calls.append(len(retained))
-        return build(retained, max_power)
-
-    monkeypatch.setattr(spectral, "_lattice_products", counted)
     p = principal_eigenvalues(np.array(lam))
     assert len(lam) == 69
     np.testing.assert_allclose(np.sort_complex(p), np.sort_complex(gens), atol=1e-12)
-    assert len(calls) <= 3
+
+
+def _reference_principal(lam, lattice_tol, max_power, ignore_unit):
+    """The same walk, with every lattice product of the retained set
+    enumerated afresh, each multiplied left to right, whenever it grows."""
+    lam = np.asarray(lam, dtype=complex)
+    lam = lam[np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))]
+    if ignore_unit:
+        lam = lam[np.abs(lam - 1.0) > lattice_tol]
+    retained, keep, decided, products = [], [], set(), np.empty(0)
+    for i in range(lam.size):
+        if i in decided:
+            continue
+        group = [i]
+        if abs(lam[i].imag) > spectral.PAIR_TOL:
+            group += [j for j in range(i + 1, lam.size) if j not in decided
+                      and abs(lam[j] - np.conj(lam[i])) <= spectral.PAIR_TOL][:1]
+        decided.update(group)
+        if np.any(np.abs(products - lam[i]) <= lattice_tol):
+            continue
+        retained += [lam[j] for j in group]
+        keep += group
+        products = np.array([functools.reduce(operator.mul, combo, 1.0 + 0.0j)
+                             for total in range(2, max_power + 1)
+                             for combo in itertools.combinations_with_replacement(
+                                 retained, total)])
+    return lam[sorted(keep)]
+
+
+def _random_lattice_spectrum(rng):
+    """Products of one to four generators up to degree three, perturbed,
+    plus up to two free eigenvalues (or pairs) and sometimes the unit one."""
+    def draw():
+        z = rng.uniform(0.1, 1.0) * np.exp(1j * rng.choice([0.0, np.pi, rng.uniform(0.1, 3.0)]))
+        return [z.real + 0j] if abs(z.imag) < 1e-9 else [z, np.conj(z)]
+    gens, count = [], rng.integers(1, 4)
+    while len(gens) < count:
+        gens += draw()
+    lam = [np.prod(c) for k in range(1, rng.integers(2, 4) + 1)
+           for c in itertools.combinations_with_replacement(gens, k)]
+    lam = np.array(lam) * (1 + rng.normal(0.0, 10.0 ** rng.uniform(-9, -2.5), len(lam)))
+    for _ in range(rng.integers(0, 3)):
+        lam = np.append(lam, draw())
+    return np.append(lam, 1.0) if rng.random() < 0.3 else lam
+
+
+# the rule sets callers use: koopeq run and spectrum JSON, classify on DMD,
+# classify with EDMD
+@pytest.mark.parametrize("lattice_tol, max_power, ignore_unit",
+                         [(1e-6, 4, False), (1e-3, 4, True), (0.05, 6, True)])
+def test_principal_matches_brute_force_lattice(lattice_tol, max_power, ignore_unit):
+    rng = np.random.default_rng(20221)
+    pruned = several = 0
+    for _ in range(100):
+        lam = _random_lattice_spectrum(rng)
+        p = principal_eigenvalues(lam, lattice_tol=lattice_tol, max_power=max_power,
+                                  ignore_unit=ignore_unit)
+        ref = _reference_principal(lam, lattice_tol, max_power, ignore_unit)
+        assert np.array_equal(p, ref), lam
+        pruned += p.size < lam.size
+        several += p.size > 1
+    assert pruned > 40 and several > 40  # some drop eigenvalues, some keep several
+
+
+def test_principal_keeps_thirty_independent_eigenvalues():
+    # 15 conjugate pairs, none a product of the others, all kept at max power 6
+    z = np.linspace(0.9, 0.99, 15) * np.exp(1j * np.linspace(0.2, 2.9, 15))
+    lam = np.concatenate([z, np.conj(z)])
+    p = principal_eigenvalues(lam, max_power=6)
+    assert p.size == 30
+    np.testing.assert_array_equal(np.sort_complex(p), np.sort_complex(lam))
 
 
 # ---------------------------------------------------------------------------
