@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,11 +61,12 @@ def prox_l2(v, gamma):
 
 
 def prox_neglogdet(V, gamma):
-    """Proximal operator of -log(det(.)) on symmetric positive-definite input.
+    """Proximal operator of -log(det(.)) on a symmetric matrix.
 
     Eigendecomposes V and maps each eigenvalue t to (t + sqrt(t*t + 4*gamma))/2,
     which solves the per-eigenvalue stationarity condition of
-    -log(det(U)) + ||U - V||_F**2 / (2*gamma).
+    -log(det(U)) + ||U - V||_F**2 / (2*gamma). The map is positive for every
+    real t, so V need not be positive definite; the result always is.
     """
     if gamma <= 0:
         raise InvalidInputError("gamma must be positive")
@@ -75,29 +77,46 @@ def prox_neglogdet(V, gamma):
     scale = max(1.0, float(np.abs(V).max()))
     if not np.allclose(V, V.T, atol=1e-10 * scale):
         raise InvalidInputError("matrix is not symmetric")
+    return _prox_neglogdet(V, gamma)
+
+
+def _prox_neglogdet(V, gamma):
+    """The log-det prox of a finite, square, symmetric V with gamma > 0, unchecked."""
     w, Q = np.linalg.eigh((V + V.T) / 2.0)
-    if np.any(w <= 0):
-        raise InvalidInputError("matrix is not positive definite")
     m = (w + np.sqrt(w * w + 4.0 * gamma)) / 2.0
     R = (Q * m) @ Q.T
     return (R + R.T) / 2.0
 
 
+@lru_cache(maxsize=8)
+def _triu(n):
+    """Row and column indices of the upper triangle of an n x n matrix, read-only."""
+    idx = np.triu_indices(n)
+    for a in idx:
+        a.flags.writeable = False
+    return idx
+
+
 def sym_flatten(V):
     """Upper-triangle flattening of a symmetric n x n matrix to length n(n+1)/2."""
     V = np.asarray(V, dtype=float)
-    n = V.shape[0]
-    return V[np.triu_indices(n)]
+    if V.ndim != 2 or V.shape[0] != V.shape[1]:
+        raise InvalidInputError("expected a square matrix")
+    return V[_triu(V.shape[0])]
 
 
 def sym_unflatten(v, n):
     """Inverse of sym_flatten."""
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise InvalidInputError("expected a 1-D array of upper-triangle entries")
     if v.size != n * (n + 1) // 2:
         raise InvalidInputError(f"expected {n*(n+1)//2} entries for a {n}x{n} symmetric matrix")
+    rows, cols = _triu(n)
     V = np.zeros((n, n))
-    V[np.triu_indices(n)] = v
-    return V + np.triu(V, 1).T
+    V[rows, cols] = v
+    V[cols, rows] = v
+    return V + 0.0  # -0.0 entries (prox_l2 can emit them) become +0.0
 
 
 @dataclass(frozen=True)
@@ -143,8 +162,11 @@ class Oracle:
             return grad_negcos(v)
         if self.kind is OracleKind.PROX_L2:
             return prox_l2(v, self.gamma)
+        # sym_unflatten builds an exactly symmetric square matrix and
+        # __post_init__ enforced gamma > 0, so only finiteness is left to check.
         M = sym_unflatten(v, self.domain_dim)
-        return sym_flatten(prox_neglogdet(M, self.gamma))
+        _check_finite(M)
+        return _prox_neglogdet(M, self.gamma)[_triu(self.domain_dim)]
 
     @property
     def tag(self) -> str:

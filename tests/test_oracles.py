@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from koopeq import (Oracle, OracleKind, grad_negcos, grad_quadratic, prox_l2,
                     prox_neglogdet, sym_flatten, sym_unflatten)
+from koopeq.cli import main
 from koopeq.errors import ConfigurationError, InvalidInputError
 
 
@@ -58,12 +59,25 @@ def test_grad_negcos_examples():
     assert abs(grad_negcos(np.pi)) < 1e-15
 
 
-@pytest.mark.parametrize("fn", [grad_quadratic, grad_negcos])
-def test_grad_rejects_nonfinite(fn):
-    with pytest.raises(InvalidInputError):
-        fn(np.array([1.0, np.nan]))
-    with pytest.raises(InvalidInputError):
-        fn(np.inf)
+@pytest.mark.parametrize("fn, x", [
+    (grad_quadratic, [1.0, 2.0]),
+    (grad_negcos, [1.0, 2.0]),
+    (grad_quadratic, 1.0),
+    (grad_negcos, 1.0),
+    (lambda v: prox_l2(v, 1.0), [1.0, 2.0]),
+    (lambda V: prox_neglogdet(V, 1.0), [[2.0, 0.5], [0.5, 3.0]]),
+    (Oracle(OracleKind.PROX_L2, gamma=1.0, domain_dim=2).apply, [1.0, 2.0]),
+    (Oracle(OracleKind.PROX_NEGLOGDET, gamma=1.0, domain_dim=2).apply, [2.0, 0.5, 3.0]),
+], ids=["grad_quadratic", "grad_negcos", "grad_quadratic_scalar", "grad_negcos_scalar",
+        "prox_l2", "prox_neglogdet", "apply_prox_l2", "apply_prox_neglogdet"])
+def test_grad_rejects_nonfinite(fn, x):
+    # Oracle.apply of the log-det prox skips the public checks that cannot fail
+    # there; finiteness is the one it must keep
+    for bad in (np.nan, np.inf):
+        y = np.array(x, dtype=float)
+        y.flat[-1] = bad
+        with pytest.raises(InvalidInputError):
+            fn(y)
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +179,27 @@ def test_prox_neglogdet_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         prox_neglogdet(np.array([[1.0, 2.0], [0.0, 1.0]]), 1.0)  # not symmetric
     with pytest.raises(InvalidInputError):
-        prox_neglogdet(np.array([[-1.0, 0.0], [0.0, 1.0]]), 1.0)  # not PD
-    with pytest.raises(InvalidInputError):
         prox_neglogdet(np.ones((2, 3)), 1.0)  # not square
+
+
+def test_prox_neglogdet_indefinite_input(tmp_path):
+    # the prox is defined on every symmetric V: each eigenvalue t maps to the
+    # minimizer of -log x + (x - t)^2 / (2 gamma), which is positive for t <= 0 too
+    out = prox_neglogdet(np.diag([-1.0, 2.0]), 1.0)
+    np.testing.assert_allclose(out, np.diag([(np.sqrt(5.0) - 1) / 2, 1 + np.sqrt(2.0)]),
+                               atol=1e-12)
+    Q = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+    for t_in, gamma in (((-1.0, 2.0), 1.0), ((-3.0, 0.0), 0.5), ((-0.2, -4.0), 2.0)):
+        V = Q @ np.diag(t_in) @ Q.T
+        V = (V + V.T) / 2
+        w_out = np.linalg.eigvalsh(prox_neglogdet(V, gamma))
+        for t, x in zip(np.sort(np.linalg.eigvalsh(V)), w_out):
+            x_scan, _ = scan_argmin_neglogdet(t, gamma)
+            assert abs(x - x_scan) < 2e-4
+    # algorithm 6 started from an indefinite logdet block runs instead of exiting 101
+    assert main(["run", "--algo", "6", "--oracle", "logdet", "--oracle-g", "l2",
+                 "--x0=0,0,0,0,0,0,-1,0,2", "--max-iters", "60",
+                 "--out", str(tmp_path / "a6.json")]) == 0
 
 
 def test_subgradient_optimality_random_inputs():
@@ -195,6 +227,47 @@ def test_sym_flatten_round_trip():
     V = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
     np.testing.assert_array_equal(sym_unflatten(sym_flatten(V), 3), V)
     np.testing.assert_array_equal(sym_flatten(V), [1, 2, 3, 4, 5, 6])
+
+
+def test_sym_unflatten_matches_triu_reference():
+    # reference: fill the upper triangle, then mirror it with np.triu, which
+    # also turns every -0.0 into +0.0; the result must agree bit for bit
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 4):
+        v = rng.standard_normal(n * (n + 1) // 2)
+        v[rng.random(v.size) < 0.4] = -0.0
+        ref = np.zeros((n, n))
+        ref[np.triu_indices(n)] = v
+        ref = ref + np.triu(ref, 1).T
+        out = sym_unflatten(v, n)
+        np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("fn, arg", [
+    (sym_flatten, np.ones((2, 3))),
+    (sym_flatten, np.ones(3)),
+    (sym_flatten, np.ones((2, 2, 2))),
+    (lambda v: sym_unflatten(v, 1), np.ones((3, 1))[:1]),
+    (lambda v: sym_unflatten(v, 2), np.ones((3, 1))),
+    (lambda v: sym_unflatten(v, 1), np.float64(1.0)),
+], ids=["flatten_2x3", "flatten_1d", "flatten_3d", "unflatten_1x1", "unflatten_3x1",
+        "unflatten_scalar"])
+def test_sym_flatten_rejects_malformed_input(fn, arg):
+    with pytest.raises(InvalidInputError):
+        fn(arg)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 3.7])
+def test_oracle_apply_logdet_matches_public_prox(gamma):
+    # the lean path inside Oracle.apply is the public prox, bit for bit
+    rng = np.random.default_rng(int(gamma * 10))
+    for n in (1, 2, 3, 4):
+        oracle = Oracle(OracleKind.PROX_NEGLOGDET, gamma=gamma, domain_dim=n)
+        for shift in (2.0, 0.0, -2.0):  # definite, indefinite, mostly negative
+            A = rng.standard_normal((n, n))
+            v = sym_flatten((A + A.T) / 2 + shift * np.eye(n))
+            expected = sym_flatten(prox_neglogdet(sym_unflatten(v, n), gamma))
+            np.testing.assert_array_equal(oracle.apply(v), expected)
 
 
 def test_oracle_record():
