@@ -9,7 +9,7 @@ semi-conjugate, 20 distinct; errors use codes above 100 (101 configuration,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 from pathlib import Path
@@ -64,7 +64,10 @@ def _default_outdir() -> str:
     return os.environ.get(OUTDIR_ENV, ".")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    """The parser and its subparsers, built once per process: parsing only
+    reads them."""
     parser = _Parser(prog="koopeq",
                      description="Koopman-spectrum equivalence analysis of "
                                  "iterative algorithms")
@@ -138,12 +141,11 @@ def _apply_config(parser, subparsers, argv, args):
     if not getattr(args, "config", None):
         return args
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = serialize.read_json(args.config)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config file is not valid JSON: {exc}") from exc
+    except ParseError as exc:
+        raise ParseError(f"config file is {exc}") from None
     if not isinstance(cfg, dict):
         raise ParseError("config file must hold a JSON object")
     actions = {a.dest: a for a in subparsers[args.command]._actions

@@ -7,6 +7,7 @@ distinct otherwise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -15,7 +16,8 @@ import numpy as np
 
 from .corpus import IterativeMap
 from .errors import (CardinalityMismatchError, DegenerateDataError,
-                     InsufficientDataError, InvalidInputError, KoopeqError)
+                     InsufficientDataError, InvalidInputError, KoopeqError,
+                     NumericFailureError)
 from .spectral import (Dictionary, KoopmanSpectrum, RankPolicy, dmd, edmd,
                        principal_eigenvalues)
 from .trajectory import (Centering, RunConfig, Trajectory, iterate, iterate_many,
@@ -51,6 +53,8 @@ def optimal_matching(A, B) -> tuple[float, list[tuple[int, int]]]:
     if A.size != B.size:
         raise CardinalityMismatchError(f"set sizes differ: {A.size} vs {B.size}")
     cost = np.abs(A[:, None] - B[None, :])
+    if not np.all(np.isfinite(cost)):
+        raise NumericFailureError("a distance between eigenvalues overflows")
     rows, cols = linear_sum_assignment(cost)
     pairs = [(int(i), int(j)) for i, j in zip(rows, cols)]
     return float(cost[rows, cols].sum() / A.size), pairs
@@ -115,6 +119,10 @@ def classify(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum,
         lattice_tol = max(1e-6, eps_conj)
     if max_power is None:
         max_power = MAX_POWER_EDMD if edmd_involved else MAX_POWER_DMD
+    for name, tol in (("eps_conj", eps_conj), ("eps_semi", eps_semi),
+                      ("lattice_tol", lattice_tol)):
+        if not 0.0 <= tol < math.inf:
+            raise InvalidInputError(f"{name} must be finite and non-negative, got {tol!r}")
     tols = ComparisonTolerances(eps_conj=eps_conj, eps_semi=eps_semi)
     notes = []
 

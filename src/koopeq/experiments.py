@@ -18,7 +18,7 @@ import numpy as np
 from . import serialize, svgplot
 from .compare import DecompositionSettings, classify, sweep
 from .corpus import AlgorithmId, ConjugacyKind, conjugacy_map, make_algorithm
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericFailureError
 from .oracles import Oracle, OracleKind, sym_flatten
 from .spectral import Dictionary, RankPolicy
 from .trajectory import Centering, RunConfig, iterate
@@ -243,6 +243,8 @@ def run_sweep_preset(resolution: Optional[int], oracle: str, outdir) -> dict:
 
     F = result.distances
     finite = F[np.isfinite(F)]
+    if finite.size == 0:  # every statistic below would be NaN or raise
+        raise NumericFailureError(f"every cell of the {oracle} sweep failed")
     med = float(np.median(finite))
     high = np.isfinite(F) & (F > 10 * med) if med > 0 else np.zeros_like(F, bool)
     labels, n_comp = ndimage.label(high)

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, NumericFailureError
 
 
 class OracleKind(Enum):
@@ -72,12 +72,17 @@ def prox_neglogdet(V, gamma):
         raise InvalidInputError("gamma must be positive")
     V = np.asarray(V, dtype=float)
     _check_finite(V)
-    if V.ndim != 2 or V.shape[0] != V.shape[1]:
-        raise InvalidInputError("expected a square matrix")
+    if V.ndim != 2 or V.shape[0] != V.shape[1] or V.size == 0:
+        raise InvalidInputError("expected a non-empty square matrix")
     scale = max(1.0, float(np.abs(V).max()))
     if not np.allclose(V, V.T, atol=1e-10 * scale):
         raise InvalidInputError("matrix is not symmetric")
-    return _prox_neglogdet(V, gamma)
+    with np.errstate(all="ignore"):
+        R = _prox_neglogdet(V, gamma)
+    # entries near the float limit overflow; Oracle.apply leaves this to iterate
+    if not np.all(np.isfinite(R)):
+        raise NumericFailureError("log-det prox overflowed to a non-finite matrix")
+    return R
 
 
 def _prox_neglogdet(V, gamma):
@@ -107,6 +112,8 @@ def sym_flatten(V):
 
 def sym_unflatten(v, n):
     """Inverse of sym_flatten."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise InvalidInputError(f"n must be a non-negative integer, got {n!r}")
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise InvalidInputError("expected a 1-D array of upper-triangle entries")

@@ -7,14 +7,17 @@ re-parsed file reproduces the in-memory values bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
+import warnings
 from typing import Optional
 
 import numpy as np
 
 from .compare import SpectrumComparison
-from .errors import ParseError
+from .errors import NumericFailureError, ParseError
 from .spectral import KoopmanSpectrum, principal_eigenvalues
 from .trajectory import Trajectory, TrajectoryStatus
 
@@ -31,7 +34,8 @@ def _cvec(v) -> list:
 
 
 def _pair2c(p) -> complex:
-    return complex(p[0], p[1])
+    re, im = p  # TypeError or ValueError unless p is a pair
+    return complex(re, im)
 
 
 def spectrum_to_dict(spec: KoopmanSpectrum, principal: Optional[np.ndarray] = None) -> dict:
@@ -74,7 +78,7 @@ def spectrum_from_dict(d: dict) -> KoopmanSpectrum:
             coeffs = np.empty((lam.size, 0), dtype=complex)
         rank = int(d["rank"])
         err = float(d["reconstruction_error"])
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed spectrum file: {exc}") from exc
     if modes.size and modes.shape[1] != lam.size:
         raise ParseError("modes do not match the eigenvalue count")
@@ -83,6 +87,8 @@ def spectrum_from_dict(d: dict) -> KoopmanSpectrum:
         if not np.all(np.isfinite(values)):
             raise ParseError(f"spectrum file holds a non-finite value in {key!r}")
     meta = d.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParseError("spectrum file field 'meta' must hold a JSON object")
     return KoopmanSpectrum(eigenvalues=lam, modes=modes, eigfn_coeffs=coeffs,
                            method=d["method"], rank=rank,
                            dictionary_tag=d["dictionary"],
@@ -91,16 +97,30 @@ def spectrum_from_dict(d: dict) -> KoopmanSpectrum:
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write strict JSON (no NaN or Infinity) through a sibling temporary
+    file, so `path` holds either its previous content or the whole payload."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericFailureError(f"cannot write {path}: {exc}") from None
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
 
 
@@ -157,24 +177,68 @@ def write_grid_csv(path, result) -> None:
 def ingest_external_trajectory(path, eps: float = 1e-12) -> Trajectory:
     """Read a trajectory produced outside this package.
 
-    Expected format: header `k,x0,x1,...`, one row per iterate with k counting
-    up from 0 without gaps and finite state cells. Returns status BUDGET_EXHAUSTED (convergence is
-    unknown for external data) unless the final two rows coincide within eps.
+    Expected format: UTF-8 text, header `k,x0,x1,...`, one row per iterate
+    with k counting up from 0 without gaps and finite state cells; blank lines
+    are skipped. Returns status BUDGET_EXHAUSTED (convergence is unknown for
+    external data) unless the final two rows coincide within eps.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty trajectory file", line=1) from None
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header[0] != "k":
-            raise ParseError("header must be of the form k,x0,x1,...", line=1)
-        expected = ["x" + str(i) for i in range(len(header) - 1)]
-        if header[1:] != expected:
-            raise ParseError(f"state columns must be named {','.join(expected)}", line=1)
-        dim = len(header) - 1
-        rows = []
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh))
+            body = fh.read()
+    except StopIteration:
+        raise ParseError("empty trajectory file", line=1) from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=1) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"trajectory file is not valid UTF-8: {exc}") from None
+    header = [h.strip() for h in header]
+    if len(header) < 2 or header[0] != "k":
+        raise ParseError("header must be of the form k,x0,x1,...", line=1)
+    expected = ["x" + str(i) for i in range(len(header) - 1)]
+    if header[1:] != expected:
+        raise ParseError(f"state columns must be named {','.join(expected)}", line=1)
+    states = _states_by_loadtxt(body, len(expected))
+    if states is None:
+        states = _states_by_row(body, len(expected))
+    status = TrajectoryStatus.BUDGET_EXHAUSTED
+    fpe = None
+    if np.linalg.norm(states[-1] - states[-2]) <= eps:
+        status = TrajectoryStatus.CONVERGED
+        fpe = states[-1]
+    return Trajectory(states=states, status=status, fixed_point_estimate=fpe)
+
+
+def _states_by_loadtxt(body: str, dim: int) -> Optional[np.ndarray]:
+    """The state block of a trajectory body in one NumPy parse, or None when
+    the row loop has to decide. NumPy reads a subset of what `int()` and
+    `float()` read, to the same values, so every body accepted here is one
+    `_states_by_row` accepts with the same states."""
+    if not body.strip("\r\n"):
+        return None  # loadtxt warns on input without data
+    try:
+        # a warning is an error here: NumPy releases that still read an
+        # integer through a float ("1.0", "-0.0", "1.9") only warn, then truncate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # comments=None: the loop rejects a `#` row, loadtxt would skip it
+            table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+                               dtype=[("k", np.int64), ("x", np.float64, (dim,))])
+    except Exception:  # any failure is the row loop's to report, with its line
+        return None
+    states = table["x"]
+    if (len(table) < 2 or not np.array_equal(table["k"], np.arange(len(table)))
+            or not np.isfinite(states).all()):
+        return None
+    return np.ascontiguousarray(states)
+
+
+def _states_by_row(body: str, dim: int) -> np.ndarray:
+    """The state block of a trajectory body, read row by row with the csv
+    module; raises the ParseError, with its line, of the first bad row."""
+    reader = csv.reader(io.StringIO(body, newline=""))
+    rows = []
+    try:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -191,12 +255,8 @@ def ingest_external_trajectory(path, eps: float = 1e-12) -> Trajectory:
                 kind = "duplicate" if k < len(rows) else "gap in"
                 raise ParseError(f"{kind} iteration index k={k}", line=lineno)
             rows.append(vals)
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num + 1) from None
     if len(rows) < 2:
         raise ParseError("need at least two states")
-    states = np.array(rows, dtype=float)
-    status = TrajectoryStatus.BUDGET_EXHAUSTED
-    fpe = None
-    if np.linalg.norm(states[-1] - states[-2]) <= eps:
-        status = TrajectoryStatus.CONVERGED
-        fpe = states[-1]
-    return Trajectory(states=states, status=status, fixed_point_estimate=fpe)
+    return np.array(rows, dtype=float)

@@ -127,6 +127,11 @@ class RankPolicy:
     rank: Optional[int] = None
     rel_tol: float = 1e-10
 
+    def __post_init__(self):
+        if not 0.0 <= self.rel_tol < math.inf:
+            raise InvalidInputError(
+                f"rel_tol must be finite and non-negative, got {self.rel_tol!r}")
+
     @staticmethod
     def fixed(rank: int) -> "RankPolicy":
         return RankPolicy(rank=rank)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 import koopeq
 from koopeq import serialize
 from koopeq.cli import main
-from koopeq.errors import ParseError
+from koopeq.errors import NumericFailureError, ParseError
 from koopeq.trajectory import TrajectoryStatus
 
 
@@ -289,6 +290,42 @@ def test_ingest_non_numeric_rejected(tmp_path):
         serialize.ingest_external_trajectory(p)
 
 
+@pytest.mark.parametrize("k", ["1.0", "1.5", "-0.0", "1e0", "0.7", ".5", "5e-324"])
+@pytest.mark.parametrize("row", [0, 1])
+def test_ingest_float_k_rejected(tmp_path, k, row):
+    # k is an integer: int() refuses "1.0", so the file is the row loop's to reject
+    cells = ["0", "1"]
+    cells[row] = k
+    p = tmp_path / "t.csv"
+    p.write_text(f"k,x0\n{cells[0]},1.0\n{cells[1]},0.5\n")
+    with pytest.raises(ParseError, match=f"non-numeric cell in row {row + 2}") as exc:
+        serialize.ingest_external_trajectory(p)
+    assert exc.value.line == row + 2
+
+
+def test_ingest_float_k_rejected_when_numpy_truncates(tmp_path, monkeypatch):
+    # NumPy releases before the float-to-int deprecation expired read "0.7"
+    # as k = 0 with only a DeprecationWarning; that warning sends the body to
+    # the row loop
+    real_loadtxt = np.loadtxt
+
+    def truncating_loadtxt(fname, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        dtype = kwargs["dtype"]
+        table = real_loadtxt(fname, **{**kwargs, "dtype": [("k", np.float64), dtype[1]]})
+        return table.astype(dtype)
+
+    monkeypatch.setattr(serialize.np, "loadtxt", truncating_loadtxt)
+    p = tmp_path / "t.csv"
+    p.write_text("k,x0\n0.7,1.0\n1.9,0.5\n")
+    with pytest.raises(ParseError, match="non-numeric cell in row 2") as exc:
+        serialize.ingest_external_trajectory(p)
+    assert exc.value.line == 2
+    p.write_text("k,x0\n0,1.0\n1,0.5\n")  # a clean file still parses
+    assert serialize.ingest_external_trajectory(p).states.tolist() == [[1.0], [0.5]]
+
+
 def test_ingest_bad_header(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("step,x0\n0,1.0\n")
@@ -304,3 +341,190 @@ def test_ingest_converged_when_final_rows_coincide(tmp_path):
     p.write_text("k,x0\n0,1.0\n1,0.5\n2,0.5\n")
     traj = serialize.ingest_external_trajectory(p)
     assert traj.status is TrajectoryStatus.CONVERGED
+
+
+@pytest.mark.parametrize("text, line", [("k," + "x" * 200_000 + "\n0,1\n1,2\n", 1),
+                                        ("k,x0\n0,1\n1," + "a" * 200_000 + "\n", 3)],
+                         ids=["header", "body"])
+def test_ingest_overlong_field_exit_102(tmp_path, capsys, text, line):
+    # csv refuses a field above its size limit; that is a parse error too
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    assert run_cli("run", "--traj", str(p), "--out", str(tmp_path / "s.json")) == 102
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: kind=parse line={line} ") and err.count("\n") == 1
+
+
+def test_ingest_round_trip_takes_the_fast_path(tmp_path, monkeypatch):
+    # a clean file never reaches the row loop; a silent fallback would hide
+    # the cost of the NumPy parse behind correct results
+    rng = np.random.default_rng(7)
+    states = rng.standard_normal((50, 3))
+    p = tmp_path / "t.csv"
+    serialize.write_trajectory_csv(p, [("x", states)])
+    p.write_text(p.read_text().replace("x_", "x"))
+
+    def row_loop(body, dim):
+        raise AssertionError("the row loop ran on a clean file")
+
+    monkeypatch.setattr(serialize, "_states_by_row", row_loop)
+    traj = serialize.ingest_external_trajectory(p)
+    np.testing.assert_array_equal(traj.states.view(np.uint64), states.view(np.uint64))
+    assert traj.states.flags.c_contiguous
+
+
+def test_main_twice_in_one_process_parses_each_call(tmp_path, capsys):
+    # the parser is built once per process; no state may leak between calls
+    s = tmp_path / "s.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps_conj": 0.5, "keep_unit": True}))
+    assert run_cli("run", *RUN_ALGO4, "--out", str(s)) == 0
+    c1 = tmp_path / "c1.json"
+    assert run_cli("compare", str(s), str(s), "--config", str(cfg), "--out", str(c1)) == 0
+    c2 = tmp_path / "c2.json"
+    assert run_cli("compare", str(s), str(s), "--out", str(c2)) == 0
+    first, second = json.loads(c1.read_text()), json.loads(c2.read_text())
+    assert first["tolerances"]["eps_conj"] == 0.5
+    assert second["tolerances"]["eps_conj"] == 1e-3
+    assert not any("unit-constant" in n for n in first["notes"])
+    assert any("unit-constant" in n for n in second["notes"])
+    s2 = tmp_path / "s2.json"
+    assert run_cli("run", "--algo", "1", "--oracle", "quad", "--x0", "1,1",
+                   "--out", str(s2)) == 0
+    assert read_spectrum(s2).eigenvalues.size == 2
+    assert run_cli("compare", str(s), str(s), "--out", str(c2)) == 0
+    assert json.loads(c2.read_text())["tolerances"]["eps_conj"] == 1e-3
+
+
+def assert_one_error_line(err, kind):
+    assert err.startswith(f"error: kind={kind} ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+NOT_UTF8 = b"\xff\xfe{not text"
+
+
+@pytest.mark.parametrize("argv", [("run", "--traj", "{bad}"), ("compare", "{s}", "{bad}"),
+                                  ("compare", "{s}", "{s}", "--config", "{bad}"),
+                                  ("run", *RUN_ALGO4, "--config", "{bad}")],
+                         ids=["csv", "spectrum", "compare_config", "run_config"])
+def test_non_utf8_file_exit_102(tmp_path, capsys, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(NOT_UTF8)
+    s = tmp_path / "s.json"
+    assert run_cli("run", *RUN_ALGO4, "--out", str(s)) == 0
+    capsys.readouterr()
+    argv = [a.format(bad=bad, s=s) for a in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "o.json")) == 102
+    err = capsys.readouterr().err
+    assert_one_error_line(err, "parse")
+    assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(rank=math.inf),  # written as Infinity; 1e400 reads the same
+    lambda d: d.update(meta=[]),
+    lambda d: d.update(eigenvalues=[[0.6, 0.0, 3.0]]),
+    lambda d: d.update(eigenvalues=[[0.6]]),
+    lambda d: d["modes"][0].__setitem__(0, [1.0, 0.0, 0.0]),
+    lambda d: d.update(eigenvalues=[{"re": 0.6, "im": 0.0}, 1]),
+], ids=["rank_overflow", "meta_list", "pair_of_3", "pair_of_1", "mode_pair_of_3", "not_pairs"])
+def test_malformed_spectrum_exit_102(tmp_path, capsys, edit):
+    a = tmp_path / "a.json"
+    run_cli("run", *RUN_ALGO4, "--out", str(a))
+    d = json.loads(a.read_text())
+    edit(d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d).replace("Infinity", "1e400"))
+    capsys.readouterr()
+    assert run_cli("compare", str(a), str(bad), "--out", str(tmp_path / "c.json")) == 102
+    assert_one_error_line(capsys.readouterr().err, "parse")
+
+
+@pytest.mark.parametrize("eigenvalues, against", [
+    ([[1.7e308, 1.7e308]], "a.json"),  # its distance to 0.6
+    ([[1.7e308, 0.0], [-1.7e308, 0.0]], "bad.json"),  # the distance between the two
+], ids=["modulus", "difference"])
+def test_compare_overflowing_distance_exit_103(tmp_path, capsys, eigenvalues, against):
+    # every number is finite, but the distance between two eigenvalues is not
+    a = tmp_path / "a.json"
+    run_cli("run", *RUN_ALGO4, "--out", str(a))
+    d = json.loads(a.read_text())
+    d.update(eigenvalues=eigenvalues, modes=[], eigfn_coeffs=None)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    capsys.readouterr()
+    out = tmp_path / "c.json"
+    assert run_cli("compare", str(bad), str(tmp_path / against), "--out", str(out)) == 103
+    assert_one_error_line(capsys.readouterr().err, "numeric")
+
+
+@pytest.mark.parametrize("config", [False, True], ids=["spectrum", "config"])
+def test_deeply_nested_json_exit_102(tmp_path, capsys, config):
+    s = tmp_path / "s.json"
+    run_cli("run", *RUN_ALGO4, "--out", str(s))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    argv = (str(s), str(s), "--config", str(deep)) if config else (str(s), str(deep))
+    assert run_cli("compare", *argv, "--out", str(tmp_path / "c.json")) == 102
+    assert_one_error_line(capsys.readouterr().err, "parse")
+
+
+@pytest.mark.parametrize("flags", [("--eps-conj", "nan"), ("--eps-conj=inf",),
+                                   ("--eps-semi", "-0.1"), ("--lattice-tol", "nan"),
+                                   ("--lattice-tol=-1e-3",)],
+                         ids=["eps_conj_nan", "eps_conj_inf", "eps_semi_negative",
+                              "lattice_tol_nan", "lattice_tol_negative"])
+def test_compare_rejects_bad_tolerances_exit_101(tmp_path, capsys, flags):
+    s = tmp_path / "s.json"
+    run_cli("run", *RUN_ALGO4, "--out", str(s))
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert run_cli("compare", str(s), str(s), *flags, "--out", str(out)) == 101
+    assert_one_error_line(capsys.readouterr().err, "configuration")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
+def test_run_rejects_bad_svd_tol_exit_101(tmp_path, capsys, tol):
+    assert run_cli("run", *RUN_ALGO4, f"--svd-tol={tol}",
+                   "--out", str(tmp_path / "s.json")) == 101
+    assert_one_error_line(capsys.readouterr().err, "configuration")
+
+
+def test_write_json_strict_and_atomic(tmp_path, monkeypatch):
+    p = tmp_path / "out.json"
+    serialize.write_json(p, {"a": 1.5})
+    before = p.read_bytes()
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericFailureError, match="out.json"):
+            serialize.write_json(p, {"a": [1.0, value]})
+        assert p.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [p]
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(serialize.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        serialize.write_json(p, {"a": 2.5})
+    assert p.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [p]
+
+
+def test_sweep_with_every_cell_failed_exit_103(tmp_path, capsys, monkeypatch):
+    # the fig2 summary has no statistic (and no finite mean) to write then
+    from koopeq import experiments
+
+    real_sweep = experiments.sweep
+
+    def all_failed(*args, **kwargs):
+        result = real_sweep(*args, **kwargs)
+        result.distances[:] = np.nan
+        return result
+
+    monkeypatch.setattr(experiments, "sweep", all_failed)
+    assert run_cli("sweep", "--resolution", "2", "--outdir", str(tmp_path)) == 103
+    assert_one_error_line(capsys.readouterr().err, "numeric")
+    assert not (tmp_path / "fig2_quad_summary.json").exists()

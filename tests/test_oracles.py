@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from koopeq import (Oracle, OracleKind, grad_negcos, grad_quadratic, prox_l2,
                     prox_neglogdet, sym_flatten, sym_unflatten)
 from koopeq.cli import main
-from koopeq.errors import ConfigurationError, InvalidInputError
+from koopeq.errors import ConfigurationError, InvalidInputError, NumericFailureError
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,26 @@ def test_sym_unflatten_matches_triu_reference():
 def test_sym_flatten_rejects_malformed_input(fn, arg):
     with pytest.raises(InvalidInputError):
         fn(arg)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: prox_neglogdet(np.zeros((0, 0)), 1.0),
+    lambda: sym_unflatten([], -1),
+    lambda: sym_unflatten([1.0], 1.5),
+    lambda: sym_unflatten([1.0], "1"),
+], ids=["prox_empty", "unflatten_negative_n", "unflatten_float_n", "unflatten_str_n"])
+def test_public_oracle_entries_reject_malformed_input(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+@pytest.mark.parametrize("V", [np.full((2, 2), 1e308), np.diag([1e308, -1e308]),
+                               np.full((3, 3), 1e200)], ids=["sum", "diag", "square"])
+def test_prox_neglogdet_overflow_is_numeric_failure(V, recwarn):
+    # finite input whose prox overflows is an error, not a silent NaN matrix
+    with pytest.raises(NumericFailureError):
+        prox_neglogdet(V, 1.0)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("gamma", [0.1, 1.0, 3.7])
