@@ -270,7 +270,10 @@ def main(argv=None) -> int:
         args = _apply_config(parser, subparsers, argv, args)
         handler = {"run": cmd_run, "compare": cmd_compare,
                    "sweep": cmd_sweep, "reproduce": cmd_reproduce}[args.command]
-        return handler(args)
+        # an overflow ends in a finiteness check and its one error line, so
+        # NumPy's RuntimeWarning lines would only precede it on stderr
+        with np.errstate(all="ignore"):
+            return handler(args)
     except (CliUsageError, ConfigurationError, UnsupportedPairError,
             InvalidInputError, OSError) as exc:
         print(f"error: kind=configuration message={exc}", file=sys.stderr)

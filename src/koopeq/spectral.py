@@ -11,6 +11,7 @@ where psi is the dictionary (the identity for plain DMD).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -33,17 +34,20 @@ class DictionaryKind(Enum):
     CUSTOM = "custom"
 
 
-def _monomial_exponents(dim: int, max_degree: int):
-    """All exponent tuples with total degree <= max_degree, constant first,
-    graded lexicographic within each degree."""
+@functools.lru_cache
+def _monomial_exponents(dim: int, max_degree: int) -> np.ndarray:
+    """Read-only (K, dim) array of every exponent vector with total degree
+    <= max_degree, constant first, graded lexicographic within each degree."""
     out = []
     for total in range(max_degree + 1):
         for combo in itertools.combinations_with_replacement(range(dim), total):
             e = [0] * dim
             for i in combo:
                 e[i] += 1
-            out.append(tuple(e))
-    return out
+            out.append(e)
+    exps = np.array(out, dtype=int)
+    exps.flags.writeable = False
+    return exps
 
 
 @dataclass(frozen=True)
@@ -101,9 +105,16 @@ class Dictionary:
         if self.kind is DictionaryKind.IDENTITY:
             return states.copy()
         if self.kind is DictionaryKind.MONOMIALS:
-            rows = [np.prod(states.T ** np.array(e), axis=1) for e in
-                    _monomial_exponents(self.dim, self.max_degree)]
-            out = np.array(rows)
+            # powers[e][:, i] = x_i**e. A dim-length exponent makes NumPy pick
+            # the kernel it picks for x ** exponent_vector (at dim 1 its scalar
+            # path, x*x for e = 2, 1 ulp off its vector pow on some x); rows
+            # multiply left to right, so each entry is np.prod(x ** exponents)
+            powers = np.array([states.T ** np.full(self.dim, e)
+                               for e in range(self.max_degree + 1)])
+            exps = _monomial_exponents(self.dim, self.max_degree)
+            out = powers[exps[:, 0], :, 0]
+            for i in range(1, self.dim):
+                out *= powers[exps[:, i], :, i]
         else:
             rows = []
             for name, fn in self.functions:
@@ -162,8 +173,8 @@ def _canonical_order(lam: np.ndarray) -> np.ndarray:
     return np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
 
 
-def _truncated_svd(X: np.ndarray, policy: RankPolicy):
-    U, s, Vh = np.linalg.svd(X, full_matrices=False)
+def _rank(s: np.ndarray, policy: RankPolicy) -> int:
+    """How many of the singular values `s` (descending) policy keeps."""
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateDataError("all singular values vanish; no dynamics in the data")
     r = int(np.sum(s > policy.rel_tol * s[0]))
@@ -173,7 +184,15 @@ def _truncated_svd(X: np.ndarray, policy: RankPolicy):
         if policy.rank < 1:
             raise ConfigurationError("rank must be a positive integer")
         r = min(policy.rank, r)
-    return U[:, :r], s[:r], Vh[:r]
+    return r
+
+
+def _pinv(U: np.ndarray, s: np.ndarray, Vh: np.ndarray) -> np.ndarray:
+    """np.linalg.pinv(A, rcond=1e-12) of a real A from its thin SVD factors,
+    by pinv's own steps, so the result is bit-identical to it."""
+    large = s > 1e-12 * s.max()
+    sinv = np.divide(1, s, where=large, out=np.zeros_like(s))
+    return Vh.T @ (sinv[:, None] * U.T)
 
 
 def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag):
@@ -182,14 +201,16 @@ def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag):
     if not (np.all(np.isfinite(PX)) and np.all(np.isfinite(PY))):
         raise NumericFailureError(f"{method} failed: the data holds non-finite values")
     try:
-        U, s, Vh = _truncated_svd(PX, policy)
+        U_full, s_full, Vh_full = np.linalg.svd(PX, full_matrices=False)
+        r = _rank(s_full, policy)
+        U, s, Vh = U_full[:, :r], s_full[:r], Vh_full[:r]
         reduced = U.conj().T @ PY @ Vh.conj().T / s
         lam, W = np.linalg.eig(reduced)
         if method == "dmd":
             B = np.eye(Xstate.shape[0])
         else:
             # least-squares recovery of the state from the lifted basis
-            B = Xstate @ np.linalg.pinv(PX, rcond=1e-12)
+            B = Xstate @ _pinv(U_full, s_full, Vh_full)
         modes = B @ (U @ W)
         coeffs = np.linalg.solve(W, U.conj().T)
     except np.linalg.LinAlgError as exc:

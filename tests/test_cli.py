@@ -76,6 +76,27 @@ def test_cli_import_defers_scipy():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["--traj", "{big}", "--method", "edmd", "--degree", "2"], 103),
+    (["--algo", "4", "--oracle", "quad", "--x0", "1e308"], 103),
+    (["--algo", "1", "--oracle", "negcos", "--x0", "1e308,1e308"], 101),
+], ids=["edmd_lift_overflow", "quad_overflow", "negcos_overflow"])
+def test_overflow_prints_only_the_error_line(tmp_path, argv, code):
+    # NumPy's RuntimeWarning lines go to stderr apart from pytest's capture,
+    # so only a separate process shows them
+    big = tmp_path / "big.csv"
+    big.write_text("k,x0,x1\n" + "".join(f"{k},{1e300 * 0.9 ** k!r},{2e300 * 0.5 ** k!r}\n"
+                                         for k in range(40)))
+    src = str(Path(koopeq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    cmd = [sys.executable, "-m", "koopeq.cli", "run"] + [a.format(big=big) for a in argv]
+    proc = subprocess.run(cmd + ["--out", str(tmp_path / "s.json")], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 def test_spectrum_round_trip_full_precision(tmp_path):
     out = tmp_path / "s.json"
     run_cli("run", "--algo", "1", "--oracle", "negcos", "--x0", "0.3,0.7",

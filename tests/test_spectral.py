@@ -202,6 +202,85 @@ def test_monomial_dictionary_shape():
     assert ident.tag == "identity"
 
 
+def _per_monomial_lift(states, dim, degree):
+    # the lift as one np.prod over states.T ** e per exponent vector e
+    return np.array([np.prod(states.T ** np.array(tuple(e)), axis=1)
+                     for e in spectral._monomial_exponents(dim, degree)])
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_monomial_lift_bit_identical_to_per_monomial_form(dim):
+    rng = np.random.default_rng(dim)
+    for degree, m, order in itertools.product(range(1, 7), (1, 2, 17, 400), "CF"):
+        states = np.asarray(rng.standard_normal((dim, m))
+                            * rng.choice([1e-3, 1.0, 7.0, 1e20], size=(dim, m)), order=order)
+        want = _per_monomial_lift(states, dim, degree)
+        got = Dictionary.monomials(dim, degree).lift(states)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (degree, m, order)
+
+
+def test_monomial_lift_keeps_the_scalar_square_at_dim_1():
+    # at dim 1 the per-monomial form squares by x*x, and NumPy's vector pow
+    # can be 1 ulp off it (on 36 of these 2,000 values with numpy 2.4 on an
+    # AVX-512 x86-64 CPU), so a power table whose exponent array has another
+    # shape, such as np.arange(degree + 1), does not reproduce it
+    x = np.random.default_rng(1).standard_normal((1, 2000)) * 3.0
+    for degree in range(1, 7):
+        want = _per_monomial_lift(x, 1, degree)
+        got = Dictionary.monomials(1, degree).lift(x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), degree
+
+
+def test_monomial_exponents_read_only():
+    exps = spectral._monomial_exponents(3, 2)
+    assert exps.shape == (10, 3) and not exps.flags.writeable
+    with pytest.raises(ValueError):
+        exps[0, 0] = 1
+    want = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0],
+            [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]]
+    assert exps.tolist() == want
+    assert spectral._monomial_exponents(3, 2) is exps  # enumerated once
+
+
+def test_decompositions_take_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    def no_pinv(*args, **kwargs):
+        raise AssertionError("the EDMD state recovery reuses the SVD of PX")
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+    imap = custom_map(lambda x: np.array([0.8 * x[0], 0.5 * x[1] + 0.1 * x[0] ** 2]), dim=2)
+    snap = snapshots(iterate(imap, (1.0, 0.5), RunConfig(max_iters=60)), Centering.NONE)
+    for degree in (1, 2, 3):
+        calls.clear()
+        edmd(snap, Dictionary.monomials(2, degree))
+        assert len(calls) == 1, degree
+    calls.clear()
+    dmd(snap)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("shape,rank", [((28, 192), None), ((10, 5), None), ((5, 10), None),
+                                        ((28, 192), 9), ((12, 40), 1), ((40, 12), 7)])
+def test_pinv_from_shared_factors_matches_numpy(shape, rank):
+    rng = np.random.default_rng(sum(shape) + (rank or 0))
+    for _ in range(20):
+        if rank is None:
+            A = rng.standard_normal(shape)
+        else:
+            A = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        got = spectral._pinv(*np.linalg.svd(A, full_matrices=False))
+        want = np.linalg.pinv(A, rcond=1e-12)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # principal eigenvalues
 
