@@ -7,6 +7,7 @@ distinct otherwise.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -96,6 +97,20 @@ class SpectrumComparison:
     notes: list = field(default_factory=list)
 
 
+def _rules(spec_a, spec_b, eps_conj=None, eps_semi=None, lattice_tol=None,
+           max_power=None):
+    """classify's defaults for the tolerances a caller leaves unset; looser
+    tolerances and deeper lattice products when either side is EDMD."""
+    edmd_involved = "edmd" in (spec_a.method, spec_b.method)
+    eps = EPS_EDMD if edmd_involved else EPS_DMD
+    eps_conj = eps if eps_conj is None else eps_conj
+    eps_semi = eps if eps_semi is None else eps_semi
+    lattice_tol = max(1e-6, eps_conj) if lattice_tol is None else lattice_tol
+    if max_power is None:
+        max_power = MAX_POWER_EDMD if edmd_involved else MAX_POWER_DMD
+    return eps_conj, eps_semi, lattice_tol, max_power
+
+
 def classify(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum,
              eps_conj: Optional[float] = None, eps_semi: Optional[float] = None,
              ignore_unit_constant: bool = True,
@@ -110,15 +125,8 @@ def classify(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum,
     SEMI_CONJUGATE direction when one set embeds in the other within eps_semi,
     otherwise DISTINCT.
     """
-    edmd_involved = "edmd" in (spec_a.method, spec_b.method)
-    if eps_conj is None:
-        eps_conj = EPS_EDMD if edmd_involved else EPS_DMD
-    if eps_semi is None:
-        eps_semi = EPS_EDMD if edmd_involved else EPS_DMD
-    if lattice_tol is None:
-        lattice_tol = max(1e-6, eps_conj)
-    if max_power is None:
-        max_power = MAX_POWER_EDMD if edmd_involved else MAX_POWER_DMD
+    eps_conj, eps_semi, lattice_tol, max_power = _rules(
+        spec_a, spec_b, eps_conj, eps_semi, lattice_tol, max_power)
     for name, tol in (("eps_conj", eps_conj), ("eps_semi", eps_semi),
                       ("lattice_tol", lattice_tol)):
         if not 0.0 <= tol < math.inf:
@@ -137,28 +145,17 @@ def classify(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum,
         return SpectrumComparison(None, None, None, [], Verdict.DISTINCT, tols,
                                   pa, pb, notes)
 
-    dab = directed_hausdorff(pa, pb)
-    dba = directed_hausdorff(pb, pa)
-    wass = None
-    matching = []
-    if pa.size == pb.size:
-        wass, matching = optimal_matching(pa, pb)
-        if wass <= eps_conj:
-            verdict = Verdict.CONJUGATE
-        elif dab <= eps_semi:
-            verdict = Verdict.SEMI_CONJUGATE_A_INTO_B
-        elif dba <= eps_semi:
-            verdict = Verdict.SEMI_CONJUGATE_B_INTO_A
-        else:
-            verdict = Verdict.DISTINCT
+    dab, dba = directed_hausdorff(pa, pb), directed_hausdorff(pb, pa)
+    wass, matching = optimal_matching(pa, pb) if pa.size == pb.size else (None, [])
+    if wass is not None and wass <= eps_conj:
+        verdict = Verdict.CONJUGATE
+    elif pa.size <= pb.size and dab <= eps_semi:
+        verdict = Verdict.SEMI_CONJUGATE_A_INTO_B
+    elif pb.size <= pa.size and dba <= eps_semi:
+        verdict = Verdict.SEMI_CONJUGATE_B_INTO_A
     else:
-        smaller_is_a = pa.size < pb.size
-        if smaller_is_a and dab <= eps_semi:
-            verdict = Verdict.SEMI_CONJUGATE_A_INTO_B
-        elif not smaller_is_a and dba <= eps_semi:
-            verdict = Verdict.SEMI_CONJUGATE_B_INTO_A
-        else:
-            verdict = Verdict.DISTINCT
+        verdict = Verdict.DISTINCT
+    if pa.size != pb.size:
         notes.append("principal cardinalities differ; Wasserstein undefined")
     return SpectrumComparison(wass, dab, dba, matching, verdict, tols, pa, pb, notes)
 
@@ -209,14 +206,15 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
 
     `grid` is a pair of 1-D axis arrays; cell (i, j) starts map_b, which must
     act on R^2, at (axis1[i], axis2[j]). The cells of a grid row run through
-    one `iterate_many` call, as one block for a columnwise map_b. Each cell is
-    scored by `classify`'s rules: the Wasserstein distance between principal
-    sets, or the larger directed Hausdorff distance when their cardinalities
-    differ (flagged). A grid point whose data has no principal eigenvalues
-    (it sits on a fixed point) scores 0 (flagged): the vacuous limit of its
-    neighbours. Genuine per-cell failures become NaN cells and never abort
-    the sweep. A reference without principal eigenvalues has nothing to
-    compare against and is rejected.
+    one `iterate_many` call, as one block for a columnwise map_b. The
+    reference's principal set is extracted once, and each cell is scored
+    against it by `classify`'s rules: the Wasserstein distance between
+    principal sets, or the larger directed Hausdorff distance when their
+    cardinalities differ (flagged). A grid point whose data has no principal
+    eigenvalues (it sits on a fixed point) scores 0 (flagged): the vacuous
+    limit of its neighbours. Genuine per-cell failures become NaN cells and
+    never abort the sweep. A reference without principal eigenvalues has
+    nothing to compare against and is rejected.
     """
     axis1 = np.asarray(grid[0], dtype=float)
     axis2 = np.asarray(grid[1], dtype=float)
@@ -225,8 +223,11 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
     if map_b.dim != 2:
         raise InvalidInputError(f"the grid holds 2-D starts, map_b expects {map_b.dim}")
     spec_a = settings.spectrum(iterate(map_a, x0_a, cfg))
-    # the reference scored against itself: its principal set by classify's rules
-    pa = classify(spec_a, spec_a).principal_a
+    # both sides decompose by `settings`, so classify's rules hold for every cell
+    _, _, lattice_tol, max_power = _rules(spec_a, spec_a)
+    principal = functools.partial(principal_eigenvalues, lattice_tol=lattice_tol,
+                                  max_power=max_power, ignore_unit=True)
+    pa = principal(spec_a)
     if pa.size == 0:
         raise DegenerateDataError("the reference spectrum has no principal eigenvalues")
 
@@ -240,21 +241,19 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
                     raise traj  # the error iterate raised for this start
                 spec_b = settings.spectrum(traj)
             except (InsufficientDataError, DegenerateDataError):
-                distances[i, j] = 0.0
-                flags[i, j] = CELL_FIXED_POINT
+                flags[i, j] = CELL_FIXED_POINT  # its distance stays 0
                 continue
             except KoopeqError:
                 distances[i, j] = np.nan
                 flags[i, j] = CELL_FAILED
                 continue
-            cmp = classify(spec_a, spec_b)
-            if cmp.principal_b.size == 0:
-                distances[i, j] = 0.0
-                flags[i, j] = CELL_FIXED_POINT
-            elif cmp.wasserstein is not None:
-                distances[i, j] = cmp.wasserstein
+            pb = principal(spec_b)
+            if pb.size == 0:
+                flags[i, j] = CELL_FIXED_POINT  # its distance stays 0
+            elif pb.size == pa.size:
+                distances[i, j] = optimal_matching(pa, pb)[0]
             else:
-                distances[i, j] = max(cmp.directed_hausdorff_ab, cmp.directed_hausdorff_ba)
+                distances[i, j] = max(directed_hausdorff(pa, pb), directed_hausdorff(pb, pa))
                 flags[i, j] = CELL_HAUSDORFF
     return SweepResult(axis1=axis1, axis2=axis2, distances=distances, flags=flags,
                        spectrum_a=spec_a, principal_a=pa)

@@ -50,8 +50,8 @@ def prox_l2(v, gamma):
     Minimizes ||u||_2 + ||u - v||**2 / (2*gamma); the minimizer is
     max(0, 1 - gamma/||v||) * v, with 0 at v = 0.
     """
-    if gamma <= 0:
-        raise InvalidInputError("gamma must be positive")
+    if not 0.0 < gamma < np.inf:
+        raise InvalidInputError(f"gamma must be finite and positive, got {gamma!r}")
     v = np.asarray(v, dtype=float)
     _check_finite(v)
     n = np.linalg.norm(v)
@@ -68,8 +68,8 @@ def prox_neglogdet(V, gamma):
     -log(det(U)) + ||U - V||_F**2 / (2*gamma). The map is positive for every
     real t, so V need not be positive definite; the result always is.
     """
-    if gamma <= 0:
-        raise InvalidInputError("gamma must be positive")
+    if not 0.0 < gamma < np.inf:
+        raise InvalidInputError(f"gamma must be finite and positive, got {gamma!r}")
     V = np.asarray(V, dtype=float)
     _check_finite(V)
     if V.ndim != 2 or V.shape[0] != V.shape[1] or V.size == 0:
@@ -86,7 +86,7 @@ def prox_neglogdet(V, gamma):
 
 
 def _prox_neglogdet(V, gamma):
-    """The log-det prox of a finite, square, symmetric V with gamma > 0, unchecked."""
+    """The log-det prox of a finite, square, symmetric V with finite gamma > 0, unchecked."""
     w, Q = np.linalg.eigh((V + V.T) / 2.0)
     m = (w + np.sqrt(w * w + 4.0 * gamma)) / 2.0
     R = (Q * m) @ Q.T
@@ -140,8 +140,8 @@ class Oracle:
     domain_dim: int = 1
 
     def __post_init__(self):
-        if self.kind in _PROX_KINDS and self.gamma <= 0:
-            raise ConfigurationError("proximal oracles need gamma > 0")
+        if self.kind in _PROX_KINDS and not 0.0 < self.gamma < np.inf:
+            raise ConfigurationError(f"proximal oracles need 0 < gamma < inf, got {self.gamma!r}")
         if self.domain_dim < 1:
             raise ConfigurationError("domain_dim must be a positive integer")
 
@@ -170,7 +170,7 @@ class Oracle:
         if self.kind is OracleKind.PROX_L2:
             return prox_l2(v, self.gamma)
         # sym_unflatten builds an exactly symmetric square matrix and
-        # __post_init__ enforced gamma > 0, so only finiteness is left to check.
+        # __post_init__ enforced 0 < gamma < inf, so only finiteness is left to check.
         M = sym_unflatten(v, self.domain_dim)
         _check_finite(M)
         return _prox_neglogdet(M, self.gamma)[_triu(self.domain_dim)]

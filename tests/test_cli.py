@@ -507,6 +507,19 @@ def test_compare_rejects_bad_tolerances_exit_101(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, cfg", [
+    (("--gamma", "nan"), {}), (("--gamma=inf",), {}), ((), {"gamma": "inf"}),
+    ((), {"gamma": "nan"})], ids=["flag_nan", "flag_inf", "config_inf", "config_nan"])
+def test_run_rejects_non_finite_gamma_exit_101(tmp_path, capsys, argv, cfg):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "s.json"
+    assert run_cli("run", "--algo", "6", "--oracle", "l2", "--oracle-g", "l2",
+                   "--x0", "0,0,2", *argv, "--config", str(config), "--out", str(out)) == 101
+    assert_one_error_line(capsys.readouterr().err, "configuration")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
 def test_run_rejects_bad_svd_tol_exit_101(tmp_path, capsys, tol):
     assert run_cli("run", *RUN_ALGO4, f"--svd-tol={tol}",

@@ -5,15 +5,16 @@ import itertools
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from koopeq import (AlgorithmId, Centering, DecompositionSettings, Oracle,
                     OracleKind, RunConfig, Verdict, classify,
                     conjugacy_map, custom_map, directed_hausdorff, dmd, iterate,
                     make_algorithm, snapshots, sweep, wasserstein_distance)
-from koopeq.compare import CELL_FAILED, CELL_FIXED_POINT, CELL_HAUSDORFF
+from koopeq import compare
+from koopeq.compare import CELL_FAILED, CELL_FIXED_POINT, CELL_HAUSDORFF, CELL_OK
 from koopeq.errors import (CardinalityMismatchError, DegenerateDataError,
-                           InvalidInputError)
+                           InsufficientDataError, InvalidInputError, KoopeqError)
 from koopeq.spectral import KoopmanSpectrum
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
@@ -203,6 +204,93 @@ def test_lemma_inclusion_for_embedded_pair():
         assert directed_hausdorff(s4.eigenvalues, s3.eigenvalues) <= 1e-3
 
 
+def two_ladder_verdict(pa, pb, eps_conj, eps_semi):
+    """The verdict as two ladders, one for equal and one for unequal principal
+    cardinalities: the reference that classify's single ladder must match.
+    Returns the verdict, the Wasserstein distance and whether the
+    cardinality note applies."""
+    dab = directed_hausdorff(pa, pb)
+    dba = directed_hausdorff(pb, pa)
+    if pa.size == pb.size:
+        wass = wasserstein_distance(pa, pb)
+        if wass <= eps_conj:
+            verdict = Verdict.CONJUGATE
+        elif dab <= eps_semi:
+            verdict = Verdict.SEMI_CONJUGATE_A_INTO_B
+        elif dba <= eps_semi:
+            verdict = Verdict.SEMI_CONJUGATE_B_INTO_A
+        else:
+            verdict = Verdict.DISTINCT
+        return verdict, wass, False
+    smaller_is_a = pa.size < pb.size
+    if smaller_is_a and dab <= eps_semi:
+        verdict = Verdict.SEMI_CONJUGATE_A_INTO_B
+    elif not smaller_is_a and dba <= eps_semi:
+        verdict = Verdict.SEMI_CONJUGATE_B_INTO_A
+    else:
+        verdict = Verdict.DISTINCT
+    return verdict, None, True
+
+
+CARDINALITY_NOTE = "principal cardinalities differ; Wasserstein undefined"
+
+
+def assert_one_ladder_matches_two(A, B, eps_conj, eps_semi):
+    sa, sb = synthetic_spectrum(A), synthetic_spectrum(B)
+    cmp = classify(sa, sb, eps_conj=eps_conj, eps_semi=eps_semi, lattice_tol=1e-6)
+    verdict, wass, noted = two_ladder_verdict(cmp.principal_a, cmp.principal_b,
+                                              eps_conj, eps_semi)
+    assert cmp.verdict is verdict
+    assert cmp.wasserstein == wass
+    assert cmp.notes[1:] == ([CARDINALITY_NOTE] if noted else [])  # after the unit note
+    return cmp
+
+
+@pytest.mark.parametrize("A, B, expected", [
+    ([0.5], [0.5], Verdict.CONJUGATE),
+    ([0.5, 0.52], [0.5, 0.9], Verdict.SEMI_CONJUGATE_A_INTO_B),
+    ([0.5, 0.9], [0.5, 0.52], Verdict.SEMI_CONJUGATE_B_INTO_A),
+    ([0.5], [0.5, 0.9], Verdict.SEMI_CONJUGATE_A_INTO_B),
+    ([0.5, 0.9], [0.5], Verdict.SEMI_CONJUGATE_B_INTO_A),
+    ([0.5, 0.9], [0.3], Verdict.DISTINCT),
+    ([0.5], [0.3], Verdict.DISTINCT)])
+def test_one_ladder_covers_every_verdict(A, B, expected):
+    # both semi-conjugate directions, with equal and with unequal cardinalities
+    cmp = assert_one_ladder_matches_two(A, B, eps_conj=1e-3, eps_semi=5e-2)
+    assert cmp.verdict is expected
+
+
+EIGENVALUE = st.builds(lambda r, t: r * np.exp(1j * t),
+                       st.floats(0.1, 0.95), st.sampled_from([0.0, 0.4, 1.1, 2.0, np.pi]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(EIGENVALUE, min_size=1, max_size=5),
+       st.lists(st.tuples(st.sampled_from(["shared", "perturbed", "unrelated"]),
+                          st.integers(0, 4), st.sampled_from([1e-4, 1e-2, -3e-2]),
+                          EIGENVALUE), min_size=1, max_size=5),
+       st.sampled_from(["0", "1e-3", "5e-2", "wass", "dab", "dba"]),
+       st.sampled_from(["0", "1e-3", "5e-2", "wass", "dab", "dba"]))
+@example(A=[0.5], B=[("shared", 0, 1e-4, 0.9), ("unrelated", 0, 1e-4, 0.7)],
+         conj="0", semi="dab")
+@example(A=[0.5, 0.7], B=[("perturbed", 0, 1e-2, 0.9), ("unrelated", 0, 1e-4, 0.3)],
+         conj="1e-3", semi="dba")
+def test_one_ladder_equals_two_ladders(A, B, conj, semi):
+    # B draws each eigenvalue from A (exactly or perturbed) or independently;
+    # a tolerance is a fixed value or one of the pair's own distances, which
+    # puts that distance exactly on its tolerance
+    B = [lam if kind == "unrelated" else A[i % len(A)] * (1.0 + d if kind == "perturbed" else 1.0)
+         for kind, i, d, lam in B]
+    probe = classify(synthetic_spectrum(A), synthetic_spectrum(B), lattice_tol=1e-6)
+    pa, pb = probe.principal_a, probe.principal_b
+    if pa.size == 0 or pb.size == 0:
+        return
+    ties = {"wass": probe.wasserstein if probe.wasserstein is not None else 0.0,
+            "dab": probe.directed_hausdorff_ab, "dba": probe.directed_hausdorff_ba}
+    eps_conj, eps_semi = (ties[e] if e in ties else float(e) for e in (conj, semi))
+    assert_one_ladder_matches_two(A, B, eps_conj, eps_semi)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -348,3 +436,88 @@ def test_sweep_steps_a_row_as_one_block(row_length):
           (np.array([0.5]), np.linspace(-1.0, 1.0, row_length)), cfg=cfg,
           settings=DecompositionSettings(centering=Centering.NONE))
     assert len(calls) <= 2 * cfg.max_iters
+
+
+def scored_by_classify(map_a, x0_a, map_b, grid, cfg, settings):
+    """Each cell run alone and scored from a full classify(spec_a, spec_b):
+    the per-cell rule sweep must reproduce bit for bit."""
+    spec_a = settings.spectrum(iterate(map_a, x0_a, cfg))
+    distances = np.zeros((len(grid[0]), len(grid[1])))
+    flags = np.zeros(distances.shape, dtype=int)
+    for (i, a), (j, b) in itertools.product(enumerate(grid[0]), enumerate(grid[1])):
+        try:
+            spec_b = settings.spectrum(iterate(map_b, (a, b), cfg))
+        except (InsufficientDataError, DegenerateDataError):
+            distances[i, j], flags[i, j] = 0.0, CELL_FIXED_POINT
+            continue
+        except KoopeqError:
+            distances[i, j], flags[i, j] = np.nan, CELL_FAILED
+            continue
+        cmp = classify(spec_a, spec_b)
+        if cmp.principal_b.size == 0:
+            distances[i, j], flags[i, j] = 0.0, CELL_FIXED_POINT
+        elif cmp.wasserstein is not None:
+            distances[i, j], flags[i, j] = cmp.wasserstein, CELL_OK
+        else:
+            distances[i, j] = max(cmp.directed_hausdorff_ab, cmp.directed_hausdorff_ba)
+            flags[i, j] = CELL_HAUSDORFF
+    return distances, flags, classify(spec_a, spec_a).principal_a
+
+
+M_GROW = np.diag([2.0, 0.5])
+SWEEP_CASES = {
+    "quad": (make_algorithm(AlgorithmId.ALGO1, QUAD), (0.1, 0.1),
+             make_algorithm(AlgorithmId.ALGO2, QUAD), np.linspace(-2.0, 2.0, 5),
+             np.linspace(-2.0, 2.0, 5), RunConfig(max_iters=40),
+             DecompositionSettings(centering=Centering.NONE)),
+    "negcos": (make_algorithm(AlgorithmId.ALGO1, NEGCOS), (0.1, 0.1),
+               make_algorithm(AlgorithmId.ALGO2, NEGCOS), np.linspace(-2.0, 2.0, 7),
+               np.linspace(-2.0, 2.0, 7), RunConfig(max_iters=200),
+               DecompositionSettings(centering=Centering.FIXED_POINT, discard=150)),
+    # a start on an axis gives one eigenvalue (Hausdorff), the origin is a
+    # fixed point, and x[0] > 1 steps to an infinite state (failed)
+    "custom": (custom_map(lambda x: M_GROW @ x, dim=2), (-0.3, 0.2),
+               custom_map(lambda x: np.array([np.inf, 1.0]) if x[0] > 1.0 else M_GROW @ x,
+                          dim=2),
+               np.array([-0.3, 0.0, 0.3]), np.array([0.0, 0.2]), RunConfig(max_iters=60),
+               DecompositionSettings(centering=Centering.NONE)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_scores_each_cell_as_classify_does(case):
+    map_a, x0_a, map_b, axis1, axis2, cfg, settings = SWEEP_CASES[case]
+    res = sweep(map_a, x0_a, map_b, (axis1, axis2), cfg=cfg, settings=settings)
+    distances, flags, principal_a = scored_by_classify(map_a, x0_a, map_b, (axis1, axis2),
+                                                       cfg, settings)
+    assert np.array_equal(res.distances.view(np.uint64), distances.view(np.uint64))
+    assert np.array_equal(res.flags, flags)
+    assert np.array_equal(res.principal_a.view(np.uint64), principal_a.view(np.uint64))
+    if case == "custom":
+        assert {CELL_OK, CELL_HAUSDORFF, CELL_FIXED_POINT, CELL_FAILED} <= set(flags.ravel())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
+    map_a, x0_a, map_b, axis1, axis2, cfg, settings = SWEEP_CASES[case]
+    calls = {"classify": 0, "principal": 0, "spectrum": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[name] += 1  # counts only calls that return
+            return out
+        return wrapper
+
+    monkeypatch.setattr(compare, "classify", counted("classify", compare.classify))
+    monkeypatch.setattr(compare, "principal_eigenvalues",
+                        counted("principal", compare.principal_eigenvalues))
+    monkeypatch.setattr(DecompositionSettings, "spectrum",
+                        counted("spectrum", DecompositionSettings.spectrum))
+    sweep(map_a, x0_a, map_b, (axis1, axis2), cfg=cfg, settings=settings)
+    assert calls["classify"] == 0
+    # one principal set per scored cell, plus the reference's
+    assert calls["principal"] == calls["spectrum"]
+    assert calls["spectrum"] > 1

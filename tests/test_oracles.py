@@ -109,9 +109,14 @@ def test_prox_l2_collapses_small_input():
     assert l2_objective(out, np.array([1.0, 0.0]), 2.0) <= val_grid + 1e-12
 
 
+NON_POSITIVE_OR_NON_FINITE_GAMMAS = [0.0, -1.0, np.nan, np.inf, -np.inf]
+
+
 def test_prox_l2_needs_positive_gamma():
-    with pytest.raises(InvalidInputError):
-        prox_l2(np.ones(2), 0.0)
+    # NaN compares false, so a plain `gamma <= 0` guard would let it through
+    for gamma in NON_POSITIVE_OR_NON_FINITE_GAMMAS:
+        with pytest.raises(InvalidInputError):
+            prox_l2(np.array([3.0, 4.0]), gamma)
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,6 +185,9 @@ def test_prox_neglogdet_rejects_bad_input():
         prox_neglogdet(np.array([[1.0, 2.0], [0.0, 1.0]]), 1.0)  # not symmetric
     with pytest.raises(InvalidInputError):
         prox_neglogdet(np.ones((2, 3)), 1.0)  # not square
+    for gamma in NON_POSITIVE_OR_NON_FINITE_GAMMAS:
+        with pytest.raises(InvalidInputError):
+            prox_neglogdet(np.eye(2), gamma)
 
 
 def test_prox_neglogdet_indefinite_input(tmp_path):
@@ -299,7 +307,11 @@ def test_oracle_record():
     flat = sym_flatten(np.diag([2.0, 3.0]))
     out = sym_unflatten(logdet.apply(flat), 2)
     assert out[0, 0] == pytest.approx(1 + np.sqrt(2.0))
-    with pytest.raises(ConfigurationError):
-        Oracle(OracleKind.PROX_L2, gamma=-1.0)
+    for kind in (OracleKind.PROX_L2, OracleKind.PROX_NEGLOGDET):
+        for gamma in NON_POSITIVE_OR_NON_FINITE_GAMMAS:
+            with pytest.raises(ConfigurationError):
+                Oracle(kind, gamma=gamma, domain_dim=2)
+    # gradient oracles ignore gamma
+    assert Oracle(OracleKind.GRAD_QUADRATIC, gamma=np.nan).apply(np.array([1.5])) == 3.0
     grad = Oracle(OracleKind.GRAD_QUADRATIC)
     np.testing.assert_allclose(grad.apply(np.array([2.0])), [4.0])
