@@ -41,12 +41,72 @@ class Verdict(Enum):
     DISTINCT = "distinct"
 
 
+def _assignment(cost: list) -> list[int]:
+    """The column assigned to each row of a square cost matrix (a list of
+    rows of finite floats) by a minimum-cost assignment.
+
+    n <= 2 has a closed form. Larger n takes the shortest augmenting path
+    form of Crouse ("On implementing 2D rectangular assignment algorithms",
+    IEEE TAES 52(4), 2016) as scipy's linear_sum_assignment implements it:
+    rows are added in order, each by a Dijkstra search over a list of the
+    remaining columns that starts in reverse order, breaking a tie in favour
+    of an unassigned column. The same arithmetic in the same order picks the same
+    permutation as scipy, ties included.
+    """
+    n = len(cost)
+    if n == 1:
+        return [0]
+    if n == 2:
+        (c00, c01), (c10, c11) = cost
+        kept, swapped = c00 + c11, c01 + c10
+        return [1, 0] if swapped < kept or (swapped == kept and c01 < c00) else [0, 1]
+    u, v = [0.0] * n, [0.0] * n  # dual variables of rows and columns
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        dist = [math.inf] * n  # shortest reduced path cost to each column
+        remaining = list(range(n - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink < 0:
+            rows_seen.append(i)
+            row, ui = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < dist[j]:
+                    path[j] = i
+                    dist[j] = r
+                if dist[j] < lowest or (dist[j] == lowest and row4col[j] < 0):
+                    lowest = dist[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen[1:]:  # rows_seen[0] is cur
+            u[i] += min_val - dist[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - dist[j]
+        j = sink  # flip the assignments along the path back to row cur
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def optimal_matching(A, B) -> tuple[float, list[tuple[int, int]]]:
     """Order-1 Wasserstein distance between equal-size eigenvalue multisets
     with uniform weights (the minimum over pairings of the mean |a - b|) and
     the index pairs of the optimal assignment that attains it."""
-    from scipy.optimize import linear_sum_assignment
-
     A = np.asarray(A, dtype=complex).ravel()
     B = np.asarray(B, dtype=complex).ravel()
     if A.size == 0 or B.size == 0:
@@ -56,9 +116,11 @@ def optimal_matching(A, B) -> tuple[float, list[tuple[int, int]]]:
     cost = np.abs(A[:, None] - B[None, :])
     if not np.all(np.isfinite(cost)):
         raise NumericFailureError("a distance between eigenvalues overflows")
-    rows, cols = linear_sum_assignment(cost)
-    pairs = [(int(i), int(j)) for i, j in zip(rows, cols)]
-    return float(cost[rows, cols].sum() / A.size), pairs
+    rows = cost.tolist()
+    cols = _assignment(rows)
+    # NumPy's sum of the matched costs in row order, as cost[rows, cols].sum()
+    matched = np.array([row[j] for row, j in zip(rows, cols)])
+    return float(matched.sum() / A.size), list(enumerate(cols))
 
 
 def wasserstein_distance(A, B) -> float:

@@ -217,6 +217,24 @@ def run_preset(name: str, outdir, resolution: Optional[int] = None) -> dict:
     return manifest
 
 
+def largest_component(mask: np.ndarray) -> int:
+    """Cell count of the largest 4-connected component of a 2-D boolean
+    grid's True cells; 0 when there are none."""
+    todo = set(zip(*(axis.tolist() for axis in np.nonzero(mask))))
+    biggest = 0
+    while todo:
+        stack, size = [todo.pop()], 0
+        while stack:
+            i, j = stack.pop()
+            size += 1
+            for cell in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if cell in todo:
+                    todo.remove(cell)
+                    stack.append(cell)
+        biggest = max(biggest, size)
+    return biggest
+
+
 def run_sweep_preset(resolution: Optional[int], oracle: str, outdir) -> dict:
     """One oracle variant of the initial-condition sweep: algorithm 1 fixed at
     (0.1, 0.1), algorithm 2 started from every node of a square grid on
@@ -239,16 +257,13 @@ def run_sweep_preset(resolution: Optional[int], oracle: str, outdir) -> dict:
     result = sweep(map_a, FIG2_X0_A, map_b, (axis, axis),
                    cfg=defaults["cfg"], settings=defaults["settings"])
 
-    from scipy import ndimage
-
     F = result.distances
     finite = F[np.isfinite(F)]
     if finite.size == 0:  # every statistic below would be NaN or raise
         raise NumericFailureError(f"every cell of the {oracle} sweep failed")
     med = float(np.median(finite))
     high = np.isfinite(F) & (F > 10 * med) if med > 0 else np.zeros_like(F, bool)
-    labels, n_comp = ndimage.label(high)
-    biggest = max((int(np.sum(labels == k)) for k in range(1, n_comp + 1)), default=0)
+    biggest = largest_component(high)
     fmin, fmax = float(finite.min()), float(finite.max())
     positive = finite[finite > 0]
     summary = {

@@ -105,12 +105,17 @@ class Dictionary:
         if self.kind is DictionaryKind.IDENTITY:
             return states.copy()
         if self.kind is DictionaryKind.MONOMIALS:
-            # powers[e][:, i] = x_i**e. A dim-length exponent makes NumPy pick
-            # the kernel it picks for x ** exponent_vector (at dim 1 its scalar
-            # path, x*x for e = 2, 1 ulp off its vector pow on some x); rows
-            # multiply left to right, so each entry is np.prod(x ** exponents)
-            powers = np.array([states.T ** np.full(self.dim, e)
-                               for e in range(self.max_degree + 1)])
+            # powers[e][:, i] = x_i**e. x**0 is 1 and x**1 is x exactly, so
+            # those rows take no pow. For e >= 2 a dim-length exponent makes
+            # NumPy pick the kernel it picks for x ** exponent_vector (at dim 1
+            # its scalar path, x*x for e = 2, 1 ulp off its vector pow on some
+            # x); rows multiply left to right, so each entry is
+            # np.prod(x ** exponents)
+            powers = np.empty((self.max_degree + 1,) + states.T.shape)
+            powers[0] = 1.0
+            powers[1] = states.T
+            for e in range(2, self.max_degree + 1):
+                powers[e] = states.T ** np.full(self.dim, e)
             exps = _monomial_exponents(self.dim, self.max_degree)
             out = powers[exps[:, 0], :, 0]
             for i in range(1, self.dim):

@@ -13,7 +13,7 @@ from koopeq import (AlgorithmId, Centering, Dictionary,
                     classify, conjugacy_map, custom_map, dmd, edmd, iterate,
                     make_algorithm, principal_eigenvalues, snapshots, sweep,
                     sym_flatten, verify_commutation, wasserstein_distance)
-from koopeq.experiments import FIG2_DEFAULTS, FIG2_X0_A, run_all
+from koopeq.experiments import FIG2_DEFAULTS, FIG2_X0_A, largest_component, run_all
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
 NEGCOS = Oracle(OracleKind.GRAD_NEGCOS)
@@ -81,6 +81,7 @@ def test_criterion_3_sweep_local_conjugacy():
     labels, n_comp = ndimage.label(high)
     biggest = max(np.sum(labels == k) for k in range(1, n_comp + 1))
     assert biggest >= 0.05 * F.size  # the high region is one contiguous blob
+    assert largest_component(high) == biggest  # fig2's summary agrees
     report(3, "sweep, local conjugacy", t0, 120.0)
 
 

@@ -65,15 +65,28 @@ def test_run_traj_non_finite_cell_exit_102(tmp_path, capsys, cell):
     assert err.count("\n") == 1
 
 
-def test_cli_import_defers_scipy():
-    # optimize and ndimage serve one call site each; `koopeq run` needs neither
+def test_runtime_without_scipy(tmp_path):
+    # scipy is a test-only dependency: with it blocked, run, compare (which
+    # assigns) and fig2 (which sweeps and flood-fills) all succeed
     src = str(Path(koopeq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = ("import sys, koopeq.cli; print(sorted(m for m in sys.modules "
-            "if m in ('scipy.optimize', 'scipy.ndimage')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from koopeq import cli\n"
+        "out = sys.argv[1]\n"
+        "codes = [cli.main(['run', '--algo', '4', '--oracle', 'quad', '--x0', '1.0',\n"
+        "                   '--out', out + '/a.json']),\n"
+        "         cli.main(['compare', out + '/a.json', out + '/a.json',\n"
+        "                   '--out', out + '/c.json']),\n"
+        "         cli.main(['reproduce', 'fig2', '--resolution', '7', '--outdir', out + '/fig2'])]\n"
+        "print(codes, sorted(m for m, mod in sys.modules.items()\n"
+        "                    if m.partition('.')[0] == 'scipy' and mod is not None))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip().splitlines()[-1] == "[0, 0, 0] []"
+    assert json.loads((tmp_path / "c.json").read_text())["verdict"] == "conjugate"
+    assert (tmp_path / "fig2" / "fig2_negcos_summary.json").exists()
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -59,9 +59,8 @@ def test_wasserstein_crossing_assignment(monkeypatch):
     # classify solves the assignment once and reports it as a permutation
     # whose mean pair distance is the Wasserstein distance
     calls = []
-    solve = scipy.optimize.linear_sum_assignment
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
-                        lambda cost: calls.append(cost) or solve(cost))
+    solve = compare._assignment
+    monkeypatch.setattr(compare, "_assignment", lambda cost: calls.append(cost) or solve(cost))
     cmp = classify(synthetic_spectrum([0.9, -0.85]), synthetic_spectrum([-0.88, 0.86]))
     assert len(calls) == 1
     assert sorted(cmp.matching) == [(0, 1), (1, 0)]
@@ -69,6 +68,42 @@ def test_wasserstein_crossing_assignment(monkeypatch):
     mean = sum(abs(pa[i] - pb[j]) for i, j in cmp.matching) / len(cmp.matching)
     assert mean == pytest.approx(cmp.wasserstein, rel=1e-12)
     assert cmp.wasserstein == pytest.approx(0.035)
+
+
+def _scipy_matching(A, B):
+    # optimal_matching with scipy's solver, the independent reference
+    A, B = np.asarray(A, complex), np.asarray(B, complex)
+    cost = np.abs(A[:, None] - B[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum() / A.size), [(int(i), int(j)) for i, j in zip(rows, cols)]
+
+
+def _assert_same_as_scipy(cost):
+    want = scipy.optimize.linear_sum_assignment(cost)[1].tolist()
+    assert compare._assignment(cost.tolist()) == want, cost
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_assignment_matches_scipy(n):
+    rng = np.random.default_rng(1100 + n)
+    for _ in range(300):
+        _assert_same_as_scipy(rng.random((n, n)) * 10.0 ** rng.integers(-3, 4))
+        _assert_same_as_scipy(rng.integers(0, 3, (n, n)) / 4)  # exact ties
+        A = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        B = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert compare.optimal_matching(A, B) == _scipy_matching(A, B)
+    for _ in range(100):
+        # conjugate-pair sets matched against their own permutations, exact
+        # and perturbed: the principal sets classify and sweep meet
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        A = np.concatenate([z, z.conj()])[:n]
+        for B in (A[rng.permutation(n)], A[rng.permutation(n)] + 1e-9 * rng.standard_normal(n)):
+            assert compare.optimal_matching(A, B) == _scipy_matching(A, B)
+
+
+def test_assignment_two_by_two_closed_form_matches_scipy():
+    for vals in itertools.product(range(4), repeat=4):
+        _assert_same_as_scipy(np.array(vals, float).reshape(2, 2))
 
 
 def test_wasserstein_cardinality_error():

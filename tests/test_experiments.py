@@ -1,7 +1,9 @@
 """Preset pipelines: emitted files, verdicts, manifest structure."""
 import json
 
+import numpy as np
 import pytest
+from scipy import ndimage
 
 from koopeq import experiments
 from koopeq.errors import ConfigurationError
@@ -110,3 +112,18 @@ def test_manifest_digests_match_files(fig1):
     for f in manifest["files"]:
         digest = hashlib.sha256((out / f["path"]).read_bytes()).hexdigest()
         assert digest == f["sha256"]
+
+
+def _ndimage_largest(mask):
+    labels, n_comp = ndimage.label(mask)  # default structure: 4-connected
+    return max((int(np.sum(labels == k)) for k in range(1, n_comp + 1)), default=0)
+
+
+def test_largest_component_matches_ndimage():
+    rng = np.random.default_rng(1101)
+    for shape in [(1, 1), (1, 9), (9, 1), (7, 7), (13, 29), (41, 41)]:
+        for density in (0.0, 0.2, 0.45, 0.6, 0.9, 1.0):
+            for _ in range(20):
+                mask = rng.random(shape) < density
+                assert experiments.largest_component(mask) == _ndimage_largest(mask)
+

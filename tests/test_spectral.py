@@ -232,6 +232,37 @@ def test_monomial_lift_keeps_the_scalar_square_at_dim_1():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), degree
 
 
+def _pow_table_lift(states, dim, degree):
+    # the lift with every row of its power table, e = 0 and 1 included, from pow
+    powers = np.array([states.T ** np.full(dim, e) for e in range(degree + 1)])
+    exps = spectral._monomial_exponents(dim, degree)
+    out = powers[exps[:, 0], :, 0]
+    for i in range(1, dim):
+        out *= powers[exps[:, i], :, i]
+    return out
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_monomial_lift_power_rows_0_and_1_bit_identical_to_pow(dim):
+    # the e = 0 row is ones and the e = 1 row the states, with no pow: the
+    # same bits as x ** 0 and x ** 1 on signed zeros, subnormals, the largest
+    # float and magnitudes from 1e-300 to 1e300
+    rng = np.random.default_rng(dim)
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    for _ in range(200):
+        states = (rng.standard_normal((dim, 7))
+                  * 10.0 ** rng.integers(-300, 301, size=(dim, 7)))
+        states.flat[rng.integers(0, states.size, 3)] = rng.choice(edge, 3)
+        want = _pow_table_lift(states, dim, 1)
+        got = Dictionary.monomials(dim, 1).lift(states)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    small = np.resize(edge[:4], (dim, 5))  # signed zeros and subnormals mixed
+    for degree in (2, 3):
+        want = _pow_table_lift(small, dim, degree)
+        got = Dictionary.monomials(dim, degree).lift(small)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), degree
+
+
 def test_monomial_exponents_read_only():
     exps = spectral._monomial_exponents(3, 2)
     assert exps.shape == (10, 3) and not exps.flags.writeable
