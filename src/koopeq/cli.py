@@ -214,7 +214,6 @@ def cmd_run(args) -> int:
     spec = settings.spectrum(traj)
     principal = principal_eigenvalues(spec)
     out = Path(args.out) if args.out else Path(_default_outdir()) / "spectrum.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
     serialize.write_json(out, serialize.spectrum_to_dict(spec, principal))
     pretty = ", ".join(f"{z.real:.12g}{z.imag:+.12g}j" for z in principal)
     print(f"principal eigenvalues: [{pretty}]")
@@ -235,7 +234,6 @@ def cmd_compare(args) -> int:
                    ignore_unit_constant=not args.keep_unit,
                    lattice_tol=args.lattice_tol, max_power=args.max_power)
     out = Path(args.out) if args.out else Path(_default_outdir()) / "comparison.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
     serialize.write_json(out, serialize.comparison_to_dict(cmp))
     print(f"verdict: {cmp.verdict.value}")
     print(f"comparison written to {out}")

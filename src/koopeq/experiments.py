@@ -120,8 +120,14 @@ FIG2_X0_A = (0.1, 0.1)
 FIG2_RANGE = (-2.0, 2.0)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _written(outdir, name: str, kind: str, write, content) -> dict:
+    """Write `outdir/name` by `write(path, content)`; its manifest record."""
+    data = write(Path(outdir) / name, content)
+    return {"path": name, "kind": kind, "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _run_record(cfg: RunConfig) -> dict:
+    return {"max_iters": cfg.max_iters, "eps": cfg.eps, "overflow_cap": cfg.overflow_cap}
 
 
 def _settings_record(s: DecompositionSettings) -> dict:
@@ -151,11 +157,8 @@ def run_preset(name: str, outdir, resolution: Optional[int] = None) -> dict:
     if name not in PRESETS:
         raise ConfigurationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     preset = PRESETS[name]
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     files = []
     verdicts = {}
-    notes = []
     parameters = {}
 
     a_tag = preset.algo_a.name.lower()
@@ -178,32 +181,27 @@ def run_preset(name: str, outdir, resolution: Optional[int] = None) -> dict:
                              "spectral data (arbitrary pre-shift components)")
 
         stem = f"{name}_{variant.label}"
-        traj_path = outdir / f"{stem}_trajectories.csv"
-        serialize.write_trajectory_csv(traj_path, [(a_tag, traj_a), (b_tag, traj_b)])
-        spec_a_path = outdir / f"{stem}_spectrum_{a_tag}.json"
-        spec_b_path = outdir / f"{stem}_spectrum_{b_tag}.json"
-        serialize.write_json(spec_a_path, serialize.spectrum_to_dict(spec_a))
-        serialize.write_json(spec_b_path, serialize.spectrum_to_dict(spec_b))
-        cmp_path = outdir / f"{stem}_comparison.json"
-        serialize.write_json(cmp_path, serialize.comparison_to_dict(cmp))
-        plot_path = outdir / f"{stem}_spectra.svg"
-        svgplot.spectra_scatter_svg(
-            plot_path,
-            [(f"algorithm {preset.algo_a.value}", spec_a.eigenvalues),
-             (f"algorithm {preset.algo_b.value}", spec_b.eigenvalues)],
-            title=f"{name} / {variant.label}: Koopman spectra")
-        for p, kind in ((traj_path, "trajectory"), (spec_a_path, "spectrum"),
-                        (spec_b_path, "spectrum"), (cmp_path, "comparison"),
-                        (plot_path, "plot")):
-            files.append({"path": p.name, "kind": kind, "sha256": _sha256(p)})
+        files += [
+            _written(outdir, f"{stem}_trajectories.csv", "trajectory",
+                     serialize.write_trajectory_csv, [(a_tag, traj_a), (b_tag, traj_b)]),
+            _written(outdir, f"{stem}_spectrum_{a_tag}.json", "spectrum",
+                     serialize.write_json, serialize.spectrum_to_dict(spec_a)),
+            _written(outdir, f"{stem}_spectrum_{b_tag}.json", "spectrum",
+                     serialize.write_json, serialize.spectrum_to_dict(spec_b)),
+            _written(outdir, f"{stem}_comparison.json", "comparison",
+                     serialize.write_json, serialize.comparison_to_dict(cmp)),
+            _written(outdir, f"{stem}_spectra.svg", "plot", serialize.write_text,
+                     svgplot.spectra_scatter_svg(
+                         [(f"algorithm {preset.algo_a.value}", spec_a.eigenvalues),
+                          (f"algorithm {preset.algo_b.value}", spec_b.eigenvalues)],
+                         title=f"{name} / {variant.label}: Koopman spectra")),
+        ]
         parameters[variant.label] = {
             "oracle_f": variant.oracle_f.tag,
             "oracle_g": variant.oracle_g.tag if variant.oracle_g else None,
             "x0_a": list(map(float, variant.x0_a)),
             "x0_b": [float(v) for v in x0_b],
-            "max_iters": variant.run_cfg.max_iters,
-            "eps": variant.run_cfg.eps,
-            "overflow_cap": variant.run_cfg.overflow_cap,
+            **_run_record(variant.run_cfg),
             "decomposition_a": _settings_record(variant.settings_a),
             "decomposition_b": _settings_record(variant.settings_b),
             "comparison_tolerances": {"eps_conj": cmp.tolerances_used.eps_conj,
@@ -212,8 +210,8 @@ def run_preset(name: str, outdir, resolution: Optional[int] = None) -> dict:
     manifest = {"preset": name,
                 "algorithms": [preset.algo_a.value, preset.algo_b.value],
                 "parameters": parameters, "verdicts": verdicts,
-                "files": files, "notes": notes}
-    serialize.write_json(outdir / f"{name}_manifest.json", manifest)
+                "files": files, "notes": []}
+    serialize.write_json(Path(outdir) / f"{name}_manifest.json", manifest)
     return manifest
 
 
@@ -247,8 +245,6 @@ def run_sweep_preset(resolution: Optional[int], oracle: str, outdir) -> dict:
         resolution = defaults["resolution"]
     if resolution < 2:
         raise ConfigurationError("resolution must be at least 2")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     kind = OracleKind.GRAD_QUADRATIC if oracle == "quad" else OracleKind.GRAD_NEGCOS
     map_a = make_algorithm(AlgorithmId.ALGO1, Oracle(kind))
@@ -283,32 +279,26 @@ def run_sweep_preset(resolution: Optional[int], oracle: str, outdir) -> dict:
         "parameters": {
             "x0_a": list(FIG2_X0_A),
             "range": list(FIG2_RANGE),
-            "max_iters": defaults["cfg"].max_iters,
-            "eps": defaults["cfg"].eps,
-            "overflow_cap": defaults["cfg"].overflow_cap,
+            **_run_record(defaults["cfg"]),
             "decomposition": _settings_record(defaults["settings"]),
         },
     }
 
     stem = f"fig2_{oracle}"
-    grid_path = outdir / f"{stem}_grid.csv"
-    serialize.write_grid_csv(grid_path, result)
-    summary_path = outdir / f"{stem}_summary.json"
-    serialize.write_json(summary_path, summary)
-    spec_path = outdir / f"{stem}_spectrum_algo1.json"
-    serialize.write_json(spec_path, serialize.spectrum_to_dict(result.spectrum_a))
-    heat_path = outdir / f"{stem}_heatmap.svg"
-    svgplot.heatmap_svg(heat_path, F, result.axis1, result.axis2,
-                        title=f"fig2 / {oracle}: spectral distance over initial conditions")
-    files = [{"path": p.name, "kind": kind_, "sha256": _sha256(p)}
-             for p, kind_ in ((grid_path, "grid"), (summary_path, "summary"),
-                              (spec_path, "spectrum"), (heat_path, "plot"))]
+    files = [
+        _written(outdir, f"{stem}_grid.csv", "grid", serialize.write_grid_csv, result),
+        _written(outdir, f"{stem}_summary.json", "summary", serialize.write_json, summary),
+        _written(outdir, f"{stem}_spectrum_algo1.json", "spectrum", serialize.write_json,
+                 serialize.spectrum_to_dict(result.spectrum_a)),
+        _written(outdir, f"{stem}_heatmap.svg", "plot", serialize.write_text,
+                 svgplot.heatmap_svg(F, result.axis1, result.axis2,
+                                     title=f"fig2 / {oracle}: spectral distance "
+                                           "over initial conditions")),
+    ]
     return {"oracle": oracle, "summary": summary, "files": files}
 
 
 def _run_fig2(outdir, resolution: Optional[int] = None) -> dict:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     parts = [run_sweep_preset(resolution, oracle, outdir)
              for oracle in ("quad", "negcos")]
     manifest = {
@@ -321,7 +311,7 @@ def _run_fig2(outdir, resolution: Optional[int] = None) -> dict:
         "files": [f for p in parts for f in p["files"]],
         "notes": [],
     }
-    serialize.write_json(outdir / "fig2_manifest.json", manifest)
+    serialize.write_json(Path(outdir) / "fig2_manifest.json", manifest)
     return manifest
 
 

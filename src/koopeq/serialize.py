@@ -1,5 +1,5 @@
 """File formats: spectrum and comparison JSON, trajectory CSV, external
-trajectory ingestion.
+trajectory ingestion, and the one atomic writer behind every output file.
 
 Floats are serialized with Python's shortest round-trip representation, so a
 re-parsed file reproduces the in-memory values bit for bit.
@@ -96,22 +96,31 @@ def spectrum_from_dict(d: dict) -> KoopmanSpectrum:
                            centering_tag=meta.get("centering", "identity"))
 
 
-def write_json(path, payload: dict) -> None:
-    """Write strict JSON (no NaN or Infinity) through a sibling temporary
-    file, so `path` holds either its previous content or the whole payload."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise NumericFailureError(f"cannot write {path}: {exc}") from None
+def write_text(path, text: str) -> bytes:
+    """Write `text` as UTF-8, creating the parent directory, through a sibling
+    temporary file, so `path` holds its previous content or all of `text`.
+    Returns the bytes written; every file koopeq writes goes through here."""
+    data = text.encode("utf-8")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+    return data
+
+
+def write_json(path, payload: dict) -> bytes:
+    """Write strict JSON (no NaN or Infinity) with `write_text`."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericFailureError(f"cannot write {path}: {exc}") from None
+    return write_text(path, text)
 
 
 def read_json(path) -> dict:
@@ -139,7 +148,7 @@ def comparison_to_dict(cmp: SpectrumComparison) -> dict:
     }
 
 
-def write_trajectory_csv(path, labeled_trajectories) -> None:
+def write_trajectory_csv(path, labeled_trajectories) -> bytes:
     """One CSV holding several aligned trajectories: column blocks
     `<label>_<i>` per trajectory, rows indexed by iteration k. Shorter
     trajectories leave trailing cells empty."""
@@ -149,29 +158,31 @@ def write_trajectory_csv(path, labeled_trajectories) -> None:
     for label, states in labeled:
         header += [f"{label}_{i}" for i in range(states.shape[1])]
     n_rows = max(states.shape[0] for _, states in labeled)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(n_rows):
-            row = [str(k)]
-            for _, states in labeled:
-                if k < states.shape[0]:
-                    row += [repr(float(v)) for v in states[k]]
-                else:
-                    row += [""] * states.shape[1]
-            writer.writerow(row)
+    rows = [header]
+    for k in range(n_rows):
+        row = [str(k)]
+        for _, states in labeled:
+            if k < states.shape[0]:
+                row += [repr(float(v)) for v in states[k]]
+            else:
+                row += [""] * states.shape[1]
+        rows.append(row)
+    return _write_csv(path, rows)
 
 
-def write_grid_csv(path, result) -> None:
+def write_grid_csv(path, result) -> bytes:
     """Sweep output: one row per grid cell, row-major over (axis1, axis2)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xi1_0", "xi2_0", "distance", "flag"])
-        for i, a in enumerate(result.axis1):
-            for j, b in enumerate(result.axis2):
-                writer.writerow([repr(float(a)), repr(float(b)),
-                                 repr(float(result.distances[i, j])),
-                                 str(int(result.flags[i, j]))])
+    cells = [[repr(float(a)), repr(float(b)), repr(float(result.distances[i, j])),
+              str(int(result.flags[i, j]))]
+             for i, a in enumerate(result.axis1) for j, b in enumerate(result.axis2)]
+    return _write_csv(path, [["xi1_0", "xi2_0", "distance", "flag"], *cells])
+
+
+def _write_csv(path, rows) -> bytes:
+    """`write_text` of the rows as the csv module writes them, CRLF-ended."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return write_text(path, buf.getvalue())
 
 
 def ingest_external_trajectory(path, eps: float = 1e-12) -> Trajectory:

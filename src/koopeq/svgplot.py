@@ -1,6 +1,6 @@
-"""Minimal deterministic SVG output: complex-plane scatter plots with the
-unit circle, and log-scale heatmaps. No raster or plotting dependencies; the
-files are byte-stable across runs."""
+"""Minimal deterministic SVG documents: complex-plane scatter plots with the
+unit circle, and log-scale heatmaps. No raster or plotting dependencies and
+no I/O; each function returns the document text, byte-stable across runs."""
 from __future__ import annotations
 
 import math
@@ -32,8 +32,21 @@ def _marker(shape: str, x: float, y: float, color: str) -> str:
 _SHAPES = ["circle", "cross", "square", "circle"]
 
 
-def spectra_scatter_svg(path, series, title: str = "") -> None:
-    """Write an overlay scatter of eigenvalue sets on the complex plane.
+def _title(title: str) -> list:
+    return [f'<text x="{_fmt(_W / 2)}" y="28" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="15">{title}</text>'] if title else []
+
+
+def _document(width: int, parts: list) -> str:
+    """Header, white background, then `parts` one a line, then the end tag."""
+    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{_H}" '
+            f'viewBox="0 0 {width} {_H}">',
+            f'<rect width="{width}" height="{_H}" fill="white"/>']
+    return "\n".join(head + parts + ["</svg>"]) + "\n"
+
+
+def spectra_scatter_svg(series, title: str = "") -> str:
+    """An overlay scatter of eigenvalue sets on the complex plane.
 
     `series` is a list of (label, iterable of complex) pairs; each set gets
     its own marker shape and colour. The unit circle and the axes are drawn
@@ -51,18 +64,13 @@ def spectra_scatter_svg(path, series, title: str = "") -> None:
     def to_px(z):
         return cx + z.real / lim * half, cy - z.imag / lim * half
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-             f'viewBox="0 0 {_W} {_H}">',
-             f'<rect width="{_W}" height="{_H}" fill="white"/>',
-             f'<line x1="{_MARGIN}" y1="{_fmt(cy)}" x2="{_W-_MARGIN}" y2="{_fmt(cy)}" '
+    parts = [f'<line x1="{_MARGIN}" y1="{_fmt(cy)}" x2="{_W-_MARGIN}" y2="{_fmt(cy)}" '
              f'stroke="#999" stroke-width="1"/>',
              f'<line x1="{_fmt(cx)}" y1="{_MARGIN}" x2="{_fmt(cx)}" y2="{_H-_MARGIN}" '
              f'stroke="#999" stroke-width="1"/>',
              f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(half/lim)}" fill="none" '
              f'stroke="#bbb" stroke-width="1" stroke-dasharray="4 3"/>']
-    if title:
-        parts.append(f'<text x="{_fmt(cx)}" y="28" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="15">{title}</text>')
+    parts += _title(title)
     parts.append(f'<text x="{_W-_MARGIN+4}" y="{_fmt(cy+4)}" font-family="sans-serif" '
                  f'font-size="11" fill="#555">Re</text>')
     parts.append(f'<text x="{_fmt(cx+6)}" y="{_MARGIN-6}" font-family="sans-serif" '
@@ -77,9 +85,7 @@ def spectra_scatter_svg(path, series, title: str = "") -> None:
         parts.append(_marker(shape, _MARGIN + 6, ly - 4, color))
         parts.append(f'<text x="{_MARGIN + 18}" y="{_fmt(ly)}" font-family="sans-serif" '
                      f'font-size="12" fill="#333">{label}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return _document(_W, parts)
 
 
 def _ramp(t: float) -> str:
@@ -94,8 +100,8 @@ def _ramp(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def heatmap_svg(path, field, axis1, axis2, title: str = "") -> None:
-    """Write a log10-scaled heatmap of a distance field. axis1 runs along the
+def heatmap_svg(field, axis1, axis2, title: str = "") -> str:
+    """A log10-scaled heatmap of a distance field. axis1 runs along the
     vertical image axis (rows), axis2 along the horizontal."""
     F = np.asarray(field, dtype=float)
     finite = F[np.isfinite(F)]
@@ -107,12 +113,7 @@ def heatmap_svg(path, field, axis1, axis2, title: str = "") -> None:
     n1, n2 = F.shape
     plot_w, plot_h = _W - 2 * _MARGIN, _H - 2 * _MARGIN
     cw, ch = plot_w / n2, plot_h / n1
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W + 70}" height="{_H}" '
-             f'viewBox="0 0 {_W + 70} {_H}">',
-             f'<rect width="{_W + 70}" height="{_H}" fill="white"/>']
-    if title:
-        parts.append(f'<text x="{_fmt(_W/2)}" y="28" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="15">{title}</text>')
+    parts = _title(title)
     for i in range(n1):
         for j in range(n2):
             v = F[i, j]
@@ -140,6 +141,4 @@ def heatmap_svg(path, field, axis1, axis2, title: str = "") -> None:
            f'font-size="11" fill="#333">axes: [{_fmt(axis2[0])}, {_fmt(axis2[-1])}] x '
            f'[{_fmt(axis1[0])}, {_fmt(axis1[-1])}]</text>')
     parts.append(lab)
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return _document(_W + 70, parts)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -558,6 +559,61 @@ def test_write_json_strict_and_atomic(tmp_path, monkeypatch):
         serialize.write_json(p, {"a": 2.5})
     assert p.read_bytes() == before
     assert sorted(tmp_path.iterdir()) == [p]
+
+
+def _grid(distances):
+    return SimpleNamespace(axis1=np.array([0.0, 1.0]), axis2=np.array([0.0]),
+                           distances=np.array(distances, dtype=object).reshape(2, 1),
+                           flags=np.zeros((2, 1), dtype=int))
+
+
+# writer: (content, the bytes it writes, content whose generation fails)
+WRITERS = {
+    "write_text": (serialize.write_text, "k\n", b"k\n", "\ud800"),
+    "write_json": (serialize.write_json, {"a": 1.5}, b'{\n  "a": 1.5\n}\n',
+                   {"a": object()}),
+    "write_trajectory_csv": (serialize.write_trajectory_csv,
+                             [("x", np.array([[1.0], [2.0]]))],
+                             b"k,x_0\r\n0,1.0\r\n1,2.0\r\n",
+                             [("x", np.array([[1.0], [object()]], dtype=object))]),
+    "write_grid_csv": (serialize.write_grid_csv, _grid([0.5, 0.25]),
+                       b"xi1_0,xi2_0,distance,flag\r\n0.0,0.0,0.5,0\r\n1.0,0.0,0.25,0\r\n",
+                       _grid([0.5, object()])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_every_writer_is_atomic(tmp_path, monkeypatch, name):
+    write, content, expected, bad = WRITERS[name]
+    p = tmp_path / "new_dir" / "out"
+    assert write(p, content) == expected == p.read_bytes()
+    p.write_bytes(b"previous\n")
+    with pytest.raises((TypeError, ValueError)):  # UnicodeEncodeError is a ValueError
+        write(p, bad)
+    assert p.read_bytes() == b"previous\n"
+    assert sorted(p.parent.iterdir()) == [p]
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(serialize.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write(p, content)
+    assert p.read_bytes() == b"previous\n"
+    assert sorted(p.parent.iterdir()) == [p]
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", *RUN_ALGO4, "--out", "{f}/a.json"),
+    ("reproduce", "fig1", "--outdir", "{f}"),
+])
+def test_output_under_a_regular_file_exit_101(tmp_path, capsys, argv):
+    f = tmp_path / "f"
+    f.write_bytes(b"keep\n")
+    assert run_cli(*(a.format(f=f) for a in argv)) == 101
+    assert_one_error_line(capsys.readouterr().err, "configuration")
+    assert f.read_bytes() == b"keep\n"
+    assert sorted(tmp_path.iterdir()) == [f]
 
 
 def test_sweep_with_every_cell_failed_exit_103(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Preset pipelines: emitted files, verdicts, manifest structure."""
+import hashlib
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -106,12 +108,28 @@ def test_grid_csv_row_major_order(tmp_path):
     assert xi2 == [-2.0, 0.0, 2.0] * 3
 
 
-def test_manifest_digests_match_files(fig1):
-    manifest, out = fig1
-    import hashlib
+@pytest.mark.parametrize("name", experiments.PRESET_NAMES)
+def test_manifest_digests_match_files(tmp_path, name):
+    manifest = experiments.run_preset(name, tmp_path,
+                                      resolution=5 if name == "fig2" else None)
     for f in manifest["files"]:
-        digest = hashlib.sha256((out / f["path"]).read_bytes()).hexdigest()
+        digest = hashlib.sha256((tmp_path / f["path"]).read_bytes()).hexdigest()
         assert digest == f["sha256"]
+    listed = [f["path"] for f in manifest["files"]] + [f"{name}_manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(listed)
+
+
+def test_every_svg_parses(tmp_path):
+    experiments.run_all(tmp_path)
+    svg = "{http://www.w3.org/2000/svg}"
+    plots = sorted(tmp_path.glob("*.svg"))
+    assert len(plots) == 9
+    for p in plots:
+        assert ET.parse(p).getroot().tag == f"{svg}svg"
+    # background, one cell per grid node, 60 colourbar steps
+    for oracle, rects in (("quad", 502), ("negcos", 1742)):
+        root = ET.parse(tmp_path / f"fig2_{oracle}_heatmap.svg").getroot()
+        assert len(root.findall(f"{svg}rect")) == rects
 
 
 def _ndimage_largest(mask):
