@@ -19,10 +19,10 @@ from .corpus import IterativeMap
 from .errors import (CardinalityMismatchError, DegenerateDataError,
                      InsufficientDataError, InvalidInputError, KoopeqError,
                      NumericFailureError)
-from .spectral import (Dictionary, KoopmanSpectrum, RankPolicy, dmd, edmd,
-                       principal_eigenvalues)
-from .trajectory import (Centering, RunConfig, Trajectory, iterate, iterate_many,
-                         snapshots)
+from .spectral import (Dictionary, KoopmanSpectrum, RankPolicy, decompose_many, dmd,
+                       edmd, principal_eigenvalues)
+from .trajectory import (Centering, RunConfig, SnapshotPair, Trajectory, iterate,
+                         iterate_many, snapshots)
 
 # conjugacy tolerances: tight for plain DMD on both sides, loose when a
 # dictionary lifting is involved (dictionary-induced eigenvalue error)
@@ -235,12 +235,45 @@ class DecompositionSettings:
 
     def spectrum(self, traj: Trajectory) -> KoopmanSpectrum:
         """Drop the transient, pair the snapshots and decompose them."""
-        snap = snapshots(traj.discard_prefix(self.discard), self.centering)
-        if self.method == "edmd":
-            if self.dictionary is None:
-                raise InvalidInputError("edmd needs a dictionary")
-            return edmd(snap, self.dictionary, self.rank_policy)
-        return dmd(snap, self.rank_policy)
+        snap = self._snapshots(traj)
+        dictionary = self._dictionary()
+        if dictionary is None:
+            return dmd(snap, self.rank_policy)
+        return edmd(snap, dictionary, self.rank_policy)
+
+    def spectra(self, trajs) -> list:
+        """`spectrum` of each trajectory, with a KoopeqError given in place of
+        a trajectory passed through. Returns, per trajectory, the
+        KoopmanSpectrum that `spectrum` returns or the KoopeqError it raises,
+        bit for bit; snapshot pairs of one shape decompose as one stack."""
+        out = list(trajs)
+        cells = []
+        for i, traj in enumerate(out):
+            if isinstance(traj, KoopeqError):
+                continue
+            try:
+                out[i] = self._snapshots(traj)
+                dictionary = self._dictionary()
+            except KoopeqError as exc:
+                out[i] = exc
+                continue
+            cells.append(i)
+        if cells:
+            done = decompose_many([out[i] for i in cells], dictionary, self.rank_policy)
+            for i, res in zip(cells, done):
+                out[i] = res
+        return out
+
+    def _snapshots(self, traj: Trajectory) -> SnapshotPair:
+        return snapshots(traj.discard_prefix(self.discard), self.centering)
+
+    def _dictionary(self) -> Optional[Dictionary]:
+        """The EDMD dictionary, or None for DMD."""
+        if self.method != "edmd":
+            return None
+        if self.dictionary is None:
+            raise InvalidInputError("edmd needs a dictionary")
+        return self.dictionary
 
 
 # sweep cell flags
@@ -268,7 +301,8 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
 
     `grid` is a pair of 1-D axis arrays; cell (i, j) starts map_b, which must
     act on R^2, at (axis1[i], axis2[j]). The cells of a grid row run through
-    one `iterate_many` call, as one block for a columnwise map_b. The
+    one `iterate_many` call, as one block for a columnwise map_b, and
+    decompose through one `DecompositionSettings.spectra` call. The
     reference's principal set is extracted once, and each cell is scored
     against it by `classify`'s rules: the Wasserstein distance between
     principal sets, or the larger directed Hausdorff distance when their
@@ -297,15 +331,11 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
     flags = np.zeros((axis1.size, axis2.size), dtype=int)
     for i, a in enumerate(axis1):
         starts = np.column_stack([np.full(axis2.size, a), axis2])
-        for j, traj in enumerate(iterate_many(map_b, starts, cfg)):
-            try:
-                if isinstance(traj, KoopeqError):
-                    raise traj  # the error iterate raised for this start
-                spec_b = settings.spectrum(traj)
-            except (InsufficientDataError, DegenerateDataError):
+        for j, spec_b in enumerate(settings.spectra(iterate_many(map_b, starts, cfg))):
+            if isinstance(spec_b, (InsufficientDataError, DegenerateDataError)):
                 flags[i, j] = CELL_FIXED_POINT  # its distance stays 0
                 continue
-            except KoopeqError:
+            if isinstance(spec_b, KoopeqError):
                 distances[i, j] = np.nan
                 flags[i, j] = CELL_FAILED
                 continue

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateDataError, InvalidInputError,
-                     InvalidObservableError, NumericFailureError)
+                     InvalidObservableError, KoopeqError, NumericFailureError)
 from .trajectory import SnapshotPair
 
 PAIR_TOL = 1e-10  # conjugate-partner detection
@@ -175,59 +175,197 @@ class KoopmanSpectrum:
 
 
 def _canonical_order(lam: np.ndarray) -> np.ndarray:
+    """The canonical triplet order of each row of `lam`."""
     return np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
 
 
-def _rank(s: np.ndarray, policy: RankPolicy) -> int:
-    """How many of the singular values `s` (descending) policy keeps."""
-    if s.size == 0 or s[0] <= 0.0:
-        raise DegenerateDataError("all singular values vanish; no dynamics in the data")
-    r = int(np.sum(s > policy.rel_tol * s[0]))
-    if r == 0:
-        raise DegenerateDataError("every singular value falls below the threshold")
-    if policy.rank is not None:
-        if policy.rank < 1:
-            raise ConfigurationError("rank must be a positive integer")
-        r = min(policy.rank, r)
-    return r
+def _ranks(s: np.ndarray, policy: RankPolicy) -> list:
+    """How many of each row of singular values `s` (descending) policy keeps,
+    or the KoopeqError for a row it cannot keep any of."""
+    kept = (s > policy.rel_tol * s[:, :1]).sum(axis=1)
+    out = []
+    for top, r in zip(s[:, 0].tolist(), kept.tolist()):
+        if top <= 0.0:
+            out.append(DegenerateDataError("all singular values vanish; no dynamics in the data"))
+        elif r == 0:
+            out.append(DegenerateDataError("every singular value falls below the threshold"))
+        elif policy.rank is None:
+            out.append(r)
+        elif policy.rank < 1:
+            out.append(ConfigurationError("rank must be a positive integer"))
+        else:
+            out.append(min(policy.rank, r))
+    return out
 
 
 def _pinv(U: np.ndarray, s: np.ndarray, Vh: np.ndarray) -> np.ndarray:
-    """np.linalg.pinv(A, rcond=1e-12) of a real A from its thin SVD factors,
-    by pinv's own steps, so the result is bit-identical to it."""
-    large = s > 1e-12 * s.max()
+    """np.linalg.pinv(A, rcond=1e-12) of a real A, or of each matrix of a
+    stack of them, from its thin SVD factors, by pinv's own steps, so the
+    result is bit-identical to it."""
+    large = s > 1e-12 * s.max(axis=-1, keepdims=True)
     sinv = np.divide(1, s, where=large, out=np.zeros_like(s))
-    return Vh.T @ (sinv[:, None] * U.T)
+    return Vh.swapaxes(-1, -2) @ (sinv[..., :, None] * U.swapaxes(-1, -2))
 
 
-def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag):
-    """Shared DMD/EDMD core: reduced operator, eigentriplets, training error.
-    Non-finite data and a LAPACK failure are a NumericFailureError."""
-    if not (np.all(np.isfinite(PX)) and np.all(np.isfinite(PY))):
-        raise NumericFailureError(f"{method} failed: the data holds non-finite values")
+def _take(a: np.ndarray, cells: list) -> np.ndarray:
+    """The cells of the stack `a`; `a` itself, layout and all, when they are
+    all of it."""
+    return a if len(cells) == len(a) else a[cells]
+
+
+def _by_type(lam: np.ndarray, W: np.ndarray):
+    """Split a stacked eig's eigenvalues and eigenvectors into the cells whose
+    eigenvalues are all real, as real arrays, and the rest, as a single eig
+    returns them; a stacked eig returns real arrays only when every cell's
+    eigenvalues are real. Yields (positions in the stack, or None for all of
+    it, lam, W)."""
+    real = np.all(lam.imag == 0, axis=1) if lam.dtype.kind == "c" and len(lam) > 1 else None
+    if real is None or not real.any():
+        yield None, lam, W
+        return
+    part = np.flatnonzero(real)
+    yield part, lam[part].real, W[part].real
+    part = np.flatnonzero(~real)
+    yield part, lam[part], W[part]
+
+
+def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tags) -> list:
+    """Shared DMD/EDMD core over a stack of N cells: PX and PY of shape
+    (N, k, m) in the decomposition space, Xstate and Ystate of shape
+    (N, dim, m), and one observable tag per cell. Returns per cell its
+    reduced operator's eigentriplets and training error as a KoopmanSpectrum,
+    or its KoopeqError. Non-finite data and a LAPACK failure are a
+    NumericFailureError.
+
+    The stack takes one call each to svd, eig, solve and every matmul, one per
+    rank and eigenvalue type. NumPy's stacked linalg and matmul calls run
+    LAPACK and BLAS matrix by matrix, so each cell with the per-matrix layout
+    of a single decomposition gets a single decomposition's bits. A stack
+    that LAPACK fails on is redone cell by cell, so each cell meets its own
+    failure."""
+    out = [None] * len(PX)
+    finite = np.isfinite(PX).all(axis=(1, 2)) & np.isfinite(PY).all(axis=(1, 2))
+    if not finite.all():
+        ok = list(np.flatnonzero(finite))
+        for c in np.flatnonzero(~finite):
+            out[c] = NumericFailureError(f"{method} failed: the data holds non-finite values")
+        if ok:
+            done = _decompose(PX[ok], PY[ok], Xstate[ok], Ystate[ok], policy, method,
+                              dict_tag, [obs_tags[c] for c in ok])
+            for c, res in zip(ok, done):
+                out[c] = res
+        return out
     try:
         U_full, s_full, Vh_full = np.linalg.svd(PX, full_matrices=False)
-        r = _rank(s_full, policy)
-        U, s, Vh = U_full[:, :r], s_full[:r], Vh_full[:r]
-        reduced = U.conj().T @ PY @ Vh.conj().T / s
-        lam, W = np.linalg.eig(reduced)
-        if method == "dmd":
-            B = np.eye(Xstate.shape[0])
-        else:
+        if method != "dmd":
             # least-squares recovery of the state from the lifted basis
-            B = Xstate @ _pinv(U_full, s_full, Vh_full)
-        modes = B @ (U @ W)
-        coeffs = np.linalg.solve(W, U.conj().T)
+            B_full = Xstate @ _pinv(U_full, s_full, Vh_full)
+        by_rank = {}
+        for c, r in enumerate(_ranks(s_full, policy)):
+            if isinstance(r, KoopeqError):
+                out[c] = r
+            else:
+                by_rank.setdefault(r, []).append(c)
+        for r, cells in by_rank.items():
+            U = _take(U_full, cells)[:, :, :r]
+            Vh = _take(Vh_full, cells)[:, :r]
+            reduced = (U.conj().swapaxes(-1, -2) @ _take(PY, cells)
+                       @ Vh.conj().swapaxes(-1, -2) / _take(s_full, cells)[:, None, :r])
+            lam_all, W_all = np.linalg.eig(reduced)
+            for part, lam, W in _by_type(lam_all, W_all):
+                sub = cells if part is None else [cells[i] for i in part]
+                U = _take(U_full, sub)[:, :, :r]
+                B = np.eye(Xstate.shape[1]) if method == "dmd" else _take(B_full, sub)
+                modes = B @ (U @ W)
+                coeffs = np.linalg.solve(W, U.conj().swapaxes(-1, -2))
+                order = _canonical_order(lam)
+                at = np.arange(len(sub))[:, None]
+                lam, coeffs = lam[at, order], coeffs[at, order]
+                # column-major per cell, as a single modes[:, order] leaves them
+                modes = modes.swapaxes(1, 2)[at, order].swapaxes(1, 2)
+                Y = _take(Ystate, sub)
+                resid = (modes * lam[:, None, :]) @ (coeffs @ _take(PX, sub)) - Y
+                for i, c in enumerate(sub):
+                    # per cell: a norm over an axis sums in another order
+                    ynorm = np.linalg.norm(Y[i])
+                    err = float(np.linalg.norm(resid[i]) / ynorm) if ynorm > 0 else 0.0
+                    out[c] = KoopmanSpectrum(
+                        eigenvalues=lam[i], modes=modes[i], eigfn_coeffs=coeffs[i],
+                        method=method, rank=r, dictionary_tag=dict_tag,
+                        reconstruction_error=err, centering_tag=obs_tags[c])
     except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(f"{method} failed: {exc}") from exc
-    order = _canonical_order(lam)
-    lam, modes, coeffs = lam[order], modes[:, order], coeffs[order]
-    Yhat = (modes * lam) @ (coeffs @ PX)
-    ynorm = np.linalg.norm(Ystate)
-    err = float(np.linalg.norm(Yhat - Ystate) / ynorm) if ynorm > 0 else 0.0
-    return KoopmanSpectrum(eigenvalues=lam, modes=modes, eigfn_coeffs=coeffs,
-                           method=method, rank=lam.size, dictionary_tag=dict_tag,
-                           reconstruction_error=err, centering_tag=obs_tag)
+        if len(PX) > 1:
+            return [_decompose(PX[c:c + 1], PY[c:c + 1], Xstate[c:c + 1], Ystate[c:c + 1],
+                               policy, method, dict_tag, obs_tags[c:c + 1])[0]
+                    for c in range(len(PX))]
+        err = NumericFailureError(f"{method} failed: {exc}")
+        err.__cause__ = exc
+        return [err]
+    return out
+
+
+def _lifted(snap: SnapshotPair, dictionary: Optional[Dictionary]):
+    """snap's (PX, PY) in the decomposition space: the snapshots themselves
+    for DMD (no dictionary), their lift through `dictionary` for EDMD."""
+    if snap.X.size == 0:
+        raise DegenerateDataError("empty snapshot pair")
+    if dictionary is None:
+        return snap.X, snap.Y
+    m = snap.X.shape[1]
+    if m < dictionary.output_dim:
+        warnings.warn(f"only {m} snapshot pairs for a dictionary of size "
+                      f"{dictionary.output_dim}; the fit is underdetermined",
+                      stacklevel=4)
+    PX = dictionary.lift(snap.X)
+    PY = dictionary.lift(snap.Y)
+    state_spread = np.max(np.abs(snap.X - snap.X[:, :1])) if m > 1 else 0.0
+    lifted_spread = np.max(np.abs(PX - PX[:, :1])) if m > 1 else 0.0
+    if m > 1 and state_spread > 0 and lifted_spread <= 1e-14 * max(1.0, np.abs(PX).max()):
+        raise DegenerateDataError("observables are constant on the data; "
+                                  "no dynamics representable")
+    return PX, PY
+
+
+def _stack(arrays) -> np.ndarray:
+    """The arrays as one stack; a view of the only one, in its own layout."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def decompose_many(snaps: Sequence[SnapshotPair], dictionary: Optional[Dictionary] = None,
+                   rank_policy: RankPolicy = RankPolicy()) -> list:
+    """`dmd` of each snapshot pair, or `edmd` through `dictionary` when one is
+    given.
+
+    Returns, per pair, the KoopmanSpectrum that call returns or the
+    KoopeqError it raises, bit for bit. Pairs whose data have the same shapes
+    decompose as one stack.
+    """
+    out = [None] * len(snaps)
+    groups = {}
+    for i, snap in enumerate(snaps):
+        try:
+            PX, PY = _lifted(snap, dictionary)
+        except KoopeqError as exc:
+            out[i] = exc
+            continue
+        key = (PX.shape, PY.shape, snap.X.shape, snap.Y.shape)
+        groups.setdefault(key, []).append((i, PX, PY, snap))
+    method, tag = ("dmd", "identity") if dictionary is None else ("edmd", dictionary.tag)
+    for cells in groups.values():
+        idx, PX, PY, group = zip(*cells)
+        done = _decompose(_stack(PX), _stack(PY), _stack([s.X for s in group]),
+                          _stack([s.Y for s in group]), rank_policy, method, tag,
+                          [s.observable_tag for s in group])
+        for i, res in zip(idx, done):
+            out[i] = res
+    return out
+
+
+def _returned(result):
+    """A spectrum; an error is raised."""
+    if isinstance(result, KoopeqError):
+        raise result
+    return result
 
 
 def dmd(snap: SnapshotPair, rank_policy: RankPolicy = RankPolicy()) -> KoopmanSpectrum:
@@ -236,10 +374,7 @@ def dmd(snap: SnapshotPair, rank_policy: RankPolicy = RankPolicy()) -> KoopmanSp
     SVD-truncates X per rank_policy, eigendecomposes the reduced operator and
     lifts eigenvectors back to state-space modes.
     """
-    if snap.X.size == 0:
-        raise DegenerateDataError("empty snapshot pair")
-    return _decompose(snap.X, snap.Y, snap.X, snap.Y, rank_policy,
-                      "dmd", "identity", snap.observable_tag)
+    return _returned(decompose_many([snap], None, rank_policy)[0])
 
 
 def edmd(snap: SnapshotPair, dictionary: Dictionary,
@@ -247,22 +382,9 @@ def edmd(snap: SnapshotPair, dictionary: Dictionary,
     """Extended DMD: lift the snapshots through `dictionary`, fit the
     least-squares Koopman matrix in the lifted space, and recover state-space
     modes by projecting the identity observable onto the eigenvectors."""
-    if snap.X.size == 0:
-        raise DegenerateDataError("empty snapshot pair")
-    m = snap.X.shape[1]
-    if m < dictionary.output_dim:
-        warnings.warn(f"only {m} snapshot pairs for a dictionary of size "
-                      f"{dictionary.output_dim}; the fit is underdetermined",
-                      stacklevel=2)
-    PX = dictionary.lift(snap.X)
-    PY = dictionary.lift(snap.Y)
-    state_spread = np.max(np.abs(snap.X - snap.X[:, :1])) if m > 1 else 0.0
-    lifted_spread = np.max(np.abs(PX - PX[:, :1])) if m > 1 else 0.0
-    if m > 1 and state_spread > 0 and lifted_spread <= 1e-14 * max(1.0, np.abs(PX).max()):
-        raise DegenerateDataError("observables are constant on the data; "
-                                  "no dynamics representable")
-    return _decompose(PX, PY, snap.X, snap.Y, rank_policy,
-                      "edmd", dictionary.tag, snap.observable_tag)
+    if dictionary is None:
+        raise InvalidInputError("edmd needs a dictionary")
+    return _returned(decompose_many([snap], dictionary, rank_policy)[0])
 
 
 def principal_eigenvalues(spectrum, lattice_tol: float = 1e-6, max_power: int = 4,

@@ -2,6 +2,7 @@
 assemble the paired snapshot matrices consumed by the spectral module."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -72,6 +73,25 @@ class SnapshotPair:
     observable_tag: str = "identity"
 
 
+_NAN = "nan"  # _stop's verdict on a state that holds a NaN
+
+
+def _stop(xn: np.ndarray, x: np.ndarray, cfg: RunConfig):
+    """How a run ends at the state xn that follows x: None while it runs on,
+    _NAN for a NaN, else CONVERGED or DIVERGED. Both tests are the square
+    root of a dot, np.linalg.norm's own steps."""
+    v = xn.ravel(order="K")
+    sq = v.dot(v)  # NaN exactly when xn holds a NaN
+    if sq != sq:
+        return _NAN
+    d = (xn - x).ravel(order="K")
+    if math.sqrt(d.dot(d)) <= cfg.eps:
+        return TrajectoryStatus.CONVERGED
+    if math.sqrt(sq) >= cfg.overflow_cap:
+        return TrajectoryStatus.DIVERGED
+    return None
+
+
 def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
     """Apply imap.step repeatedly from x0.
 
@@ -88,20 +108,22 @@ def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
     states = [x]
     status = TrajectoryStatus.BUDGET_EXHAUSTED
     fpe = None
+    step, dim = imap.step, imap.dim
     for _ in range(cfg.max_iters):
-        xn = np.atleast_1d(np.asarray(imap.step(states[-1]), dtype=float))
-        if xn.size != imap.dim:
+        xn = np.asarray(step(x), dtype=float)
+        if xn.ndim == 0:
+            xn = xn.reshape(1)
+        if xn.size != dim:
             raise ConfigurationError("step changed the state dimension")
-        if np.any(np.isnan(xn)):
+        stop = _stop(xn, x, cfg)
+        if stop is _NAN:
             partial = Trajectory(np.array(states), TrajectoryStatus.BUDGET_EXHAUSTED)
             raise NumericFailureError("NaN produced mid-run", partial=partial)
         states.append(xn)
-        if np.linalg.norm(xn - states[-2]) <= cfg.eps:
-            status = TrajectoryStatus.CONVERGED
-            fpe = xn
-            break
-        if np.linalg.norm(xn) >= cfg.overflow_cap:
-            status = TrajectoryStatus.DIVERGED
+        x = xn
+        if stop is not None:
+            status = stop
+            fpe = xn if stop is TrajectoryStatus.CONVERGED else None
             break
     return Trajectory(states=np.array(states), status=status, fixed_point_estimate=fpe)
 
@@ -134,25 +156,39 @@ def iterate_many(imap: IterativeMap, X0, cfg: RunConfig = RunConfig()) -> list:
     return out
 
 
-def _column_norms(D: np.ndarray, threshold: float) -> np.ndarray:
-    """Euclidean norm of each column of D. A norm within rounding of
-    `threshold` is taken again by np.linalg.norm, as `iterate` takes it, so
-    that comparing it with the threshold comes out the same."""
-    v = np.sqrt((D * D).sum(axis=0))
-    for c in (np.abs(v - threshold) <= 1e-9 * threshold).nonzero()[0]:
-        v[c] = np.linalg.norm(D[:, c])
-    return v
+# relative margin of the block screen, far above the rounding of a sum of
+# squares taken in another order; its bounds stay inside [_TINY, 1 / _TINY],
+# clear of subnormals and overflow
+_MARGIN = 1e-9
+_TINY = 1e-290
+
+
+def _screen(dim: int, cfg: RunConfig):
+    """(w, bounds) such that, with S the squares of a block's steps (dim, N)
+    stacked on its new states, column c of `w @ S > bounds` all true marks a
+    state that ends its run by neither of `_stop`'s tests: its squared step
+    length lies above (eps (1 + margin))**2 and its squared norm below
+    (overflow_cap (1 - margin))**2. A NaN fails the screen."""
+    w = np.ones((2, 1, dim))
+    w[1] = -1.0
+    lo = max((cfg.eps * (1 + _MARGIN)) ** 2, _TINY)
+    hi = (cfg.overflow_cap * (1 - _MARGIN)) ** 2
+    hi = min(hi, 1 / _TINY) if hi >= _TINY else 0.0
+    return w, np.array([lo, -hi]).reshape(2, 1, 1)
 
 
 def _iterate_block(imap: IterativeMap, X0: np.ndarray, rows: np.ndarray,
                    cfg: RunConfig, out: list) -> list:
     """Step the finite starts X0 (shape (n, dim)) as columns of one block and
-    store the result of start c in out[rows[c]]. Returns the rows still
-    running when a block step failed, for `iterate` to redo."""
+    store the result of start c in out[rows[c]]. A cheap screen clears the
+    columns far from both stop thresholds; the rest take `iterate`'s own
+    tests. Returns the rows still running when a block step failed, for
+    `iterate` to redo."""
     n = X0.shape[0]
     # H[k, :, c]: state k of start c; doubled as the longest run needs it
     H = np.empty((min(cfg.max_iters, 63) + 1, imap.dim, n))
     H[0] = X0.T
+    w, bounds = _screen(imap.dim, cfg)
     run = np.arange(n)
     for k in range(cfg.max_iters):
         if run.size == 0:
@@ -166,18 +202,25 @@ def _iterate_block(imap: IterativeMap, X0: np.ndarray, rows: np.ndarray,
             H = np.concatenate([H, np.empty((min(len(H), cfg.max_iters + 1 - len(H)),
                                              imap.dim, n))])
         H[k + 1][:, run] = Xn
-        nan = np.isnan(Xn).any(axis=0)
-        conv = ~nan & (_column_norms(Xn - X, cfg.eps) <= cfg.eps)
-        div = ~nan & ~conv & (_column_norms(Xn, cfg.overflow_cap) >= cfg.overflow_cap)
-        for c in run[nan]:
-            partial = Trajectory(H[:k + 1, :, c].copy(), TrajectoryStatus.BUDGET_EXHAUSTED)
-            out[rows[c]] = NumericFailureError("NaN produced mid-run", partial=partial)
-        for c in run[conv]:
-            out[rows[c]] = Trajectory(H[:k + 2, :, c].copy(), TrajectoryStatus.CONVERGED,
-                                      fixed_point_estimate=H[k + 1, :, c].copy())
-        for c in run[div]:
-            out[rows[c]] = Trajectory(H[:k + 2, :, c].copy(), TrajectoryStatus.DIVERGED)
-        run = run[~(nan | conv | div)]
+        S = np.concatenate((Xn - X, Xn)).reshape(2, imap.dim, -1)
+        S *= S
+        clear = w @ S > bounds
+        if clear.all():
+            continue
+        stopped = []
+        for i in np.flatnonzero(~clear.all(axis=(0, 1))):
+            stop = _stop(Xn[:, i], X[:, i], cfg)
+            if stop is None:
+                continue
+            c = run[i]
+            if stop is _NAN:
+                partial = Trajectory(H[:k + 1, :, c].copy(), TrajectoryStatus.BUDGET_EXHAUSTED)
+                out[rows[c]] = NumericFailureError("NaN produced mid-run", partial=partial)
+            else:
+                fpe = H[k + 1, :, c].copy() if stop is TrajectoryStatus.CONVERGED else None
+                out[rows[c]] = Trajectory(H[:k + 2, :, c].copy(), stop, fixed_point_estimate=fpe)
+            stopped.append(i)
+        run = np.delete(run, stopped)
     for c in run:
         out[rows[c]] = Trajectory(H[:, :, c].copy(), TrajectoryStatus.BUDGET_EXHAUSTED)
     return []

@@ -537,7 +537,7 @@ def test_sweep_scores_each_cell_as_classify_does(case):
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
     map_a, x0_a, map_b, axis1, axis2, cfg, settings = SWEEP_CASES[case]
-    calls = {"classify": 0, "principal": 0, "spectrum": 0}
+    calls = {"classify": 0, "principal": 0, "spectrum": 0, "cells": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -546,13 +546,51 @@ def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
             return out
         return wrapper
 
+    spectra = DecompositionSettings.spectra
+
+    def counted_cells(self, trajs):
+        out = spectra(self, trajs)
+        calls["cells"] += sum(isinstance(spec, KoopmanSpectrum) for spec in out)
+        return out
+
     monkeypatch.setattr(compare, "classify", counted("classify", compare.classify))
     monkeypatch.setattr(compare, "principal_eigenvalues",
                         counted("principal", compare.principal_eigenvalues))
     monkeypatch.setattr(DecompositionSettings, "spectrum",
                         counted("spectrum", DecompositionSettings.spectrum))
+    monkeypatch.setattr(DecompositionSettings, "spectra", counted_cells)
     sweep(map_a, x0_a, map_b, (axis1, axis2), cfg=cfg, settings=settings)
     assert calls["classify"] == 0
+    assert calls["spectrum"] == 1  # the reference; the cells decompose by rows
     # one principal set per scored cell, plus the reference's
-    assert calls["principal"] == calls["spectrum"]
-    assert calls["spectrum"] > 1
+    assert calls["principal"] == calls["cells"] + 1
+    assert calls["cells"] > 0
+
+
+@pytest.mark.filterwarnings("ignore:only .* snapshot pairs")
+def test_settings_spectra_match_spectrum_per_trajectory():
+    imap = make_algorithm(AlgorithmId.ALGO2, NEGCOS)
+    trajs = [iterate(imap, x0, RunConfig(max_iters=60))
+             for x0 in [(0.3, -1.2), (1.1, 0.4), (0.0, 0.0), (-1.5, 0.9)]]
+    trajs.insert(2, InsufficientDataError("passed through"))
+    trajs.append(iterate(imap, (0.5, 0.5), RunConfig(max_iters=2)))  # too short
+    for settings in (DecompositionSettings(centering=Centering.FIXED_POINT, discard=20),
+                     DecompositionSettings(method="edmd", dictionary=compare.Dictionary.monomials(2, 2)),
+                     DecompositionSettings(method="edmd")):
+        got = settings.spectra(trajs)
+        assert got[2] is trajs[2]
+        for traj, spec in zip(trajs, got):
+            if isinstance(traj, KoopeqError):
+                continue
+            try:
+                want = settings.spectrum(traj)
+            except KoopeqError as exc:
+                assert type(spec) is type(exc) and str(spec) == str(exc)
+                continue
+            for name in ("eigenvalues", "modes", "eigfn_coeffs"):
+                a, b = getattr(spec, name), getattr(want, name)
+                assert a.strides == b.strides
+                assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                      np.ascontiguousarray(b).view(np.uint64))
+            assert spec.reconstruction_error == want.reconstruction_error
+            assert spec.centering_tag == want.centering_tag

@@ -473,3 +473,216 @@ def test_multi_trajectory_edmd():
     spec = edmd(snap, Dictionary.monomials(1, 3))
     got = np.sort_complex(spec.eigenvalues)
     np.testing.assert_allclose(got.real, [0.216, 0.36, 0.6, 1.0], atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# stacked decomposition
+
+
+def assert_same_spectrum(got, want):
+    for name in ("eigenvalues", "modes", "eigfn_coeffs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.strides == b.strides, name  # the same layout for later BLAS calls
+        assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                              np.ascontiguousarray(b).view(np.uint64)), name
+    assert (np.float64(got.reconstruction_error).view(np.uint64)
+            == np.float64(want.reconstruction_error).view(np.uint64))
+    for name in ("method", "rank", "dictionary_tag", "centering_tag"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def single_cell_core(PX, PY, Xstate, Ystate, policy, method):
+    """The decomposition core as it ran one cell at a time before stacks,
+    kept as the bit-for-bit reference."""
+    if not (np.all(np.isfinite(PX)) and np.all(np.isfinite(PY))):
+        raise NumericFailureError(f"{method} failed: the data holds non-finite values")
+    try:
+        U_full, s_full, Vh_full = np.linalg.svd(PX, full_matrices=False)
+        if s_full[0] <= 0.0:
+            raise DegenerateDataError("all singular values vanish; no dynamics in the data")
+        r = int(np.sum(s_full > policy.rel_tol * s_full[0]))
+        if r == 0:
+            raise DegenerateDataError("every singular value falls below the threshold")
+        r = r if policy.rank is None else min(policy.rank, r)
+        U, s, Vh = U_full[:, :r], s_full[:r], Vh_full[:r]
+        lam, W = np.linalg.eig(U.conj().T @ PY @ Vh.conj().T / s)
+        if method == "dmd":
+            B = np.eye(Xstate.shape[0])
+        else:
+            B = Xstate @ np.linalg.pinv(PX, rcond=1e-12)
+        modes = B @ (U @ W)
+        coeffs = np.linalg.solve(W, U.conj().T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"{method} failed: {exc}") from exc
+    order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
+    lam, modes, coeffs = lam[order], modes[:, order], coeffs[order]
+    Yhat = (modes * lam) @ (coeffs @ PX)
+    ynorm = np.linalg.norm(Ystate)
+    err = float(np.linalg.norm(Yhat - Ystate) / ynorm) if ynorm > 0 else 0.0
+    return lam, modes, coeffs, err
+
+
+def reference(snaps, dictionary=None, policy=RankPolicy()):
+    """Per pair, what the single-cell core returns or raises."""
+    out = []
+    for snap in snaps:
+        try:
+            if snap.X.size == 0:
+                raise DegenerateDataError("empty snapshot pair")
+            PX, PY = ((snap.X, snap.Y) if dictionary is None
+                      else (dictionary.lift(snap.X), dictionary.lift(snap.Y)))
+            method = "dmd" if dictionary is None else "edmd"
+            lam, modes, coeffs, err = single_cell_core(PX, PY, snap.X, snap.Y, policy, method)
+            out.append(spectral.KoopmanSpectrum(
+                lam, modes, coeffs, method, lam.size,
+                "identity" if dictionary is None else dictionary.tag, err, snap.observable_tag))
+        except (DegenerateDataError, NumericFailureError, InvalidObservableError) as exc:
+            out.append(exc)
+    return out
+
+
+def looped(decompose, snaps):
+    """One single-cell call per pair, keeping what it raises."""
+    out = []
+    for snap in snaps:
+        try:
+            out.append(decompose(snap))
+        except (DegenerateDataError, NumericFailureError, InvalidObservableError) as exc:
+            out.append(exc)
+    return out
+
+
+def assert_same_cells(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        if isinstance(b, Exception):
+            assert str(a) == str(b)
+        else:
+            assert_same_spectrum(a, b)
+
+
+def _linear_pair(A, x0, m, tag="identity"):
+    states = [np.asarray(x0, dtype=float)]
+    for _ in range(m):
+        states.append(A @ states[-1])
+    S = np.array(states).T
+    return SnapshotPair(X=S[:, :-1].copy(), Y=S[:, 1:].copy(), observable_tag=tag)
+
+
+def _rotation(rho, theta):
+    return rho * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+def _mixed_cells(m=20):
+    """Equal-shaped cells that hit every trap of a stacked decomposition."""
+    rng = np.random.default_rng(7)
+    P = np.array([[1.0, 0.4], [-0.3, 1.0]])
+    real_map = P @ np.diag([0.9, 0.5]) @ np.linalg.inv(P)
+    cells = {
+        "real": _linear_pair(real_map, (1.0, -0.7), m),
+        "complex": _linear_pair(_rotation(0.8, 0.4), (0.3, 1.1), m, "identity(centered)"),
+        "real_2": _linear_pair(np.diag([0.95, -0.6]), rng.uniform(-1, 1, 2), m),
+        # a start on an eigenvector: one singular value survives, rank 1
+        "rank_1": _linear_pair(np.diag([0.7, 0.3]), (1.0, 0.0), m),
+        "complex_2": _linear_pair(_rotation(0.95, 2.0), rng.uniform(-1, 1, 2), m),
+    }
+    bad = _linear_pair(real_map, (0.5, 0.5), m)
+    bad.X[1, 7] = np.nan
+    cells["non_finite"] = bad
+    cells["vanishing"] = SnapshotPair(X=np.zeros((2, m)), Y=np.zeros((2, m)))
+    # X selects the first two columns of Y, so the reduced operator is the
+    # Jordan block [[1, 1e308], [0, 1]], whose eigenvector matrix eig
+    # returns exactly singular
+    X, Y = np.zeros((2, m)), np.zeros((2, m))
+    X[:, :2] = np.eye(2)
+    Y[:, :2] = [[1.0, 1e308], [0.0, 1.0]]
+    cells["singular_eigenvectors"] = SnapshotPair(X=X, Y=Y)
+    return cells
+
+
+def test_stacked_dmd_matches_single_cells_bit_for_bit():
+    cells = _mixed_cells()
+    snaps = list(cells.values())
+    got = spectral.decompose_many(snaps)
+    assert_same_cells(got, reference(snaps))
+    assert_same_cells(looped(dmd, snaps), reference(snaps))
+    by_name = dict(zip(cells, got))
+    assert by_name["real"].eigenvalues.dtype == float
+    assert by_name["complex"].eigenvalues.dtype == complex
+    assert by_name["rank_1"].rank == 1 and by_name["real"].rank == 2
+    assert isinstance(by_name["non_finite"], NumericFailureError)
+    assert isinstance(by_name["vanishing"], DegenerateDataError)
+    assert isinstance(by_name["singular_eigenvectors"], NumericFailureError)
+    assert "Singular matrix" in str(by_name["singular_eigenvectors"])
+
+
+@pytest.mark.parametrize("trap", ["non_finite", "vanishing", "singular_eigenvectors"])
+def test_a_failing_cell_leaves_its_neighbours_alone(trap):
+    cells = _mixed_cells()
+    clean = [cells[name] for name in ("real", "complex", "rank_1", "complex_2")]
+    alone = spectral.decompose_many(clean)
+    mixed = spectral.decompose_many(clean[:2] + [cells[trap]] + clean[2:])
+    assert isinstance(mixed[2], (NumericFailureError, DegenerateDataError))
+    assert_same_cells(mixed[:2] + mixed[3:], alone)
+
+
+@pytest.mark.filterwarnings("ignore:only .* snapshot pairs")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e308 cell overflows
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_stacked_edmd_matches_single_cells_bit_for_bit(degree):
+    dct = Dictionary.monomials(2, degree)
+    cells = _mixed_cells(m=30)
+    # on the axis x[1] = 0 every monomial in x[1] vanishes: a lower rank
+    cells["on_axis"] = _linear_pair(np.diag([0.8, 0.4]), (0.9, 0.0), 30)
+    # the pseudo-inverse cut-off is 1e-12 of each cell's own largest
+    # singular value: a large cell beside a small one must not move it
+    cells["large"] = _linear_pair(np.diag([0.9, 0.7]), (1e3, -2e3), 30)
+    cells["small"] = _linear_pair(_rotation(0.97, 0.3), (1e-4, 2e-4), 30)
+    snaps = list(cells.values())
+    got = spectral.decompose_many(snaps, dct)
+    assert_same_cells(got, reference(snaps, dct))
+    assert_same_cells(looped(lambda s: edmd(s, dct), snaps), reference(snaps, dct))
+    ranks = {spec.rank for spec in got if not isinstance(spec, Exception)}
+    assert len(ranks) > 1
+    kinds = {spec.eigenvalues.dtype for spec in got if not isinstance(spec, Exception)}
+    assert kinds == {np.dtype(float), np.dtype(complex)}
+
+
+def test_stacked_cells_of_other_shapes_and_settings():
+    cells = _mixed_cells()
+    snaps = [cells["real"], _linear_pair(np.diag([0.9, 0.2]), (1.0, 1.0), 12),
+             cells["complex"], SnapshotPair(X=np.zeros((2, 0)), Y=np.zeros((2, 0))),
+             _linear_pair(np.diag([0.9, 0.2, -0.4]), (1.0, 1.0, 0.5), 20)]
+    for policy in (RankPolicy(), RankPolicy.fixed(1), RankPolicy(rel_tol=0.5)):
+        assert_same_cells(spectral.decompose_many(snaps, rank_policy=policy),
+                          reference(snaps, policy=policy))
+
+
+def test_one_stack_takes_one_svd_eig_and_solve(monkeypatch):
+    calls = {"svd": 0, "eig": 0, "solve": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    cells = _mixed_cells()
+    # one rank and eigenvalue type: one call each; a second type adds eig's
+    # split, not a second eig
+    spectral.decompose_many([cells["complex"], cells["complex_2"]] * 3)
+    assert calls == {"svd": 1, "eig": 1, "solve": 1}
+    spectral.decompose_many([cells["complex"], cells["real"], cells["complex_2"],
+                             cells["real_2"], cells["rank_1"]])
+    assert calls == {"svd": 2, "eig": 3, "solve": 4}
+
+
+def test_stacked_norms_sum_as_single_norms():
+    # np.linalg.norm over an axis sums in another order than the dot that a
+    # single norm takes, and on generic data the two part in the last bit
+    rng = np.random.default_rng(11)
+    snaps = [SnapshotPair(X=rng.standard_normal((3, 100)), Y=rng.standard_normal((3, 100)))
+             for _ in range(8)]
+    assert_same_cells(spectral.decompose_many(snaps), reference(snaps))
+    dct = Dictionary.monomials(3, 2)
+    assert_same_cells(spectral.decompose_many(snaps, dct), reference(snaps, dct))

@@ -197,6 +197,169 @@ def test_iterate_many_serial_for_non_columnwise_maps():
         iterate_many(imap, np.array([1.0, 2.0]), cfg)
 
 
+
+def norm_loop_iterate(imap, x0, cfg):
+    """The reference: `iterate` as it ran with one np.isnan and two
+    np.linalg.norm calls a step."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    states = [x]
+    status, fpe = TrajectoryStatus.BUDGET_EXHAUSTED, None
+    for _ in range(cfg.max_iters):
+        xn = np.atleast_1d(np.asarray(imap.step(states[-1]), dtype=float))
+        if np.any(np.isnan(xn)):
+            partial = Trajectory(np.array(states), TrajectoryStatus.BUDGET_EXHAUSTED)
+            raise NumericFailureError("NaN produced mid-run", partial=partial)
+        states.append(xn)
+        if np.linalg.norm(xn - states[-2]) <= cfg.eps:
+            status, fpe = TrajectoryStatus.CONVERGED, xn
+            break
+        if np.linalg.norm(xn) >= cfg.overflow_cap:
+            status = TrajectoryStatus.DIVERGED
+            break
+    return Trajectory(np.array(states), status, fixed_point_estimate=fpe)
+
+
+def assert_same_bits(a, b):
+    """Trajectories or raised errors that agree bit for bit."""
+    assert type(a) is type(b)
+    if isinstance(b, KoopeqError):
+        assert str(a) == str(b)
+        a, b = a.partial, b.partial
+    assert a.status is b.status
+    assert a.states.shape == b.states.shape
+    assert np.array_equal(a.states.view(np.uint64), b.states.view(np.uint64))
+    if b.fixed_point_estimate is None:
+        assert a.fixed_point_estimate is None
+    else:
+        assert np.array_equal(a.fixed_point_estimate.view(np.uint64),
+                              b.fixed_point_estimate.view(np.uint64))
+
+
+def _block_map(step, dim):
+    """A columnwise map on R^dim with the given block-capable step."""
+    base = make_algorithm(AlgorithmId.ALGO4 if dim == 1 else AlgorithmId.ALGO1, QUAD)
+    return dataclasses.replace(base, dim=dim, step=step)
+
+
+def _halving(c):
+    c = np.asarray(c, dtype=float)
+    return lambda x: x + (c.reshape(-1, *([1] * (x.ndim - 1))) - x) / 2
+
+
+def _strided_contraction(dim):
+    A = np.random.default_rng(dim).uniform(-1.0, 1.0, (dim, dim))
+    A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+
+    def step(x):
+        buf = np.empty(2 * dim)
+        buf[::2] = A @ x
+        return buf[::2]  # not contiguous
+    return step
+
+
+E = 2.0 ** -40
+STOP_CASES = {
+    # the step shrinks by halves through exactly eps: 2**-40 (1-D) and
+    # 5 * 2**-40, the norm of (3, 4) * 2**-40
+    "eps_exact_1d": (_halving([1.0]), 1, [[1.0 + 2.0 ** -30], [1.0 - 2.0 ** -31]],
+                     [RunConfig(max_iters=60, eps=E),
+                      RunConfig(max_iters=60, eps=np.nextafter(E, 0.0))]),
+    "eps_exact_2d": (_halving([1.0, 1.0]), 2,
+                     [[1.0 + 3 * 2.0 ** -30, 1.0 + 4 * 2.0 ** -30], [1.0, 1.0 - 2.0 ** -33]],
+                     [RunConfig(max_iters=60, eps=5 * E),
+                      RunConfig(max_iters=60, eps=np.nextafter(5 * E, 0.0))]),
+    # doubling from (3, 4) * 2**-3 reaches norm 5 * 2**7 exactly
+    "cap_exact": (lambda x: 2.0 * x, 2, [[0.375, 0.5], [-0.375, 0.5], [0.0, 1.0]],
+                  [RunConfig(max_iters=60, overflow_cap=640.0),
+                   RunConfig(max_iters=60, overflow_cap=np.nextafter(640.0, 1e3))]),
+    "cap_exact_1d": (lambda x: -2.0 * x, 1, [[1.0], [-3.0]],
+                     [RunConfig(max_iters=60, overflow_cap=2.0 ** 20)]),
+    "inf_state": (lambda x: np.where(np.abs(x) > 1e3, np.inf, 3.0 * x), 2,
+                  [[1.0, 0.5], [0.0, 1e-3], [0.1, 0.0]],
+                  [RunConfig(max_iters=60, overflow_cap=np.inf), RunConfig(max_iters=60)]),
+    "nan_mid_run": (lambda x: np.where(x > 100.0, np.nan, x * x), 2,
+                    [[3.0, 0.5], [0.5, 0.25], [1.5, 20.0]],
+                    [RunConfig(max_iters=60, overflow_cap=1e12)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_iterate_and_iterate_many_stop_as_the_norm_loop(case):
+    step, dim, X0, cfgs = STOP_CASES[case]
+    X0 = np.array(X0)
+    block = _block_map(step, dim)
+    serial = custom_map(step, dim)
+    assert block.columnwise and not serial.columnwise
+    statuses = set()
+    for cfg in cfgs:
+        want = []
+        for x0 in X0:
+            try:
+                want.append(norm_loop_iterate(serial, x0, cfg))
+            except NumericFailureError as exc:
+                want.append(exc)
+        for imap in (block, serial):
+            got = iterate_many(imap, X0, cfg)
+            for x0, a, b in zip(X0, got, want):
+                assert_same_bits(a, b)
+                try:
+                    single = iterate(imap, x0, cfg)
+                except NumericFailureError as exc:
+                    single = exc
+                assert_same_bits(single, b)
+        statuses |= {getattr(t, "status", None) for t in want}
+    expected = {"eps_exact_1d": TrajectoryStatus.CONVERGED,
+                "eps_exact_2d": TrajectoryStatus.CONVERGED,
+                "cap_exact": TrajectoryStatus.DIVERGED,
+                "cap_exact_1d": TrajectoryStatus.DIVERGED,
+                "inf_state": TrajectoryStatus.DIVERGED,
+                "nan_mid_run": None}[case]
+    assert expected in statuses
+
+
+def test_exact_thresholds_stop_on_the_step_that_meets_them():
+    # <= eps and >= overflow_cap: meeting the bound exactly stops the run
+    imap = _block_map(_halving([1.0]), 1)
+    at = iterate(imap, 1.0 + 2.0 ** -30, RunConfig(max_iters=60, eps=E))
+    below = iterate(imap, 1.0 + 2.0 ** -30, RunConfig(max_iters=60, eps=np.nextafter(E, 0.0)))
+    assert at.status is below.status is TrajectoryStatus.CONVERGED
+    assert len(at) == 11 and len(below) == 12
+    grow = _block_map(lambda x: 2.0 * x, 2)
+    got = iterate_many(grow, np.array([[0.375, 0.5]]), RunConfig(overflow_cap=640.0))[0]
+    assert got.status is TrajectoryStatus.DIVERGED
+    assert np.linalg.norm(got.states[-1]) == 640.0 and len(got) == 11
+
+
+def test_nan_mid_run_keeps_its_partial():
+    imap = _block_map(lambda x: np.where(x > 100.0, np.nan, x * x), 2)
+    got = iterate_many(imap, np.array([[3.0, 0.5]]), RunConfig(overflow_cap=1e12))[0]
+    assert isinstance(got, NumericFailureError)
+    np.testing.assert_array_equal(got.partial.states[:, 0], [3.0, 9.0, 81.0, 6561.0])
+
+
+@pytest.mark.parametrize("dim", [2, 24])
+def test_non_contiguous_steps_match_the_norm_loop(dim):
+    # a step that returns a strided view: the stop tests read it as
+    # np.linalg.norm does, in index order, whatever its strides
+    imap = custom_map(_strided_contraction(dim), dim)
+    rng = np.random.default_rng(dim)
+    for cfg in (RunConfig(max_iters=300, eps=1e-9), RunConfig(max_iters=40)):
+        for x0 in rng.uniform(-1.0, 1.0, (4, dim)):
+            assert_same_bits(iterate(imap, x0, cfg), norm_loop_iterate(imap, x0, cfg))
+
+
+def test_one_dimensional_maps_match_the_norm_loop():
+    # a scalar step output is taken as a 1-vector, as np.atleast_1d takes it
+    imap = custom_map(lambda x: 0.5 * x[0] + 0.25, dim=1)
+    for x0 in (0.0, 3.0, -1e6):
+        assert_same_bits(iterate(imap, x0), norm_loop_iterate(imap, x0, RunConfig()))
+    algo4 = make_algorithm(AlgorithmId.ALGO4, QUAD)
+    X0 = np.array([[1.0], [-2.0], [0.0], [1e-13]])
+    cfg = RunConfig(max_iters=80)
+    for x0, got in zip(X0, iterate_many(algo4, X0, cfg)):
+        assert_same_bits(got, norm_loop_iterate(algo4, x0, cfg))
+
+
 # ---------------------------------------------------------------------------
 # snapshots
 
