@@ -114,7 +114,7 @@ def optimal_matching(A, B) -> tuple[float, list[tuple[int, int]]]:
     if A.size != B.size:
         raise CardinalityMismatchError(f"set sizes differ: {A.size} vs {B.size}")
     cost = np.abs(A[:, None] - B[None, :])
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise NumericFailureError("a distance between eigenvalues overflows")
     rows = cost.tolist()
     cols = _assignment(rows)

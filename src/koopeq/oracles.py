@@ -5,6 +5,7 @@ concurrently.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -26,7 +27,7 @@ _PROX_KINDS = {OracleKind.PROX_L2, OracleKind.PROX_NEGLOGDET}
 
 
 def _check_finite(x, what="input"):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidInputError(f"{what} contains non-finite entries")
 
 
@@ -54,7 +55,14 @@ def prox_l2(v, gamma):
         raise InvalidInputError(f"gamma must be finite and positive, got {gamma!r}")
     v = np.asarray(v, dtype=float)
     _check_finite(v)
-    n = np.linalg.norm(v)
+    return _prox_l2(v, gamma)
+
+
+def _prox_l2(v, gamma):
+    """The l2 prox of a finite float array v with finite gamma > 0, unchecked.
+    The norm is the square root of a dot, np.linalg.norm's own steps."""
+    r = v.ravel(order="K")
+    n = math.sqrt(r.dot(r))
     if n == 0.0:
         return np.zeros_like(v)
     return max(0.0, 1.0 - gamma / n) * v
@@ -79,6 +87,7 @@ def prox_neglogdet(V, gamma):
         raise InvalidInputError("matrix is not symmetric")
     with np.errstate(all="ignore"):
         R = _prox_neglogdet(V, gamma)
+        R = (R + R.T) / 2.0
     # entries near the float limit overflow; Oracle.apply leaves this to iterate
     if not np.all(np.isfinite(R)):
         raise NumericFailureError("log-det prox overflowed to a non-finite matrix")
@@ -86,20 +95,26 @@ def prox_neglogdet(V, gamma):
 
 
 def _prox_neglogdet(V, gamma):
-    """The log-det prox of a finite, square, symmetric V with finite gamma > 0, unchecked."""
+    """The log-det prox of a finite, square, symmetric V with finite gamma > 0,
+    unchecked and not yet symmetrised: each caller takes (R + R.T) / 2 in its
+    own shape."""
     w, Q = np.linalg.eigh((V + V.T) / 2.0)
     m = (w + np.sqrt(w * w + 4.0 * gamma)) / 2.0
-    R = (Q * m) @ Q.T
-    return (R + R.T) / 2.0
+    return (Q * m) @ Q.T
 
 
 @lru_cache(maxsize=8)
-def _triu(n):
-    """Row and column indices of the upper triangle of an n x n matrix, read-only."""
-    idx = np.triu_indices(n)
-    for a in idx:
+def _sym_index(n):
+    """Read-only flat indices for n x n symmetric matrices: `full` gathers a
+    matrix from its upper-triangle flattening, and `upper` and `lower` read
+    the upper triangle of a matrix and of its transpose, in flattening order."""
+    rows, cols = np.triu_indices(n)
+    full = np.empty((n, n), dtype=np.intp)
+    full[rows, cols] = full[cols, rows] = np.arange(rows.size)
+    tables = full, rows * n + cols, cols * n + rows
+    for a in tables:
         a.flags.writeable = False
-    return idx
+    return tables
 
 
 def sym_flatten(V):
@@ -107,7 +122,7 @@ def sym_flatten(V):
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise InvalidInputError("expected a square matrix")
-    return V[_triu(V.shape[0])]
+    return V.take(_sym_index(V.shape[0])[1])
 
 
 def sym_unflatten(v, n):
@@ -119,11 +134,7 @@ def sym_unflatten(v, n):
         raise InvalidInputError("expected a 1-D array of upper-triangle entries")
     if v.size != n * (n + 1) // 2:
         raise InvalidInputError(f"expected {n*(n+1)//2} entries for a {n}x{n} symmetric matrix")
-    rows, cols = _triu(n)
-    V = np.zeros((n, n))
-    V[rows, cols] = v
-    V[cols, rows] = v
-    return V + 0.0  # -0.0 entries (prox_l2 can emit them) become +0.0
+    return v.take(_sym_index(n)[0]) + 0.0  # -0.0 entries (prox_l2 can emit them) become +0.0
 
 
 @dataclass(frozen=True)
@@ -167,13 +178,21 @@ class Oracle:
             return grad_quadratic(v)
         if self.kind is OracleKind.GRAD_NEGCOS:
             return grad_negcos(v)
+        # __post_init__ enforced 0 < gamma < inf, so the proximal kinds only
+        # check the block itself before their kernels
+        v = np.asarray(v, dtype=float)
         if self.kind is OracleKind.PROX_L2:
-            return prox_l2(v, self.gamma)
-        # sym_unflatten builds an exactly symmetric square matrix and
-        # __post_init__ enforced 0 < gamma < inf, so only finiteness is left to check.
-        M = sym_unflatten(v, self.domain_dim)
-        _check_finite(M)
-        return _prox_neglogdet(M, self.gamma)[_triu(self.domain_dim)]
+            _check_finite(v)
+            return _prox_l2(v, self.gamma)
+        n = self.domain_dim
+        if v.shape != (self.state_dim,):
+            sym_unflatten(v, n)  # raises its own error for a block of the wrong shape
+        _check_finite(v)
+        full, upper, lower = _sym_index(n)
+        M = v.take(full)  # sym_unflatten(v, n) past its checks
+        M += 0.0
+        R = _prox_neglogdet(M, self.gamma)
+        return (R.take(upper) + R.take(lower)) / 2.0  # sym_flatten((R + R.T) / 2.0)
 
     @property
     def tag(self) -> str:

@@ -227,6 +227,10 @@ def _states_by_loadtxt(body: str, dim: int) -> Optional[np.ndarray]:
     `_states_by_row` accepts with the same states."""
     if not body.strip("\r\n"):
         return None  # loadtxt warns on input without data
+    if not body.isascii():
+        # numpy 2.4.6's structured-dtype parse can crash the interpreter on a
+        # character above U+FFFF; the row loop reads every non-ASCII body
+        return None
     try:
         # a warning is an error here: NumPy releases that still read an
         # integer through a float ("1.0", "-0.0", "1.9") only warn, then truncate

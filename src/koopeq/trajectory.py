@@ -103,7 +103,7 @@ def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.size != imap.dim:
         raise InvalidInputError(f"x0 has length {x.size}, map expects {imap.dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidInputError("x0 contains non-finite entries")
     states = [x]
     status = TrajectoryStatus.BUDGET_EXHAUSTED

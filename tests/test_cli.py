@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -359,6 +360,25 @@ def test_ingest_float_k_rejected_when_numpy_truncates(tmp_path, monkeypatch):
     assert exc.value.line == 2
     p.write_text("k,x0\n0,1.0\n1,0.5\n")  # a clean file still parses
     assert serialize.ingest_external_trajectory(p).states.tolist() == [[1.0], [0.5]]
+
+
+def test_ingest_astral_cell_takes_the_row_loop(tmp_path, monkeypatch):
+    # numpy 2.4.6's structured loadtxt intermittently segfaulted on this body
+    # (U+BA58B in a k cell), so a non-ASCII body never reaches it. The mock
+    # only records calls: an exception raised inside it would be swallowed
+    # as an ordinary parse failure
+    loadtxt = mock.Mock(wraps=np.loadtxt)
+    monkeypatch.setattr(serialize.np, "loadtxt", loadtxt)
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"k,x0\r\n0,1.257302210933933e-117\r\n"
+                  b"1\xf2\xba\x96\x8b\xc2\x94&,-1.3210486329130189e-277\r\n,")
+    with pytest.raises(ParseError, match="non-numeric cell in row 3") as exc:
+        serialize.ingest_external_trajectory(p)
+    assert exc.value.line == 3
+    assert loadtxt.call_count == 0
+    p.write_bytes(b"k,x0\r\n0,1.0\r\n1,0.5\r\n")  # an ASCII body still takes it
+    assert serialize.ingest_external_trajectory(p).states.tolist() == [[1.0], [0.5]]
+    assert loadtxt.call_count == 1
 
 
 def test_ingest_bad_header(tmp_path):

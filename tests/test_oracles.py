@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koopeq import (Oracle, OracleKind, grad_negcos, grad_quadratic, prox_l2,
-                    prox_neglogdet, sym_flatten, sym_unflatten)
+from koopeq import (AlgorithmId, Oracle, OracleKind, grad_negcos, grad_quadratic,
+                    make_algorithm, prox_l2, prox_neglogdet, sym_flatten, sym_unflatten)
 from koopeq.cli import main
 from koopeq.errors import ConfigurationError, InvalidInputError, NumericFailureError
+from koopeq.trajectory import RunConfig, TrajectoryStatus, iterate
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +67,14 @@ def test_grad_negcos_examples():
     (grad_negcos, 1.0),
     (lambda v: prox_l2(v, 1.0), [1.0, 2.0]),
     (lambda V: prox_neglogdet(V, 1.0), [[2.0, 0.5], [0.5, 3.0]]),
+    (Oracle(OracleKind.GRAD_QUADRATIC, domain_dim=2).apply, [1.0, 2.0]),
+    (Oracle(OracleKind.GRAD_NEGCOS, domain_dim=2).apply, [1.0, 2.0]),
     (Oracle(OracleKind.PROX_L2, gamma=1.0, domain_dim=2).apply, [1.0, 2.0]),
+    (Oracle(OracleKind.PROX_L2, gamma=1.0, domain_dim=4).apply, [[1.0, 2.0], [3.0, 4.0]]),
     (Oracle(OracleKind.PROX_NEGLOGDET, gamma=1.0, domain_dim=2).apply, [2.0, 0.5, 3.0]),
 ], ids=["grad_quadratic", "grad_negcos", "grad_quadratic_scalar", "grad_negcos_scalar",
-        "prox_l2", "prox_neglogdet", "apply_prox_l2", "apply_prox_neglogdet"])
+        "prox_l2", "prox_neglogdet", "apply_grad_quadratic", "apply_grad_negcos",
+        "apply_prox_l2", "apply_prox_l2_2d", "apply_prox_neglogdet"])
 def test_grad_rejects_nonfinite(fn, x):
     # Oracle.apply of the log-det prox skips the public checks that cannot fail
     # there; finiteness is the one it must keep
@@ -285,17 +290,117 @@ def test_prox_neglogdet_overflow_is_numeric_failure(V, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
 @pytest.mark.parametrize("gamma", [0.1, 1.0, 3.7])
 def test_oracle_apply_logdet_matches_public_prox(gamma):
-    # the lean path inside Oracle.apply is the public prox, bit for bit
+    # the lean path inside Oracle.apply is the public prox, bit for bit, also
+    # on blocks holding -0.0 entries
     rng = np.random.default_rng(int(gamma * 10))
     for n in (1, 2, 3, 4):
         oracle = Oracle(OracleKind.PROX_NEGLOGDET, gamma=gamma, domain_dim=n)
         for shift in (2.0, 0.0, -2.0):  # definite, indefinite, mostly negative
             A = rng.standard_normal((n, n))
             v = sym_flatten((A + A.T) / 2 + shift * np.eye(n))
-            expected = sym_flatten(prox_neglogdet(sym_unflatten(v, n), gamma))
-            np.testing.assert_array_equal(oracle.apply(v), expected)
+            for block in (v, np.where(rng.random(v.size) < 0.4, -0.0, v)):
+                expected = sym_flatten(prox_neglogdet(sym_unflatten(block, n), gamma))
+                np.testing.assert_array_equal(bits(oracle.apply(block)), bits(expected))
+
+
+@pytest.mark.parametrize("v", [[3.0, 4.0], [-0.5, 1e-3, 2.0], [[1.0, -2.0], [0.5, 3.0]],
+                               [0.0, 0.0], [[0.0, -0.0]], [0.3, -0.4], [1e-170, 1e-170],
+                               [1e200, -1e200], [-0.0, 0.5]],
+                         ids=["1d", "1d_3", "2d", "zero", "zero_2d", "inside_gamma",
+                              "norm_underflows", "norm_overflows", "minus_zero"])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.5])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_oracle_apply_l2_matches_public_prox(v, gamma):
+    # the lean path inside Oracle.apply is the public prox, bit for bit: any
+    # ndim, the zero vector, and gamma >= ||v||, where the block shrinks to 0
+    v = np.array(v)
+    oracle = Oracle(OracleKind.PROX_L2, gamma=gamma, domain_dim=v.size)
+    out = oracle.apply(v)
+    assert out.shape == v.shape
+    np.testing.assert_array_equal(bits(out), bits(prox_l2(v, gamma)))
+    np.testing.assert_array_equal(bits(out), bits(reference_apply(oracle, v)))
+
+
+@pytest.mark.parametrize("v", [np.ones(2), np.ones(4), np.ones((1, 3)), np.ones((3, 1)),
+                               np.float64(1.0), np.array([np.nan, 1.0])],
+                         ids=["short", "long", "row", "column", "scalar", "short_nan"])
+def test_oracle_apply_logdet_rejects_blocks_of_the_wrong_shape(v):
+    # the same error sym_unflatten raises, before any finiteness test
+    with pytest.raises(InvalidInputError) as expected:
+        sym_unflatten(v, 2)
+    with pytest.raises(InvalidInputError) as got:
+        Oracle(OracleKind.PROX_NEGLOGDET, gamma=1.0, domain_dim=2).apply(v)
+    assert str(got.value) == str(expected.value)
+
+
+def reference_apply(oracle, v):
+    """Oracle.apply of the proximal kinds as it read before the one
+    finiteness test and the cached index tables: the norm by np.linalg.norm,
+    and the symmetric matrix filled by index assignment, then mapped
+    -0.0 -> +0.0."""
+    gamma, n = oracle.gamma, oracle.domain_dim
+    if oracle.kind is OracleKind.PROX_L2:
+        v = np.asarray(v, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise InvalidInputError("input contains non-finite entries")
+        n = np.linalg.norm(v)
+        if n == 0.0:
+            return np.zeros_like(v)
+        return max(0.0, 1.0 - gamma / n) * v
+    rows, cols = np.triu_indices(n)
+    M = np.zeros((n, n))
+    M[rows, cols] = v
+    M[cols, rows] = v
+    M = M + 0.0
+    if not np.all(np.isfinite(M)):
+        raise InvalidInputError("input contains non-finite entries")
+    w, Q = np.linalg.eigh((M + M.T) / 2.0)
+    m = (w + np.sqrt(w * w + 4.0 * gamma)) / 2.0
+    R = (Q * m) @ Q.T
+    return ((R + R.T) / 2.0)[rows, cols]
+
+
+def run_outcome(imap, x0):
+    try:
+        traj = iterate(imap, x0, RunConfig(max_iters=60))
+    except NumericFailureError as exc:
+        return "nan", bits(exc.partial.states).tobytes()
+    except InvalidInputError as exc:  # a NaN block passed to the step's next oracle
+        return "invalid", str(exc)
+    return traj.status, bits(traj.states).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("algo", [AlgorithmId.ALGO6, AlgorithmId.ALGO7])
+def test_algorithms_6_and_7_run_as_with_the_reference_apply(algo, monkeypatch):
+    # every state and status, over SPD, indefinite and -0.0 starts and one
+    # whose prox overflows, as uint64 against reference_apply
+    rng = np.random.default_rng(14)
+    runs = []
+    for n in (2, 3):
+        for gamma in (1.0, 0.3):
+            logdet = Oracle(OracleKind.PROX_NEGLOGDET, gamma=gamma, domain_dim=n)
+            l2 = Oracle(OracleKind.PROX_L2, gamma=gamma, domain_dim=logdet.state_dim)
+            for pair in ((logdet, l2), (l2, logdet)):
+                dim = make_algorithm(algo, *pair).dim
+                for shift in (3.0, 0.0, -1.0, 1e300):
+                    A = rng.standard_normal((n, n))
+                    block = sym_flatten((A + A.T) / 2 + shift * np.eye(n))
+                    x0 = np.concatenate([rng.standard_normal(dim - block.size), block])
+                    if shift == 0.0:
+                        x0[rng.random(dim) < 0.3] = -0.0
+                    runs.append((pair, x0))
+    got = [run_outcome(make_algorithm(algo, *pair), x0) for pair, x0 in runs]
+    monkeypatch.setattr(Oracle, "apply", reference_apply)
+    expected = [run_outcome(make_algorithm(algo, *pair), x0) for pair, x0 in runs]
+    assert got == expected
+    assert {status for status, _ in got} == {"nan", "invalid", TrajectoryStatus.BUDGET_EXHAUSTED}
 
 
 def test_oracle_record():
