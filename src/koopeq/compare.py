@@ -19,10 +19,9 @@ from .corpus import IterativeMap
 from .errors import (CardinalityMismatchError, DegenerateDataError,
                      InsufficientDataError, InvalidInputError, KoopeqError,
                      NumericFailureError)
-from .spectral import (Dictionary, KoopmanSpectrum, RankPolicy, decompose_many, dmd,
-                       edmd, principal_eigenvalues)
-from .trajectory import (Centering, RunConfig, SnapshotPair, Trajectory, iterate,
-                         iterate_many, snapshots)
+from .spectral import (Dictionary, KoopmanSpectrum, RankPolicy, decompose_many,
+                       principal_eigenvalues)
+from .trajectory import Centering, RunConfig, Trajectory, iterate, iterate_many, snapshots
 
 # conjugacy tolerances: tight for plain DMD on both sides, loose when a
 # dictionary lifting is involved (dictionary-induced eigenvalue error)
@@ -193,6 +192,8 @@ def classify(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum,
                       ("lattice_tol", lattice_tol)):
         if not 0.0 <= tol < math.inf:
             raise InvalidInputError(f"{name} must be finite and non-negative, got {tol!r}")
+    if isinstance(max_power, bool) or not isinstance(max_power, int) or max_power < 1:
+        raise InvalidInputError(f"max_power must be a positive integer, got {max_power!r}")
     tols = ComparisonTolerances(eps_conj=eps_conj, eps_semi=eps_semi)
     notes = []
 
@@ -225,7 +226,9 @@ def classify(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum,
 @dataclass(frozen=True)
 class DecompositionSettings:
     """How a trajectory turns into a spectrum: the one path shared by sweeps,
-    presets and the command line."""
+    presets and the command line. The fields are checked when built: `method`
+    is "dmd" or "edmd", a dictionary is given exactly for "edmd", and
+    `discard` is an int >= 0."""
 
     method: str = "dmd"
     dictionary: Optional[Dictionary] = None
@@ -233,47 +236,45 @@ class DecompositionSettings:
     centering: Optional[Centering] = None  # None = per-trajectory default
     discard: int = 0  # leading transient states dropped before pairing
 
+    def __post_init__(self):
+        if self.method not in ("dmd", "edmd"):
+            raise InvalidInputError(f"method must be 'dmd' or 'edmd', got {self.method!r}")
+        if (self.dictionary is None) == (self.method == "edmd"):
+            raise InvalidInputError("edmd needs a dictionary" if self.method == "edmd"
+                                    else "dmd takes no dictionary")
+        discard = self.discard
+        if isinstance(discard, bool) or not isinstance(discard, int) or discard < 0:
+            raise InvalidInputError(f"discard must be a non-negative integer, got {discard!r}")
+
     def spectrum(self, traj: Trajectory) -> KoopmanSpectrum:
-        """Drop the transient, pair the snapshots and decompose them."""
-        snap = self._snapshots(traj)
-        dictionary = self._dictionary()
-        if dictionary is None:
-            return dmd(snap, self.rank_policy)
-        return edmd(snap, dictionary, self.rank_policy)
+        """`spectra` of the one trajectory: its spectrum, or its error raised."""
+        spec = self.spectra([traj])[0]
+        if isinstance(spec, KoopeqError):
+            raise spec
+        return spec
 
     def spectra(self, trajs) -> list:
-        """`spectrum` of each trajectory, with a KoopeqError given in place of
-        a trajectory passed through. Returns, per trajectory, the
-        KoopmanSpectrum that `spectrum` returns or the KoopeqError it raises,
-        bit for bit; snapshot pairs of one shape decompose as one stack."""
+        """Drop each trajectory's transient, pair its snapshots and decompose
+        them; a KoopeqError given in place of a trajectory is passed through.
+        Returns, per trajectory, its KoopmanSpectrum or the KoopeqError that
+        pairing or decomposing it gave. Snapshot pairs of one shape decompose
+        as one stack, each cell bit for bit as it would alone."""
         out = list(trajs)
         cells = []
         for i, traj in enumerate(out):
             if isinstance(traj, KoopeqError):
                 continue
             try:
-                out[i] = self._snapshots(traj)
-                dictionary = self._dictionary()
+                out[i] = snapshots(traj.discard_prefix(self.discard), self.centering)
             except KoopeqError as exc:
                 out[i] = exc
                 continue
             cells.append(i)
         if cells:
-            done = decompose_many([out[i] for i in cells], dictionary, self.rank_policy)
+            done = decompose_many([out[i] for i in cells], self.dictionary, self.rank_policy)
             for i, res in zip(cells, done):
                 out[i] = res
         return out
-
-    def _snapshots(self, traj: Trajectory) -> SnapshotPair:
-        return snapshots(traj.discard_prefix(self.discard), self.centering)
-
-    def _dictionary(self) -> Optional[Dictionary]:
-        """The EDMD dictionary, or None for DMD."""
-        if self.method != "edmd":
-            return None
-        if self.dictionary is None:
-            raise InvalidInputError("edmd needs a dictionary")
-        return self.dictionary
 
 
 # sweep cell flags

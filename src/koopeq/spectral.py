@@ -137,13 +137,16 @@ class Dictionary:
 
 @dataclass(frozen=True)
 class RankPolicy:
-    """SVD truncation rule: keep `rank` modes when set, otherwise every
-    singular value above rel_tol * sigma_max."""
+    """SVD truncation rule: keep every singular value above
+    rel_tol * sigma_max, at most `rank` of them when set (an int >= 1)."""
 
     rank: Optional[int] = None
     rel_tol: float = 1e-10
 
     def __post_init__(self):
+        rank = self.rank
+        if rank is not None and (isinstance(rank, bool) or not isinstance(rank, int) or rank < 1):
+            raise InvalidInputError(f"rank must be None or a positive integer, got {rank!r}")
         if not 0.0 <= self.rel_tol < math.inf:
             raise InvalidInputError(
                 f"rel_tol must be finite and non-negative, got {self.rel_tol!r}")
@@ -189,12 +192,8 @@ def _ranks(s: np.ndarray, policy: RankPolicy) -> list:
             out.append(DegenerateDataError("all singular values vanish; no dynamics in the data"))
         elif r == 0:
             out.append(DegenerateDataError("every singular value falls below the threshold"))
-        elif policy.rank is None:
-            out.append(r)
-        elif policy.rank < 1:
-            out.append(ConfigurationError("rank must be a positive integer"))
         else:
-            out.append(min(policy.rank, r))
+            out.append(r if policy.rank is None else min(policy.rank, r))
     return out
 
 
@@ -241,21 +240,12 @@ def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tags) -> li
     rank and eigenvalue type. NumPy's stacked linalg and matmul calls run
     LAPACK and BLAS matrix by matrix, so each cell with the per-matrix layout
     of a single decomposition gets a single decomposition's bits. A stack
-    that LAPACK fails on is redone cell by cell, so each cell meets its own
-    failure."""
+    that holds non-finite data or that LAPACK fails on is redone cell by
+    cell, so each cell meets its own failure."""
     out = [None] * len(PX)
-    finite = np.isfinite(PX).all(axis=(1, 2)) & np.isfinite(PY).all(axis=(1, 2))
-    if not finite.all():
-        ok = list(np.flatnonzero(finite))
-        for c in np.flatnonzero(~finite):
-            out[c] = NumericFailureError(f"{method} failed: the data holds non-finite values")
-        if ok:
-            done = _decompose(PX[ok], PY[ok], Xstate[ok], Ystate[ok], policy, method,
-                              dict_tag, [obs_tags[c] for c in ok])
-            for c, res in zip(ok, done):
-                out[c] = res
-        return out
     try:
+        if not (np.isfinite(PX).all() and np.isfinite(PY).all()):
+            raise np.linalg.LinAlgError("the data holds non-finite values")
         U_full, s_full, Vh_full = np.linalg.svd(PX, full_matrices=False)
         if method != "dmd":
             # least-squares recovery of the state from the lifted basis

@@ -528,9 +528,11 @@ def test_deeply_nested_json_exit_102(tmp_path, capsys, config):
 
 @pytest.mark.parametrize("flags", [("--eps-conj", "nan"), ("--eps-conj=inf",),
                                    ("--eps-semi", "-0.1"), ("--lattice-tol", "nan"),
-                                   ("--lattice-tol=-1e-3",)],
+                                   ("--lattice-tol=-1e-3",), ("--max-power", "0"),
+                                   ("--max-power=-2",)],
                          ids=["eps_conj_nan", "eps_conj_inf", "eps_semi_negative",
-                              "lattice_tol_nan", "lattice_tol_negative"])
+                              "lattice_tol_nan", "lattice_tol_negative", "max_power_zero",
+                              "max_power_negative"])
 def test_compare_rejects_bad_tolerances_exit_101(tmp_path, capsys, flags):
     s = tmp_path / "s.json"
     run_cli("run", *RUN_ALGO4, "--out", str(s))
@@ -559,6 +561,13 @@ def test_run_rejects_bad_svd_tol_exit_101(tmp_path, capsys, tol):
     assert run_cli("run", *RUN_ALGO4, f"--svd-tol={tol}",
                    "--out", str(tmp_path / "s.json")) == 101
     assert_one_error_line(capsys.readouterr().err, "configuration")
+
+
+def test_run_rejects_negative_discard_exit_101(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert run_cli("run", *RUN_ALGO4, "--discard", "-4", "--out", str(out)) == 101
+    assert_one_error_line(capsys.readouterr().err, "configuration")
+    assert not out.exists()
 
 
 def test_write_json_strict_and_atomic(tmp_path, monkeypatch):

@@ -221,6 +221,24 @@ def test_settings_edmd_needs_dictionary():
         DecompositionSettings(method="edmd").spectrum(traj)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(method="EDMD", dictionary=compare.Dictionary.monomials(1, 2)),
+    dict(method="dmd", dictionary=compare.Dictionary.monomials(1, 2)),
+    dict(discard=-1), dict(discard=True), dict(discard=2.0)],
+    ids=["method_upper_case", "dmd_with_dictionary", "discard_negative", "discard_bool",
+         "discard_float"])
+def test_settings_are_checked_when_built(kwargs):
+    with pytest.raises(InvalidInputError):
+        DecompositionSettings(**kwargs)
+
+
+@pytest.mark.parametrize("max_power", [0, -2, 2.5, True])
+def test_classify_rejects_a_max_power_that_is_not_a_positive_int(max_power):
+    sa = synthetic_spectrum([0.6, 0.36])
+    with pytest.raises(InvalidInputError, match="max_power"):
+        classify(sa, sa, max_power=max_power)
+
+
 def test_classify_degenerate_spectra_distinct():
     sa = synthetic_spectrum([1.0])  # only the constant mode
     sb = synthetic_spectrum([0.5])
@@ -546,18 +564,24 @@ def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
             return out
         return wrapper
 
-    spectra = DecompositionSettings.spectra
+    spectrum, spectra = DecompositionSettings.spectrum, DecompositionSettings.spectra
 
     def counted_cells(self, trajs):
         out = spectra(self, trajs)
         calls["cells"] += sum(isinstance(spec, KoopmanSpectrum) for spec in out)
         return out
 
+    def counted_reference(self, traj):
+        cells = calls["cells"]
+        out = spectrum(self, traj)
+        calls["spectrum"] += 1
+        calls["cells"] = cells  # `spectrum` runs through `spectra`; the reference is no cell
+        return out
+
     monkeypatch.setattr(compare, "classify", counted("classify", compare.classify))
     monkeypatch.setattr(compare, "principal_eigenvalues",
                         counted("principal", compare.principal_eigenvalues))
-    monkeypatch.setattr(DecompositionSettings, "spectrum",
-                        counted("spectrum", DecompositionSettings.spectrum))
+    monkeypatch.setattr(DecompositionSettings, "spectrum", counted_reference)
     monkeypatch.setattr(DecompositionSettings, "spectra", counted_cells)
     sweep(map_a, x0_a, map_b, (axis1, axis2), cfg=cfg, settings=settings)
     assert calls["classify"] == 0
@@ -574,9 +598,10 @@ def test_settings_spectra_match_spectrum_per_trajectory():
              for x0 in [(0.3, -1.2), (1.1, 0.4), (0.0, 0.0), (-1.5, 0.9)]]
     trajs.insert(2, InsufficientDataError("passed through"))
     trajs.append(iterate(imap, (0.5, 0.5), RunConfig(max_iters=2)))  # too short
+    with pytest.raises(InvalidInputError, match="edmd needs a dictionary"):
+        DecompositionSettings(method="edmd")
     for settings in (DecompositionSettings(centering=Centering.FIXED_POINT, discard=20),
-                     DecompositionSettings(method="edmd", dictionary=compare.Dictionary.monomials(2, 2)),
-                     DecompositionSettings(method="edmd")):
+                     DecompositionSettings(method="edmd", dictionary=compare.Dictionary.monomials(2, 2))):
         got = settings.spectra(trajs)
         assert got[2] is trajs[2]
         for traj, spec in zip(trajs, got):

@@ -40,6 +40,12 @@ def test_dmd_non_finite_data_is_numeric_failure(bad):
         dmd(SnapshotPair(X=0.5 * X[:, ::-1], Y=X))
 
 
+@pytest.mark.parametrize("rank", [0, -1, 2.5, True])
+def test_rank_policy_checks_rank_when_built(rank):
+    with pytest.raises(InvalidInputError, match="rank"):
+        RankPolicy(rank=rank)
+
+
 def test_dmd_algo1_centered_default_budget():
     imap = make_algorithm(AlgorithmId.ALGO1, QUAD)
     traj = iterate(imap, (0.1, 0.1))  # default 200 iterations
