@@ -31,18 +31,26 @@ def _check_finite(x, what="input"):
         raise InvalidInputError(f"{what} contains non-finite entries")
 
 
-def grad_quadratic(x):
-    """Gradient of x**2 applied elementwise: returns 2*x."""
+def _finite(x):
+    """x as a float array, checked finite; an np.float64 scalar stays one,
+    since NumPy gives it the same bits and type as its 0-d array."""
+    if type(x) is np.float64:
+        if not math.isfinite(x):
+            raise InvalidInputError("input contains non-finite entries")
+        return x
     x = np.asarray(x, dtype=float)
     _check_finite(x)
-    return 2.0 * x
+    return x
+
+
+def grad_quadratic(x):
+    """Gradient of x**2 applied elementwise: returns 2*x."""
+    return 2.0 * _finite(x)
 
 
 def grad_negcos(x):
     """Gradient of -cos(x) applied elementwise: returns sin(x)."""
-    x = np.asarray(x, dtype=float)
-    _check_finite(x)
-    return np.sin(x)
+    return np.sin(_finite(x))
 
 
 def prox_l2(v, gamma):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -294,6 +295,16 @@ def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tags) -> li
     return out
 
 
+def _caller_level() -> int:
+    """The `stacklevel` at which a warning issued by this function's caller
+    names the first frame outside the koopeq package: the user's line, by
+    whichever entry point it came in."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == "koopeq":
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _lifted(snap: SnapshotPair, dictionary: Optional[Dictionary]):
     """snap's (PX, PY) in the decomposition space: the snapshots themselves
     for DMD (no dictionary), their lift through `dictionary` for EDMD."""
@@ -305,7 +316,7 @@ def _lifted(snap: SnapshotPair, dictionary: Optional[Dictionary]):
     if m < dictionary.output_dim:
         warnings.warn(f"only {m} snapshot pairs for a dictionary of size "
                       f"{dictionary.output_dim}; the fit is underdetermined",
-                      stacklevel=4)
+                      stacklevel=_caller_level())
     PX = dictionary.lift(snap.X)
     PY = dictionary.lift(snap.Y)
     state_spread = np.max(np.abs(snap.X - snap.X[:, :1])) if m > 1 else 0.0

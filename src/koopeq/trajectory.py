@@ -3,6 +3,7 @@ assemble the paired snapshot matrices consumed by the spectral module."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -34,8 +35,13 @@ class RunConfig:
     overflow_cap: float = 1e8
 
     def __post_init__(self):
-        if self.max_iters < 2:
-            raise ConfigurationError("max_iters must be at least 2")
+        n = self.max_iters
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+            raise ConfigurationError(f"max_iters must be an integer of at least 2, got {n!r}")
+        for name in ("eps", "overflow_cap"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ConfigurationError(f"{name} must be a real number, got {v!r}")
         if not self.eps > 0:
             raise ConfigurationError("eps must be positive")
         if not self.overflow_cap > self.eps:
@@ -133,11 +139,13 @@ def iterate_many(imap: IterativeMap, X0, cfg: RunConfig = RunConfig()) -> list:
 
     Returns, per row, the Trajectory that `iterate` returns or the KoopeqError
     it raises, bit for bit. A columnwise map steps the finite starts together
-    as one (dim, N) block, applying `iterate`'s stop rules to each column and
-    stepping only the columns still running; its history buffer grows with
-    the longest run, not with `cfg.max_iters`. Other maps, other starts, and
-    the columns of a block step that raises a KoopeqError run through
-    `iterate` itself.
+    as one (dim, N) block, a chunk of steps at a time, stepping only the
+    columns still running at the chunk's start; after each chunk one stacked
+    screen clears the steps far from both stop thresholds, and the others
+    take `iterate`'s stop rules in order. Its history buffer grows with the
+    longest run, not with `cfg.max_iters`. Other maps, other starts, and the
+    columns still running when a block step raises a KoopeqError that no
+    stop explains run through `iterate` itself.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2:
@@ -156,73 +164,93 @@ def iterate_many(imap: IterativeMap, X0, cfg: RunConfig = RunConfig()) -> list:
     return out
 
 
+# steps a block takes between two screens: a column runs at most _CHUNK - 1
+# steps past its stop, and none of those states reaches a result
+_CHUNK = 16
 # relative margin of the block screen, far above the rounding of a sum of
-# squares taken in another order; its bounds stay inside [_TINY, 1 / _TINY],
-# clear of subnormals and overflow
+# squares taken in another order; its bounds stay inside [_TINY, 1 / _TINY]
+# (_HUGE squared), clear of subnormals and overflow
 _MARGIN = 1e-9
 _TINY = 1e-290
+_HUGE = 1e145
 
 
-def _screen(dim: int, cfg: RunConfig):
-    """(w, bounds) such that, with S the squares of a block's steps (dim, N)
-    stacked on its new states, column c of `w @ S > bounds` all true marks a
-    state that ends its run by neither of `_stop`'s tests: its squared step
-    length lies above (eps (1 + margin))**2 and its squared norm below
-    (overflow_cap (1 - margin))**2. A NaN fails the screen."""
-    w = np.ones((2, 1, dim))
-    w[1] = -1.0
-    lo = max((cfg.eps * (1 + _MARGIN)) ** 2, _TINY)
-    hi = (cfg.overflow_cap * (1 - _MARGIN)) ** 2
-    hi = min(hi, 1 / _TINY) if hi >= _TINY else 0.0
-    return w, np.array([lo, -hi]).reshape(2, 1, 1)
+def _screen(T: np.ndarray, cfg: RunConfig) -> np.ndarray:
+    """For the states T (shape (c + 1, dim, N)) of N columns over c steps,
+    the (c, N) mask of the steps that end their run by neither of `_stop`'s
+    tests: the squared step length lies above (eps (1 + margin))**2 and the
+    squared norm below (overflow_cap (1 - margin))**2. A NaN or an infinity
+    fails the screen; a column stepped past its stop may hold them, so their
+    arithmetic here raises no warning."""
+    lo = cfg.eps * (1 + _MARGIN)
+    lo = max(lo * lo, _TINY) if lo < _HUGE else math.inf
+    hi = min(cfg.overflow_cap * (1 - _MARGIN), _HUGE)
+    hi = hi * hi if hi * hi >= _TINY else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = np.stack((T[1:] - T[:-1], T[1:]))
+        S *= S
+        sq = S.sum(axis=2)
+    return (sq[0] > lo) & (sq[1] < hi)
 
 
 def _iterate_block(imap: IterativeMap, X0: np.ndarray, rows: np.ndarray,
                    cfg: RunConfig, out: list) -> list:
     """Step the finite starts X0 (shape (n, dim)) as columns of one block and
-    store the result of start c in out[rows[c]]. A cheap screen clears the
-    columns far from both stop thresholds; the rest take `iterate`'s own
-    tests. Returns the rows still running when a block step failed, for
-    `iterate` to redo."""
-    n = X0.shape[0]
+    store the result of start c in out[rows[c]].
+
+    The block takes `_CHUNK` steps between screens. Each `_screen` clears
+    the chunk's steps far from both stop thresholds; a column with a step
+    it does not clear takes `_stop`'s exact tests on those steps in order,
+    and the first stop ends its run there. When a block step raises a
+    KoopeqError, the steps before it are resolved the same way, and the
+    block goes on without the columns they stopped; if they stopped none,
+    the rows still running are returned, for `iterate` to redo."""
+    n, dim = X0.shape
     # H[k, :, c]: state k of start c; doubled as the longest run needs it
-    H = np.empty((min(cfg.max_iters, 63) + 1, imap.dim, n))
+    H = np.empty((min(cfg.max_iters, 63) + 1, dim, n))
     H[0] = X0.T
-    w, bounds = _screen(imap.dim, cfg)
-    run = np.arange(n)
-    for k in range(cfg.max_iters):
-        if run.size == 0:
-            return []
-        X = H[k] if run.size == n else H[k][:, run]
+    run, k = np.arange(n), 0
+    while run.size and k < cfg.max_iters:
+        k0, end = k, min(k + _CHUNK, cfg.max_iters)
+        if end >= len(H):
+            H = np.concatenate([H, np.empty((min(len(H), cfg.max_iters + 1 - len(H)), dim, n))])
+        # B[j]: state k0 + j of the running columns; H itself while all run
+        full = run.size == n
+        B = H[k0:end + 1] if full else np.empty((end - k0 + 1, dim, run.size))
+        if not full:
+            B[0] = H[k0][:, run]
+        failed = False
         try:
-            Xn = np.asarray(imap.step(X), dtype=float)
+            while k < end:
+                B[k + 1 - k0] = imap.step(B[k - k0])
+                k += 1
         except KoopeqError:
-            return list(rows[run])
-        if k + 1 == len(H):
-            H = np.concatenate([H, np.empty((min(len(H), cfg.max_iters + 1 - len(H)),
-                                             imap.dim, n))])
-        H[k + 1][:, run] = Xn
-        S = np.concatenate((Xn - X, Xn)).reshape(2, imap.dim, -1)
-        S *= S
-        clear = w @ S > bounds
-        if clear.all():
-            continue
+            failed = True
+        if not full:
+            H[k0 + 1:k + 1, :, run] = B[1:k + 1 - k0]
+        clear = _screen(B[:k + 1 - k0], cfg)
         stopped = []
-        for i in np.flatnonzero(~clear.all(axis=(0, 1))):
-            stop = _stop(Xn[:, i], X[:, i], cfg)
-            if stop is None:
-                continue
+        for i in np.flatnonzero(~clear.all(axis=0)):
             c = run[i]
+            for j in k0 + np.flatnonzero(~clear[:, i]):
+                stop = _stop(H[j + 1, :, c], H[j, :, c], cfg)
+                if stop is not None:
+                    break
+            else:
+                continue
             if stop is _NAN:
-                partial = Trajectory(H[:k + 1, :, c].copy(), TrajectoryStatus.BUDGET_EXHAUSTED)
+                partial = Trajectory(H[:j + 1, :, c].copy(), TrajectoryStatus.BUDGET_EXHAUSTED)
                 out[rows[c]] = NumericFailureError("NaN produced mid-run", partial=partial)
             else:
-                fpe = H[k + 1, :, c].copy() if stop is TrajectoryStatus.CONVERGED else None
-                out[rows[c]] = Trajectory(H[:k + 2, :, c].copy(), stop, fixed_point_estimate=fpe)
+                fpe = H[j + 1, :, c].copy() if stop is TrajectoryStatus.CONVERGED else None
+                out[rows[c]] = Trajectory(H[:j + 2, :, c].copy(), stop, fixed_point_estimate=fpe)
             stopped.append(i)
-        run = np.delete(run, stopped)
+        if failed and not stopped:
+            return list(rows[run])
+        if stopped:
+            run = np.delete(run, stopped)
     for c in run:
-        out[rows[c]] = Trajectory(H[:, :, c].copy(), TrajectoryStatus.BUDGET_EXHAUSTED)
+        out[rows[c]] = Trajectory(H[:k + 1, :, c].copy(), TrajectoryStatus.BUDGET_EXHAUSTED)
     return []
 
 

@@ -15,7 +15,7 @@ from koopeq import compare
 from koopeq.compare import CELL_FAILED, CELL_FIXED_POINT, CELL_HAUSDORFF, CELL_OK
 from koopeq.errors import (CardinalityMismatchError, DegenerateDataError,
                            InsufficientDataError, InvalidInputError, KoopeqError)
-from koopeq.spectral import KoopmanSpectrum
+from koopeq.spectral import KoopmanSpectrum, decompose_many, edmd
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
 NEGCOS = Oracle(OracleKind.GRAD_NEGCOS)
@@ -619,3 +619,26 @@ def test_settings_spectra_match_spectrum_per_trajectory():
                                       np.ascontiguousarray(b).view(np.uint64))
             assert spec.reconstruction_error == want.reconstruction_error
             assert spec.centering_tag == want.centering_tag
+
+
+SHORT = RunConfig(max_iters=6)  # 6 snapshot pairs against 10 monomials
+EDMD3 = DecompositionSettings(method="edmd", dictionary=compare.Dictionary.monomials(2, 3))
+
+
+def _short_traj():
+    return iterate(make_algorithm(AlgorithmId.ALGO2, QUAD), (0.5, -0.3), SHORT)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: EDMD3.spectrum(_short_traj()),
+    lambda: EDMD3.spectra([_short_traj(), _short_traj()]),
+    lambda: decompose_many([snapshots(_short_traj())], EDMD3.dictionary),
+    lambda: edmd(snapshots(_short_traj()), EDMD3.dictionary),
+    lambda: sweep(make_algorithm(AlgorithmId.ALGO1, QUAD), (0.1, 0.1),
+                  make_algorithm(AlgorithmId.ALGO2, QUAD), ([0.5, 1.0], [-0.5, 0.5]),
+                  cfg=SHORT, settings=EDMD3)],
+    ids=["spectrum", "spectra", "decompose_many", "edmd", "sweep"])
+def test_underdetermined_fit_warning_names_the_callers_line(entry):
+    with pytest.warns(UserWarning, match="snapshot pairs") as record:
+        entry()
+    assert {(w.filename, w.lineno) for w in record} == {(__file__, entry.__code__.co_firstlineno)}

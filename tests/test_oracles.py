@@ -85,6 +85,26 @@ def test_grad_rejects_nonfinite(fn, x):
             fn(y)
 
 
+SCALARS = [0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e300,
+           *np.random.default_rng(16).normal(0.0, 10.0, 20)]
+
+
+@pytest.mark.parametrize("fn", [grad_quadratic, grad_negcos,
+                                Oracle(OracleKind.GRAD_QUADRATIC).apply,
+                                Oracle(OracleKind.GRAD_NEGCOS).apply],
+                         ids=["grad_quadratic", "grad_negcos", "apply_quad", "apply_negcos"])
+def test_grad_of_a_numpy_scalar_matches_its_0d_array(fn):
+    # x[0] of a state is an np.float64: it must give the bits and the type
+    # that the same value as a 0-d array gives
+    for v in SCALARS:
+        got, want = fn(np.float64(v)), fn(np.array(v))
+        assert type(got) is type(want) is np.float64
+        assert bits(got) == bits(want)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(InvalidInputError, match="^input contains non-finite entries$"):
+            fn(np.float64(bad))
+
+
 # ---------------------------------------------------------------------------
 # prox_l2
 

@@ -1,5 +1,6 @@
 """Iteration harness and snapshot assembly."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ import pytest
 from koopeq import (AlgorithmId, Centering, Oracle, OracleKind, RunConfig,
                     Trajectory, TrajectoryStatus, custom_map, iterate,
                     iterate_many, make_algorithm, multi_snapshots, snapshots)
+from koopeq import trajectory
+from koopeq.compare import sweep
 from koopeq.errors import (ConfigurationError, InsufficientDataError,
                            InvalidInputError, KoopeqError, NumericFailureError)
+from koopeq.experiments import FIG2_DEFAULTS, FIG2_RANGE, FIG2_X0_A
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
 NEGCOS = Oracle(OracleKind.GRAD_NEGCOS)
@@ -21,6 +25,18 @@ def test_run_config_validation():
         RunConfig(eps=0.0)
     with pytest.raises(ConfigurationError):
         RunConfig(overflow_cap=1e-15)
+    cfg = RunConfig(max_iters=np.int64(5), eps=np.float64(1e-3), overflow_cap=np.inf)
+    assert len(iterate(make_algorithm(AlgorithmId.ALGO4, QUAD), 1.0, cfg)) == 6
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", 10.5), ("max_iters", float("nan")), ("max_iters", np.float64(3.0)),
+    ("max_iters", "10"), ("eps", "x"), ("eps", None), ("overflow_cap", "1e8"),
+    ("overflow_cap", [1e8])])
+def test_run_config_checks_field_types_when_built(field, value):
+    # these used to build, or to raise TypeError, and then fail inside iterate
+    with pytest.raises(ConfigurationError, match=field):
+        RunConfig(**{field: value})
 
 
 def test_algo4_geometric_trajectory():
@@ -224,6 +240,8 @@ def assert_same_bits(a, b):
     assert type(a) is type(b)
     if isinstance(b, KoopeqError):
         assert str(a) == str(b)
+        if not isinstance(b, NumericFailureError):
+            return
         a, b = a.partial, b.partial
     assert a.status is b.status
     assert a.states.shape == b.states.shape
@@ -358,6 +376,117 @@ def test_one_dimensional_maps_match_the_norm_loop():
     cfg = RunConfig(max_iters=80)
     for x0, got in zip(X0, iterate_many(algo4, X0, cfg)):
         assert_same_bits(got, norm_loop_iterate(algo4, x0, cfg))
+
+
+# ---------------------------------------------------------------------------
+# the block loop's chunks of steps between screens
+
+
+def assert_same_bits_each(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_same_bits(a, b)
+
+
+def _rates(x):
+    # state (x, r): x -> |r| x, and a NaN once a column with r < 0 passes 1e3
+    y = x[0] * np.abs(x[1])
+    return np.array([np.where((x[1] < 0) & (np.abs(y) > 1e3), np.nan, y), x[1]])
+
+
+# starts 2**-s apart, so that the columns that converge (r = 1/2), diverge
+# (r = 2) or turn NaN (r = -2) stop at every offset within a chunk, beside
+# columns that run on (r close to 1) and one that is a fixed point at once
+RATE_STARTS = np.array(
+    [[2.0 ** -s, r] for s in range(0, 20) for r in (0.5, 2.0, -2.0)]
+    + [[1.0, 1.0 - 2.0 ** -10], [-3.0, 1.0 - 2.0 ** -12], [5.0, 1.0]])
+RATE_CFG = dict(eps=2.0 ** -30, overflow_cap=2.0 ** 14)
+C = trajectory._CHUNK
+
+
+@pytest.mark.parametrize("max_iters", [2, 3, C - 1, C, C + 1, 63, 64, 65, 200])
+def test_chunked_block_matches_iterate(max_iters):
+    cfg = RunConfig(max_iters=max_iters, **RATE_CFG)
+    imap = _block_map(_rates, 2)
+    got = iterate_many(imap, RATE_STARTS, cfg)
+    assert_same_bits_each(got, looped_iterate(imap, RATE_STARTS, cfg))
+    if max_iters == 200:
+        kinds = {getattr(t, "status", type(t)) for t in got}
+        assert kinds == {TrajectoryStatus.CONVERGED, TrajectoryStatus.DIVERGED,
+                         TrajectoryStatus.BUDGET_EXHAUSTED, NumericFailureError}
+        stops = {len(t) % C for t in got if isinstance(t, Trajectory)}
+        assert len(stops) == C  # runs end at every offset within a chunk
+    for oracle in (QUAD, NEGCOS):
+        imap = make_algorithm(AlgorithmId.ALGO2, oracle)
+        axis = np.linspace(-2.0, 2.0, 9)
+        X0 = np.column_stack([np.repeat(axis, 9), np.tile(axis, 9)])
+        assert_same_bits_each(iterate_many(imap, X0, cfg), looped_iterate(imap, X0, cfg))
+
+
+def _raising(limit):
+    def step(x):
+        if np.any(np.abs(x[0]) > limit):
+            raise InvalidInputError(f"state past {limit}")
+        return _rates(x)
+    return step
+
+
+@pytest.mark.parametrize("limit, serial", [(100.0, 4), (2.0 ** 16, 0)],
+                         ids=["running_column", "stopped_column"])
+def test_chunked_block_step_error(limit, serial, monkeypatch):
+    # row 1 doubles until a step raises for it mid-chunk: below the cap, while
+    # every row still runs, they all redo their runs in `iterate`; past the
+    # cap, where it stopped earlier in the chunk, the block goes on without it
+    calls = []
+    single = trajectory.iterate
+    monkeypatch.setattr(trajectory, "iterate",
+                        lambda *a, **k: calls.append(1) or single(*a, **k))
+    imap = _block_map(_raising(limit), 2)
+    X0 = np.array([[1.0, 0.5], [2.0 ** -6, 2.0], [1.0, 1.0 - 2.0 ** -10], [3.0, 0.75]])
+    cfg = RunConfig(max_iters=60, **RATE_CFG)
+    got = iterate_many(imap, X0, cfg)
+    assert len(calls) == serial
+    assert_same_bits_each(got, looped_iterate(imap, X0, cfg))
+    assert isinstance(got[1], InvalidInputError) == (serial > 0)
+
+
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_stop_cases_through_the_block_raise_no_warning(case):
+    step, dim, X0, cfgs = STOP_CASES[case]
+    imap = _block_map(step, dim)
+    for cfg in cfgs:
+        want = looped_iterate(custom_map(step, dim), np.array(X0), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = iterate_many(imap, np.array(X0), cfg)
+        assert_same_bits_each(got, want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_block_thresholds_near_the_float_limit():
+    # squared thresholds past the float range used to overflow in the screen;
+    # `_stop` squares the 1e200 state to inf in both paths, as a norm would
+    imap = _block_map(_rates, 2)
+    X0 = np.array([[1e150, 2.0], [1.0, 0.5], [1e-170, 0.5], [1e200, 1.0]])
+    for cfg in (RunConfig(overflow_cap=1e200), RunConfig(eps=1e160, overflow_cap=1e300),
+                RunConfig(eps=1e-200, overflow_cap=1e-100)):
+        assert_same_bits_each(iterate_many(imap, X0, cfg), looped_iterate(imap, X0, cfg))
+
+
+@pytest.mark.parametrize("oracle", ["quad", "negcos"])
+def test_fig2_rows_never_fall_back_to_iterate(oracle, monkeypatch):
+    calls = []
+    single = trajectory.iterate
+    monkeypatch.setattr(trajectory, "iterate",
+                        lambda *a, **k: calls.append(1) or single(*a, **k))
+    defaults = FIG2_DEFAULTS[oracle]
+    kind = OracleKind.GRAD_QUADRATIC if oracle == "quad" else OracleKind.GRAD_NEGCOS
+    axis = np.linspace(*FIG2_RANGE, defaults["resolution"])
+    result = sweep(make_algorithm(AlgorithmId.ALGO1, Oracle(kind)), FIG2_X0_A,
+                   make_algorithm(AlgorithmId.ALGO2, Oracle(kind)), (axis, axis),
+                   cfg=defaults["cfg"], settings=defaults["settings"])
+    assert calls == []
+    assert np.isfinite(result.distances).all()
 
 
 # ---------------------------------------------------------------------------
