@@ -423,6 +423,16 @@ def test_chunked_block_matches_iterate(max_iters):
         assert_same_bits_each(iterate_many(imap, X0, cfg), looped_iterate(imap, X0, cfg))
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The calls of `trajectory.iterate`, which `iterate_many` falls back to."""
+    calls = []
+    single = trajectory.iterate
+    monkeypatch.setattr(trajectory, "iterate",
+                        lambda *a, **k: calls.append(1) or single(*a, **k))
+    return calls
+
+
 def _raising(limit):
     def step(x):
         if np.any(np.abs(x[0]) > limit):
@@ -433,19 +443,15 @@ def _raising(limit):
 
 @pytest.mark.parametrize("limit, serial", [(100.0, 4), (2.0 ** 16, 0)],
                          ids=["running_column", "stopped_column"])
-def test_chunked_block_step_error(limit, serial, monkeypatch):
+def test_chunked_block_step_error(limit, serial, fallbacks):
     # row 1 doubles until a step raises for it mid-chunk: below the cap, while
     # every row still runs, they all redo their runs in `iterate`; past the
     # cap, where it stopped earlier in the chunk, the block goes on without it
-    calls = []
-    single = trajectory.iterate
-    monkeypatch.setattr(trajectory, "iterate",
-                        lambda *a, **k: calls.append(1) or single(*a, **k))
     imap = _block_map(_raising(limit), 2)
     X0 = np.array([[1.0, 0.5], [2.0 ** -6, 2.0], [1.0, 1.0 - 2.0 ** -10], [3.0, 0.75]])
     cfg = RunConfig(max_iters=60, **RATE_CFG)
     got = iterate_many(imap, X0, cfg)
-    assert len(calls) == serial
+    assert len(fallbacks) == serial
     assert_same_bits_each(got, looped_iterate(imap, X0, cfg))
     assert isinstance(got[1], InvalidInputError) == (serial > 0)
 
@@ -474,18 +480,14 @@ def test_block_thresholds_near_the_float_limit():
 
 
 @pytest.mark.parametrize("oracle", ["quad", "negcos"])
-def test_fig2_rows_never_fall_back_to_iterate(oracle, monkeypatch):
-    calls = []
-    single = trajectory.iterate
-    monkeypatch.setattr(trajectory, "iterate",
-                        lambda *a, **k: calls.append(1) or single(*a, **k))
+def test_fig2_rows_never_fall_back_to_iterate(oracle, fallbacks):
     defaults = FIG2_DEFAULTS[oracle]
     kind = OracleKind.GRAD_QUADRATIC if oracle == "quad" else OracleKind.GRAD_NEGCOS
     axis = np.linspace(*FIG2_RANGE, defaults["resolution"])
     result = sweep(make_algorithm(AlgorithmId.ALGO1, Oracle(kind)), FIG2_X0_A,
                    make_algorithm(AlgorithmId.ALGO2, Oracle(kind)), (axis, axis),
                    cfg=defaults["cfg"], settings=defaults["settings"])
-    assert calls == []
+    assert fallbacks == []
     assert np.isfinite(result.distances).all()
 
 
