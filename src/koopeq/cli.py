@@ -24,7 +24,7 @@ from .errors import (CardinalityMismatchError, ConfigurationError,
                      InvalidInputError, InvalidObservableError, KoopeqError,
                      NumericFailureError, ParseError, UnsupportedPairError)
 from .oracles import Oracle, OracleKind
-from .spectral import Dictionary, RankPolicy, principal_eigenvalues
+from .spectral import Dictionary, RankPolicy
 from .trajectory import Centering, RunConfig, iterate
 
 EXIT_CONJUGATE = 0
@@ -212,10 +212,10 @@ def cmd_run(args) -> int:
                                                             rel_tol=args.svd_tol),
                                      centering=_centering_of(args), discard=args.discard)
     spec = settings.spectrum(traj)
-    principal = principal_eigenvalues(spec)
     out = Path(args.out) if args.out else Path(_default_outdir()) / "spectrum.json"
-    serialize.write_json(out, serialize.spectrum_to_dict(spec, principal))
-    pretty = ", ".join(f"{z.real:.12g}{z.imag:+.12g}j" for z in principal)
+    d = serialize.spectrum_to_dict(spec)
+    serialize.write_json(out, d)
+    pretty = ", ".join(f"{re:.12g}{im:+.12g}j" for re, im in d["principal"])
     print(f"principal eigenvalues: [{pretty}]")
     print(f"spectrum written to {out}")
     return 0

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import IterativeMap
 from .errors import (CardinalityMismatchError, DegenerateDataError,
                      InsufficientDataError, InvalidInputError, KoopeqError,
-                     NumericFailureError)
+                     NumericFailureError, result_or_raise)
 from .spectral import (Dictionary, KoopmanSpectrum, RankPolicy, decompose_many,
                        principal_eigenvalues)
 from .trajectory import Centering, RunConfig, Trajectory, iterate, iterate_many, snapshots
@@ -248,10 +248,7 @@ class DecompositionSettings:
 
     def spectrum(self, traj: Trajectory) -> KoopmanSpectrum:
         """`spectra` of the one trajectory: its spectrum, or its error raised."""
-        spec = self.spectra([traj])[0]
-        if isinstance(spec, KoopeqError):
-            raise spec
-        return spec
+        return result_or_raise(self.spectra([traj])[0])
 
     def spectra(self, trajs) -> list:
         """Drop each trajectory's transient, pair its snapshots and decompose

@@ -50,3 +50,10 @@ class ParseError(KoopeqError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
+
+
+def result_or_raise(result):
+    """`result` of one item of a batch, or the KoopeqError it holds raised."""
+    if isinstance(result, KoopeqError):
+        raise result
+    return result

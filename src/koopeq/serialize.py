@@ -38,12 +38,10 @@ def _pair2c(p) -> complex:
     return complex(re, im)
 
 
-def spectrum_to_dict(spec: KoopmanSpectrum, principal: Optional[np.ndarray] = None) -> dict:
+def spectrum_to_dict(spec: KoopmanSpectrum) -> dict:
     """JSON-ready form of a spectrum. Eigenvalues are [re, im] pairs to avoid
-    complex-number format ambiguity; `principal` defaults to extraction with
-    the module defaults."""
-    if principal is None:
-        principal = principal_eigenvalues(spec)
+    complex-number format ambiguity; `principal` is the extraction with the
+    module defaults."""
     return {
         "method": spec.method,
         "dictionary": spec.dictionary_tag,
@@ -51,7 +49,7 @@ def spectrum_to_dict(spec: KoopmanSpectrum, principal: Optional[np.ndarray] = No
         "reconstruction_error": float(spec.reconstruction_error),
         "eigenvalues": _cvec(spec.eigenvalues),
         "modes": [_cvec(spec.modes[:, r]) for r in range(spec.eigenvalues.size)],
-        "principal": _cvec(principal),
+        "principal": _cvec(principal_eigenvalues(spec)),
         "eigfn_coeffs": [_cvec(spec.eigfn_coeffs[r]) for r in range(spec.eigenvalues.size)],
         "meta": {"centering": spec.centering_tag},
     }
@@ -213,11 +211,10 @@ def ingest_external_trajectory(path, eps: float = 1e-12) -> Trajectory:
     if states is None:
         states = _states_by_row(body, len(expected))
     status = TrajectoryStatus.BUDGET_EXHAUSTED
-    fpe = None
-    if np.linalg.norm(states[-1] - states[-2]) <= eps:
-        status = TrajectoryStatus.CONVERGED
-        fpe = states[-1]
-    return Trajectory(states=states, status=status, fixed_point_estimate=fpe)
+    with np.errstate(over="ignore"):  # rows far apart have an infinite distance
+        if np.linalg.norm(states[-1] - states[-2]) <= eps:
+            status = TrajectoryStatus.CONVERGED
+    return Trajectory(states=states, status=status)
 
 
 def _states_by_loadtxt(body: str, dim: int) -> Optional[np.ndarray]:

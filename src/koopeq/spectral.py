@@ -23,7 +23,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateDataError, InvalidInputError,
-                     InvalidObservableError, KoopeqError, NumericFailureError)
+                     InvalidObservableError, KoopeqError, NumericFailureError,
+                     result_or_raise)
 from .trajectory import SnapshotPair
 
 PAIR_TOL = 1e-10  # conjugate-partner detection
@@ -362,20 +363,13 @@ def decompose_many(snaps: Sequence[SnapshotPair], dictionary: Optional[Dictionar
     return out
 
 
-def _returned(result):
-    """A spectrum; an error is raised."""
-    if isinstance(result, KoopeqError):
-        raise result
-    return result
-
-
 def dmd(snap: SnapshotPair, rank_policy: RankPolicy = RankPolicy()) -> KoopmanSpectrum:
     """Dynamic mode decomposition of the snapshot pair.
 
     SVD-truncates X per rank_policy, eigendecomposes the reduced operator and
     lifts eigenvectors back to state-space modes.
     """
-    return _returned(decompose_many([snap], None, rank_policy)[0])
+    return result_or_raise(decompose_many([snap], None, rank_policy)[0])
 
 
 def edmd(snap: SnapshotPair, dictionary: Dictionary,
@@ -385,7 +379,7 @@ def edmd(snap: SnapshotPair, dictionary: Dictionary,
     modes by projecting the identity observable onto the eigenvectors."""
     if dictionary is None:
         raise InvalidInputError("edmd needs a dictionary")
-    return _returned(decompose_many([snap], dictionary, rank_policy)[0])
+    return result_or_raise(decompose_many([snap], dictionary, rank_policy)[0])
 
 
 def principal_eigenvalues(spectrum, lattice_tol: float = 1e-6, max_power: int = 4,

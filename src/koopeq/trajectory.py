@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import IterativeMap
 from .errors import (ConfigurationError, InsufficientDataError, InvalidInputError,
-                     KoopeqError, NumericFailureError)
+                     KoopeqError, NumericFailureError, result_or_raise)
 
 
 class TrajectoryStatus(Enum):
@@ -50,11 +50,11 @@ class RunConfig:
 
 @dataclass
 class Trajectory:
-    """States x_0..x_K stacked row-wise, with the stop reason."""
+    """States x_0..x_K stacked row-wise, with the stop reason; x_K stands in
+    for a converged run's fixed point."""
 
     states: np.ndarray  # shape (K+1, dim)
     status: TrajectoryStatus
-    fixed_point_estimate: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -66,7 +66,7 @@ class Trajectory:
     def discard_prefix(self, k: int) -> "Trajectory":
         """Drop the first k states (transient removal); keeps at least 3."""
         k = max(0, min(k, len(self) - 3))
-        return replace(self, states=self.states[k:])
+        return Trajectory(self.states[k:], self.status)
 
 
 @dataclass
@@ -98,6 +98,16 @@ def _stop(xn: np.ndarray, x: np.ndarray, cfg: RunConfig):
     return None
 
 
+def _result(states: np.ndarray, stop):
+    """A run's result from its states, short of a NaN state, and how it
+    stopped (`_stop`'s verdict, or None when the budget ran out): a
+    Trajectory, or for a NaN the NumericFailureError carrying the states."""
+    if stop is _NAN:
+        partial = Trajectory(states, TrajectoryStatus.BUDGET_EXHAUSTED)
+        return NumericFailureError("NaN produced mid-run", partial=partial)
+    return Trajectory(states, TrajectoryStatus.BUDGET_EXHAUSTED if stop is None else stop)
+
+
 def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
     """Apply imap.step repeatedly from x0.
 
@@ -112,8 +122,6 @@ def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
     if not np.isfinite(x).all():
         raise InvalidInputError("x0 contains non-finite entries")
     states = [x]
-    status = TrajectoryStatus.BUDGET_EXHAUSTED
-    fpe = None
     step, dim = imap.step, imap.dim
     for _ in range(cfg.max_iters):
         xn = np.asarray(step(x), dtype=float)
@@ -123,15 +131,12 @@ def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
             raise ConfigurationError("step changed the state dimension")
         stop = _stop(xn, x, cfg)
         if stop is _NAN:
-            partial = Trajectory(np.array(states), TrajectoryStatus.BUDGET_EXHAUSTED)
-            raise NumericFailureError("NaN produced mid-run", partial=partial)
-        states.append(xn)
-        x = xn
-        if stop is not None:
-            status = stop
-            fpe = xn if stop is TrajectoryStatus.CONVERGED else None
             break
-    return Trajectory(states=np.array(states), status=status, fixed_point_estimate=fpe)
+        states.append(xn)
+        if stop is not None:
+            break
+        x = xn
+    return result_or_raise(_result(np.array(states), stop))
 
 
 def iterate_many(imap: IterativeMap, X0, cfg: RunConfig = RunConfig()) -> list:
@@ -238,47 +243,33 @@ def _iterate_block(imap: IterativeMap, X0: np.ndarray, rows: np.ndarray,
                     break
             else:
                 continue
-            if stop is _NAN:
-                partial = Trajectory(H[:j + 1, :, c].copy(), TrajectoryStatus.BUDGET_EXHAUSTED)
-                out[rows[c]] = NumericFailureError("NaN produced mid-run", partial=partial)
-            else:
-                fpe = H[j + 1, :, c].copy() if stop is TrajectoryStatus.CONVERGED else None
-                out[rows[c]] = Trajectory(H[:j + 2, :, c].copy(), stop, fixed_point_estimate=fpe)
+            end = j + 1 if stop is _NAN else j + 2
+            out[rows[c]] = _result(H[:end, :, c].copy(), stop)
             stopped.append(i)
         if failed and not stopped:
             return list(rows[run])
         if stopped:
             run = np.delete(run, stopped)
     for c in run:
-        out[rows[c]] = Trajectory(H[:k + 1, :, c].copy(), TrajectoryStatus.BUDGET_EXHAUSTED)
+        out[rows[c]] = _result(H[:k + 1, :, c].copy(), None)
     return []
-
-
-def default_centering(traj: Trajectory) -> Centering:
-    """FIXED_POINT for converged runs, NONE otherwise."""
-    if traj.status is TrajectoryStatus.CONVERGED:
-        return Centering.FIXED_POINT
-    return Centering.NONE
 
 
 def snapshots(traj: Trajectory, centering: Optional[Centering] = None) -> SnapshotPair:
     """Pair consecutive states into (X, Y) columns.
 
-    centering=None applies the default policy. FIXED_POINT subtracts the
-    fixed-point estimate (the final state when no estimate exists) from every
-    column.
+    FIXED_POINT subtracts the final state from every column; centering=None
+    does so for a converged run and leaves any other run uncentred.
     """
     if len(traj) < 3:
         raise InsufficientDataError(f"need at least 3 states, got {len(traj)}")
     if centering is None:
-        centering = default_centering(traj)
+        converged = traj.status is TrajectoryStatus.CONVERGED
+        centering = Centering.FIXED_POINT if converged else Centering.NONE
     data = traj.states
     tag = "identity"
     if centering is Centering.FIXED_POINT:
-        ref = traj.fixed_point_estimate
-        if ref is None:
-            ref = data[-1]
-        data = data - ref
+        data = data - data[-1]
         tag = "identity(centered)"
     return SnapshotPair(X=data[:-1].T.copy(), Y=data[1:].T.copy(), observable_tag=tag)
 
@@ -286,8 +277,8 @@ def snapshots(traj: Trajectory, centering: Optional[Centering] = None) -> Snapsh
 def multi_snapshots(trajs, centering: Optional[Centering] = None) -> SnapshotPair:
     """Column-concatenate per-trajectory snapshot pairs.
 
-    Pairing never crosses trajectory boundaries; each trajectory is centered
-    against its own fixed-point estimate.
+    Pairing never crosses trajectory boundaries; `snapshots` centres each
+    trajectory on its own final state.
     """
     trajs = list(trajs)
     if not trajs:

@@ -118,8 +118,7 @@ def test_spectrum_round_trip_full_precision(tmp_path):
             "--out", str(out))
     d = serialize.read_json(out)
     spec = serialize.spectrum_from_dict(d)
-    d2 = serialize.spectrum_to_dict(spec, principal=np.array(
-        [complex(re, im) for re, im in d["principal"]]))
+    d2 = serialize.spectrum_to_dict(spec)
     assert d == d2  # shortest round-trip floats survive a parse/serialize loop
 
 
@@ -293,6 +292,17 @@ def test_ingest_basic(tmp_path):
     p.write_text("k,x0\n0,1.0\n1,0.5\n2,0.25\n")
     traj = serialize.ingest_external_trajectory(p)
     assert len(traj) == 3
+    assert traj.status is TrajectoryStatus.BUDGET_EXHAUSTED
+
+
+@pytest.mark.parametrize("last", ["1e300", "1.7e308"])
+def test_ingest_rows_far_apart_raise_no_warning(tmp_path, last):
+    # the last two rows' distance overflows: not converged, and no NumPy warning
+    p = tmp_path / "t.csv"
+    p.write_text(f"k,x0\n0,-{last}\n1,{last}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = serialize.ingest_external_trajectory(p)
     assert traj.status is TrajectoryStatus.BUDGET_EXHAUSTED
 
 

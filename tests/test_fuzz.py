@@ -76,9 +76,7 @@ def ingest_outcome(path):
         traj = serialize.ingest_external_trajectory(path)
     except ParseError as exc:
         return ("error", str(exc), exc.line)
-    fpe = traj.fixed_point_estimate
-    return ("ok", traj.states.shape, traj.states.tobytes(), traj.status,
-            None if fpe is None else fpe.tobytes())
+    return ("ok", traj.states.shape, traj.states.tobytes(), traj.status)
 
 
 @pytest.fixture(scope="module")

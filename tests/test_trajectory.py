@@ -8,7 +8,7 @@ import pytest
 from koopeq import (AlgorithmId, Centering, Oracle, OracleKind, RunConfig,
                     Trajectory, TrajectoryStatus, custom_map, iterate,
                     iterate_many, make_algorithm, multi_snapshots, snapshots)
-from koopeq import trajectory
+from koopeq import serialize, trajectory
 from koopeq.compare import sweep
 from koopeq.errors import (ConfigurationError, InsufficientDataError,
                            InvalidInputError, KoopeqError, NumericFailureError)
@@ -102,10 +102,6 @@ def assert_same_trajectory(a, b):
     assert a.status is b.status
     assert a.states.shape == b.states.shape
     assert np.array_equal(a.states, b.states)
-    if b.fixed_point_estimate is None:
-        assert a.fixed_point_estimate is None
-    else:
-        assert np.array_equal(a.fixed_point_estimate, b.fixed_point_estimate)
 
 
 def assert_same_results(got, want):
@@ -219,7 +215,7 @@ def norm_loop_iterate(imap, x0, cfg):
     np.linalg.norm calls a step."""
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     states = [x]
-    status, fpe = TrajectoryStatus.BUDGET_EXHAUSTED, None
+    status = TrajectoryStatus.BUDGET_EXHAUSTED
     for _ in range(cfg.max_iters):
         xn = np.atleast_1d(np.asarray(imap.step(states[-1]), dtype=float))
         if np.any(np.isnan(xn)):
@@ -227,12 +223,12 @@ def norm_loop_iterate(imap, x0, cfg):
             raise NumericFailureError("NaN produced mid-run", partial=partial)
         states.append(xn)
         if np.linalg.norm(xn - states[-2]) <= cfg.eps:
-            status, fpe = TrajectoryStatus.CONVERGED, xn
+            status = TrajectoryStatus.CONVERGED
             break
         if np.linalg.norm(xn) >= cfg.overflow_cap:
             status = TrajectoryStatus.DIVERGED
             break
-    return Trajectory(np.array(states), status, fixed_point_estimate=fpe)
+    return Trajectory(np.array(states), status)
 
 
 def assert_same_bits(a, b):
@@ -246,11 +242,6 @@ def assert_same_bits(a, b):
     assert a.status is b.status
     assert a.states.shape == b.states.shape
     assert np.array_equal(a.states.view(np.uint64), b.states.view(np.uint64))
-    if b.fixed_point_estimate is None:
-        assert a.fixed_point_estimate is None
-    else:
-        assert np.array_equal(a.fixed_point_estimate.view(np.uint64),
-                              b.fixed_point_estimate.view(np.uint64))
 
 
 def _block_map(step, dim):
@@ -504,17 +495,15 @@ def test_snapshots_plain_pairing():
 
 def test_snapshots_fixed_point_centering():
     traj = Trajectory(np.array([[2.0], [1.5], [1.25], [1.125]]),
-                      TrajectoryStatus.CONVERGED,
-                      fixed_point_estimate=np.array([1.0]))
-    snap = snapshots(traj, Centering.FIXED_POINT)
-    np.testing.assert_allclose(snap.X, [[1.0, 0.5, 0.25]])
-    np.testing.assert_allclose(snap.Y, [[0.5, 0.25, 0.125]])
+                      TrajectoryStatus.CONVERGED)
+    snap = snapshots(traj, Centering.FIXED_POINT)  # centred on the final state
+    np.testing.assert_allclose(snap.X, [[0.875, 0.375, 0.125]])
+    np.testing.assert_allclose(snap.Y, [[0.375, 0.125, 0.0]])
     assert "centered" in snap.observable_tag
 
 
 def test_snapshots_constant_trajectory_centers_to_zero():
-    traj = Trajectory(np.full((3, 2), 7.0), TrajectoryStatus.CONVERGED,
-                      fixed_point_estimate=np.full(2, 7.0))
+    traj = Trajectory(np.full((3, 2), 7.0), TrajectoryStatus.CONVERGED)
     snap = snapshots(traj, Centering.FIXED_POINT)
     assert np.all(snap.X == 0.0) and np.all(snap.Y == 0.0)
 
@@ -526,11 +515,42 @@ def test_snapshots_too_few_states():
 
 
 def test_default_centering_policy():
-    conv = Trajectory(np.zeros((3, 1)), TrajectoryStatus.CONVERGED,
-                      fixed_point_estimate=np.zeros(1))
+    conv = Trajectory(np.zeros((3, 1)), TrajectoryStatus.CONVERGED)
     div = Trajectory(np.ones((3, 1)), TrajectoryStatus.DIVERGED)
     assert "centered" in snapshots(conv).observable_tag
     assert snapshots(div).observable_tag == "identity"
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_fixed_point_centering_subtracts_the_final_state(tmp_path):
+    # FIXED_POINT centring is `states - states[-1]` bit for bit for runs from
+    # `iterate`, the block loop and CSV ingest; centering=None centres exactly
+    # the converged runs
+    converged = iterate(make_algorithm(AlgorithmId.ALGO4, QUAD), 1.0)
+    path = tmp_path / "t.csv"
+    rows = enumerate(converged.states[:, 0].tolist())
+    path.write_text("k,x0\n" + "".join(f"{k},{x!r}\n" for k, x in rows))
+    ingested = serialize.ingest_external_trajectory(path)
+    block = [t for t in iterate_many(_block_map(_rates, 2), RATE_STARTS,
+                                     RunConfig(max_iters=200, **RATE_CFG))
+             if isinstance(t, Trajectory) and len(t) >= 3]
+    assert converged.status is ingested.status is TrajectoryStatus.CONVERGED
+    assert {t.status for t in block} == set(TrajectoryStatus)
+    for traj in [converged, ingested, *block]:
+        want = traj.states - traj.states[-1]
+        snap = snapshots(traj, Centering.FIXED_POINT)
+        assert np.array_equal(_bits(snap.X), _bits(want[:-1].T))
+        assert np.array_equal(_bits(snap.Y), _bits(want[1:].T))
+        auto = snapshots(traj)
+        centred = traj.status is TrajectoryStatus.CONVERGED
+        if not centred:
+            want = traj.states
+        assert ("centered" in auto.observable_tag) == centred
+        assert np.array_equal(_bits(auto.X), _bits(want[:-1].T))
+        assert np.array_equal(_bits(auto.Y), _bits(want[1:].T))
 
 
 def test_multi_snapshots():
