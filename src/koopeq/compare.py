@@ -20,7 +20,7 @@ from .errors import (CardinalityMismatchError, DegenerateDataError,
                      InsufficientDataError, InvalidInputError, KoopeqError,
                      NumericFailureError, result_or_raise)
 from .spectral import (Dictionary, KoopmanSpectrum, RankPolicy, decompose_many,
-                       principal_eigenvalues)
+                       principal_eigenvalues, principal_sets_of_few)
 from .trajectory import Centering, RunConfig, Trajectory, iterate, iterate_many, snapshots
 
 # conjugacy tolerances: tight for plain DMD on both sides, loose when a
@@ -40,6 +40,14 @@ class Verdict(Enum):
     DISTINCT = "distinct"
 
 
+def _swapped(c00, c01, c10, c11):
+    """Whether the minimum-cost assignment of the 2x2 cost matrix
+    [[c00, c01], [c10, c11]] pairs row 0 with column 1, a tie going to the
+    cheaper entry of row 0; on floats, or elementwise on arrays of them."""
+    kept, swapped = c00 + c11, c01 + c10
+    return (swapped < kept) | ((swapped == kept) & (c01 < c00))
+
+
 def _assignment(cost: list) -> list[int]:
     """The column assigned to each row of a square cost matrix (a list of
     rows of finite floats) by a minimum-cost assignment.
@@ -56,9 +64,7 @@ def _assignment(cost: list) -> list[int]:
     if n == 1:
         return [0]
     if n == 2:
-        (c00, c01), (c10, c11) = cost
-        kept, swapped = c00 + c11, c01 + c10
-        return [1, 0] if swapped < kept or (swapped == kept and c01 < c00) else [0, 1]
+        return [1, 0] if _swapped(*cost[0], *cost[1]) else [0, 1]
     u, v = [0.0] * n, [0.0] * n  # dual variables of rows and columns
     col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
     for cur in range(n):
@@ -291,6 +297,35 @@ class SweepResult:
     principal_a: np.ndarray
 
 
+def _score_few(lam: np.ndarray, pa: np.ndarray, lattice_tol: float, max_power: int):
+    """The sweep distances and flags of the cells whose eigenvalues are the
+    rows of `lam` (shape (N, k), k <= 2) against the reference's principal
+    set `pa`, bit for bit as each cell's principal set, `optimal_matching`
+    and `directed_hausdorff` give them."""
+    P, size = principal_sets_of_few(lam, lattice_tol, max_power)
+    distances = np.zeros(len(P))
+    flags = np.full(len(P), CELL_FIXED_POINT)  # an empty set; its distance stays 0
+    for n in range(1, lam.shape[1] + 1):
+        at = np.flatnonzero(size == n)
+        if not at.size:
+            continue
+        cost = np.abs(pa[None, :, None] - P[at, None, :n])  # cost[c, i, j] = |pa[i] - pb[j]|
+        if n != pa.size:
+            dab, dba = cost.min(axis=2).max(axis=1), cost.min(axis=1).max(axis=1)
+            distances[at], flags[at] = np.where(dba > dab, dba, dab), CELL_HAUSDORFF
+            continue
+        if not np.isfinite(cost).all():
+            raise NumericFailureError("a distance between eigenvalues overflows")
+        if n == 1:
+            distances[at] = cost[:, 0, 0]
+        else:
+            c00, c01, c10, c11 = cost.reshape(-1, 4).T
+            swap = _swapped(c00, c01, c10, c11)
+            distances[at] = (np.where(swap, c01, c00) + np.where(swap, c10, c11)) / 2
+        flags[at] = CELL_OK
+    return distances, flags
+
+
 def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
           cfg: RunConfig = RunConfig(),
           settings: DecompositionSettings = DecompositionSettings()) -> SweepResult:
@@ -304,7 +339,9 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
     reference's principal set is extracted once, and each cell is scored
     against it by `classify`'s rules: the Wasserstein distance between
     principal sets, or the larger directed Hausdorff distance when their
-    cardinalities differ (flagged). A grid point whose data has no principal
+    cardinalities differ (flagged). A row's cells of at most two eigenvalues
+    (every DMD cell of a planar map_b) are scored together, in closed form,
+    bit for bit as one at a time; cells of more are scored one at a time. A grid point whose data has no principal
     eigenvalues (it sits on a fixed point) scores 0 (flagged): the vacuous
     limit of its neighbours. Genuine per-cell failures become NaN cells and
     never abort the sweep. A reference without principal eigenvalues has
@@ -329,6 +366,7 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
     flags = np.zeros((axis1.size, axis2.size), dtype=int)
     for i, a in enumerate(axis1):
         starts = np.column_stack([np.full(axis2.size, a), axis2])
+        few = {}  # eigenvalue count (at most 2) -> the cells, their eigenvalues
         for j, spec_b in enumerate(settings.spectra(iterate_many(map_b, starts, cfg))):
             if isinstance(spec_b, (InsufficientDataError, DegenerateDataError)):
                 flags[i, j] = CELL_FIXED_POINT  # its distance stays 0
@@ -336,6 +374,12 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
             if isinstance(spec_b, KoopeqError):
                 distances[i, j] = np.nan
                 flags[i, j] = CELL_FAILED
+                continue
+            lam = spec_b.eigenvalues
+            if lam.size <= 2:
+                cells, lams = few.setdefault(lam.size, ([], []))
+                cells.append(j)
+                lams.append(lam)
                 continue
             pb = principal(spec_b)
             if pb.size == 0:
@@ -345,5 +389,8 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
             else:
                 distances[i, j] = max(directed_hausdorff(pa, pb), directed_hausdorff(pb, pa))
                 flags[i, j] = CELL_HAUSDORFF
+        for cells, lams in few.values():
+            distances[i, cells], flags[i, cells] = _score_few(
+                np.array(lams, dtype=complex), pa, lattice_tol, max_power)
     return SweepResult(axis1=axis1, axis2=axis2, distances=distances, flags=flags,
                        spectrum_a=spec_a, principal_a=pa)

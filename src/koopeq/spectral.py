@@ -425,6 +425,39 @@ def principal_eigenvalues(spectrum, lattice_tol: float = 1e-6, max_power: int = 
     return lam[keep]
 
 
+def principal_sets_of_few(lam: np.ndarray, lattice_tol: float, max_power: int):
+    """`principal_eigenvalues(row, lattice_tol, max_power, ignore_unit=True)`
+    of every row of `lam`, an (N, k) complex array with k <= 2, bit for bit,
+    as (P, size): the principal set of row i is P[i, :size[i]].
+
+    The loop's tests in closed form. Rows are sorted and rid of eigenvalues
+    within lattice_tol of 1 as it does. A second eigenvalue is kept when it
+    is the first one's conjugate partner, or when it lies farther than
+    lattice_tol from each power l0**2 .. l0**max_power of the first one; the
+    pair test and the powers take the loop's complex scalar arithmetic
+    (`abs` is hypot, a product takes no fused multiply-add), which NumPy's
+    array loops do not."""
+    lam = np.take_along_axis(lam, _canonical_order(lam), axis=1)
+    live = np.abs(lam - 1.0) > lattice_tol
+    lam = np.take_along_axis(lam, np.argsort(~live, axis=1, kind="stable"), axis=1)
+    size = live.sum(axis=1)
+    both = np.flatnonzero(size == 2)
+    if both.size and max_power >= 2:
+        l0, l1 = lam[both, 0], lam[both, 1]
+        gap = l1 - np.conj(l0)
+        paired = (np.abs(l0.imag) > PAIR_TOL) & (np.hypot(gap.real, gap.imag) <= PAIR_TOL)
+        both, l0, l1 = both[~paired], l0[~paired], l1[~paired]
+        a, b = l0.real, l0.imag
+        re, im = 1.0 * a - 0.0 * b, 1.0 * b + 0.0 * a  # (1 + 0j) * l0
+        powers = np.empty((both.size, max_power - 1, 2))
+        for d in range(max_power - 1):
+            re, im = re * a - im * b, re * b + im * a
+            powers[:, d, 0], powers[:, d, 1] = re, im
+        gaps = np.abs(powers.view(complex)[:, :, 0] - l1[:, None])
+        size[both[gaps.min(axis=1) <= lattice_tol]] = 1
+    return lam, size
+
+
 def reconstruct(spectrum: KoopmanSpectrum, x0_lifted, k: int) -> np.ndarray:
     """Predict the (possibly lifted) initial condition k steps ahead:
     sum_r lambda_r**k * phi_r(x0) * mode_r."""

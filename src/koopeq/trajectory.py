@@ -117,18 +117,21 @@ def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
     A NaN mid-run raises NumericFailureError carrying the partial trajectory.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    if x.ndim != 1:
+        raise InvalidInputError(f"x0 must be a flat state vector, got shape {x.shape}")
     if x.size != imap.dim:
         raise InvalidInputError(f"x0 has length {x.size}, map expects {imap.dim}")
     if not np.isfinite(x).all():
         raise InvalidInputError("x0 contains non-finite entries")
     states = [x]
-    step, dim = imap.step, imap.dim
+    step, shape = imap.step, x.shape
     for _ in range(cfg.max_iters):
         xn = np.asarray(step(x), dtype=float)
         if xn.ndim == 0:
             xn = xn.reshape(1)
-        if xn.size != dim:
-            raise ConfigurationError("step changed the state dimension")
+        if xn.shape != shape:
+            raise ConfigurationError(
+                f"step changed the state shape from {shape} to {xn.shape}")
         stop = _stop(xn, x, cfg)
         if stop is _NAN:
             break

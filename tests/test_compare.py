@@ -14,8 +14,10 @@ from koopeq import (AlgorithmId, Centering, DecompositionSettings, Oracle,
 from koopeq import compare
 from koopeq.compare import CELL_FAILED, CELL_FIXED_POINT, CELL_HAUSDORFF, CELL_OK
 from koopeq.errors import (CardinalityMismatchError, DegenerateDataError,
-                           InsufficientDataError, InvalidInputError, KoopeqError)
-from koopeq.spectral import KoopmanSpectrum, decompose_many, edmd
+                           InsufficientDataError, InvalidInputError, KoopeqError,
+                           NumericFailureError)
+from koopeq.spectral import (PAIR_TOL, KoopmanSpectrum, RankPolicy, decompose_many, edmd,
+                             principal_eigenvalues, principal_sets_of_few)
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
 NEGCOS = Oracle(OracleKind.GRAD_NEGCOS)
@@ -31,8 +33,8 @@ def brute_force_wasserstein(A, B):
                for p in itertools.permutations(range(n))) / n
 
 
-def synthetic_spectrum(eigenvalues, method="dmd"):
-    lam = np.asarray(eigenvalues, dtype=complex)
+def synthetic_spectrum(eigenvalues, method="dmd", dtype=complex):
+    lam = np.asarray(eigenvalues, dtype=dtype)
     r = lam.size
     return KoopmanSpectrum(eigenvalues=lam, modes=np.eye(r, dtype=complex),
                            eigfn_coeffs=np.eye(r, dtype=complex), method=method,
@@ -506,15 +508,18 @@ def scored_by_classify(map_a, x0_a, map_b, grid, cfg, settings):
         except KoopeqError:
             distances[i, j], flags[i, j] = np.nan, CELL_FAILED
             continue
-        cmp = classify(spec_a, spec_b)
-        if cmp.principal_b.size == 0:
-            distances[i, j], flags[i, j] = 0.0, CELL_FIXED_POINT
-        elif cmp.wasserstein is not None:
-            distances[i, j], flags[i, j] = cmp.wasserstein, CELL_OK
-        else:
-            distances[i, j] = max(cmp.directed_hausdorff_ab, cmp.directed_hausdorff_ba)
-            flags[i, j] = CELL_HAUSDORFF
+        distances[i, j], flags[i, j] = score_by_classify(spec_a, spec_b)
     return distances, flags, classify(spec_a, spec_a).principal_a
+
+
+def score_by_classify(spec_a, spec_b):
+    """A decomposed cell's distance and flag from a full classify(spec_a, spec_b)."""
+    cmp = classify(spec_a, spec_b)
+    if cmp.principal_b.size == 0:
+        return 0.0, CELL_FIXED_POINT
+    if cmp.wasserstein is not None:
+        return cmp.wasserstein, CELL_OK
+    return max(cmp.directed_hausdorff_ab, cmp.directed_hausdorff_ba), CELL_HAUSDORFF
 
 
 M_GROW = np.diag([2.0, 0.5])
@@ -534,6 +539,14 @@ SWEEP_CASES = {
                           dim=2),
                np.array([-0.3, 0.0, 0.3]), np.array([0.0, 0.2]), RunConfig(max_iters=60),
                DecompositionSettings(centering=Centering.NONE)),
+    # truncated at 1e-4, EDMD cells keep from two to nine eigenvalues: rows
+    # mix cells scored alone and cells scored together
+    "edmd": (make_algorithm(AlgorithmId.ALGO1, NEGCOS), (1.0, 0.3),
+             make_algorithm(AlgorithmId.ALGO2, NEGCOS), np.linspace(-2.0, 2.0, 5),
+             np.linspace(-2.0, 2.0, 5), RunConfig(max_iters=200),
+             DecompositionSettings(method="edmd", dictionary=compare.Dictionary.monomials(2, 3),
+                                   rank_policy=RankPolicy(rel_tol=1e-4),
+                                   centering=Centering.FIXED_POINT, discard=150)),
 }
 
 
@@ -555,7 +568,8 @@ def test_sweep_scores_each_cell_as_classify_does(case):
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
     map_a, x0_a, map_b, axis1, axis2, cfg, settings = SWEEP_CASES[case]
-    calls = {"classify": 0, "principal": 0, "spectrum": 0, "cells": 0}
+    calls = {"classify": 0, "principal": 0, "spectrum": 0, "cells": 0, "many": 0,
+             "matching": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -565,17 +579,26 @@ def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
         return wrapper
 
     spectrum, spectra = DecompositionSettings.spectrum, DecompositionSettings.spectra
+    matching = compare.optimal_matching
 
     def counted_cells(self, trajs):
         out = spectra(self, trajs)
-        calls["cells"] += sum(isinstance(spec, KoopmanSpectrum) for spec in out)
+        for spec in out:
+            if isinstance(spec, KoopmanSpectrum):
+                calls["cells"] += 1
+                calls["many"] += spec.eigenvalues.size > 2
         return out
 
+    def counted_matching(A, B):
+        calls["matching"] += 1
+        return matching(A, B)
+
     def counted_reference(self, traj):
-        cells = calls["cells"]
+        cells, many = calls["cells"], calls["many"]
         out = spectrum(self, traj)
         calls["spectrum"] += 1
-        calls["cells"] = cells  # `spectrum` runs through `spectra`; the reference is no cell
+        # `spectrum` runs through `spectra`; the reference is no cell
+        calls["cells"], calls["many"] = cells, many
         return out
 
     monkeypatch.setattr(compare, "classify", counted("classify", compare.classify))
@@ -583,12 +606,154 @@ def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
                         counted("principal", compare.principal_eigenvalues))
     monkeypatch.setattr(DecompositionSettings, "spectrum", counted_reference)
     monkeypatch.setattr(DecompositionSettings, "spectra", counted_cells)
+    monkeypatch.setattr(compare, "optimal_matching", counted_matching)
     sweep(map_a, x0_a, map_b, (axis1, axis2), cfg=cfg, settings=settings)
     assert calls["classify"] == 0
     assert calls["spectrum"] == 1  # the reference; the cells decompose by rows
-    # one principal set per scored cell, plus the reference's
-    assert calls["principal"] == calls["cells"] + 1
+    # the reference's principal set, and one per cell of more than two
+    # eigenvalues; the other cells of a row are scored together
+    assert calls["principal"] == calls["many"] + 1
     assert calls["cells"] > 0
+    # only a cell scored alone takes optimal_matching
+    assert calls["matching"] <= calls["many"]
+    if case == "edmd":
+        assert 0 < calls["many"] < calls["cells"]
+    else:
+        assert calls["many"] == 0 and calls["matching"] == 0
+
+
+def lattice_powers(l0, max_power):
+    """l0**2 .. l0**max_power as principal_eigenvalues builds them."""
+    p, out = (1 + 0j) * np.complex128(l0), []
+    for _ in range(max_power - 1):
+        p = p * l0
+        out.append(p)
+    return out
+
+
+# (l0, l1): l1 a rounding away from lattice_tol of a power of l0, the power
+# formed by complex scalar products; NumPy's array product, which may fuse a
+# multiply-add, can land on the other side of lattice_tol
+FUSED_EDGE = [
+    (0.513965469412426 + 0.4753110860032741j, 0.037912794697193296 + 0.4895319673233889j),
+    (0.20015274656746707 + 0.6355420815513209j, -0.23435983962659326 - 0.1793346997803152j),
+    (-0.3197339441420393 + 0.597685512634019j, -0.08005384636842544 + 0.19495403656502536j),
+    (0.7485248816781143 - 0.45599354023059196j, 0.3287591265758884 - 0.7267248079918234j),
+    (-0.2831418459868694 - 0.559680433487277j, 0.20704752239291216 + 0.07506193062871186j),
+    (-0.3545190206387627 - 0.3922086597534007j, -0.12359460075790135 + 0.0012612181664030317j),
+    (0.5876374201157695 + 0.6287164131052634j, -0.24656510386027256 - 0.34262948366818324j),
+    (-0.4555060828230417 - 0.5436607458274487j, 0.11224296752451775 - 0.09633675739704689j),
+]
+# (l0, l1): |l1 - conj(l0)| a rounding away from PAIR_TOL, where hypot (the
+# abs of a complex scalar) and NumPy's array abs fall on opposite sides; l0
+# is so small that l1, unpaired, is a lattice product
+HYPOT_EDGE = [
+    (1.5e-10 + 1.5e-10j, 6.608511042060887e-11 - 9.560982343401893e-11j),
+    (1.5e-10 + 1.5e-10j, 5.823762998997277e-11 - 1.1025496949123253e-10j),
+]
+
+
+def few_eigenvalue_rows(lattice_tol, max_power):
+    """Rows of one or two eigenvalues at the edges of principal_eigenvalues'
+    tests; rows of reals stay real."""
+    def ulps(x, k):
+        return x + k * np.spacing(x)
+
+    rows = [[0.7], [1.0], [-0.2 + 0.5j], [0.0], [1.0, 1.0], [1.0, 0.5], [0.5, 1.0],
+            [1.2, 1.0], [0.3, 1.0], [0.3, 0.3], [0.9375, -0.9375], [-0.9375, -0.875]]
+    for k in range(-2, 3):  # either side of lattice_tol from the unit eigenvalue
+        rows += [[ulps(1.0 + lattice_tol, k), 0.4], [0.4, ulps(1.0 - lattice_tol, k)],
+                 [ulps(1.0 - lattice_tol, k)]]
+    # conjugate pairs, and second eigenvalues either side of PAIR_TOL from
+    # the partner; the pair decides whether a lattice product of l0 stays
+    for z in (0.8 + 0.4j, -0.3 + 0.6j, 0.5 + 2e-10j, 0.9999j,
+              0.9999 * np.exp(2j * np.pi / 3), 3e-10 + 2e-10j):
+        rows.append([z, z.conjugate()])
+        for g in (0.5, 0.999, 1.001, 1.5):
+            rows += [[z, z.conjugate() + g * PAIR_TOL], [z, z.conjugate() + 1j * g * PAIR_TOL]]
+    rows += [list(edge) for edge in HYPOT_EDGE + FUSED_EDGE]
+    # second eigenvalues a few roundings either side of lattice_tol from each
+    # power of the first
+    for l0 in (0.6, -0.7, 0.55 + 0.3j, -0.4 + 0.5j, 0.35 + 0.1j):
+        for p in lattice_powers(l0, max_power):
+            for k in range(-3, 4):
+                l1 = ulps(p.real + lattice_tol, k)
+                rows.append([l0, l1] if isinstance(l0, float) else [l0, complex(l1, p.imag)])
+    return rows
+
+
+@pytest.mark.parametrize("lattice_tol, max_power", [(1e-3, 4), (5e-2, 6), (1e-3, 1)])
+def test_principal_sets_of_few_match_principal_eigenvalues(lattice_tol, max_power):
+    sizes = set()
+    for k in (1, 2):
+        rows = [row for row in few_eigenvalue_rows(lattice_tol, max_power) if len(row) == k]
+        P, size = principal_sets_of_few(np.array(rows, dtype=complex), lattice_tol, max_power)
+        for row, p, n in zip(rows, P, size):
+            want = principal_eigenvalues(np.asarray(row), lattice_tol=lattice_tol,
+                                         max_power=max_power, ignore_unit=True)
+            assert n == want.size, row
+            assert np.array_equal(p[:n].view(np.uint64), want.view(np.uint64)), row
+        sizes |= set(size.tolist())
+    assert sizes == {0, 1, 2}
+
+
+# cells of more than two eigenvalues, scored one at a time
+MANY_EIGENVALUES = [[0.8, 0.64, 0.3], [0.5 + 0.5j, 0.5 - 0.5j, 0.25, 1.0],
+                    [0.9, 0.6 + 0.3j, 0.6 - 0.3j], [0.7, 0.49, 0.343]]
+FEW_REFERENCES = {"one": [0.6], "pair": [0.8 + 0.4j, 0.8 - 0.4j],
+                  "ties": [-0.9375, -0.9375], "three": [0.9, 0.6 + 0.3j, 0.6 - 0.3j]}
+
+
+def sweep_of_spectra(monkeypatch, reference, rows, method):
+    """`sweep` with the reference's spectrum and the cells' spectra replaced:
+    grid row i holds the cells whose eigenvalues are rows[i]."""
+    spec_a = synthetic_spectrum(reference, method)
+    grid_rows = iter(rows)
+    monkeypatch.setattr(DecompositionSettings, "spectrum", lambda self, traj: spec_a)
+    monkeypatch.setattr(DecompositionSettings, "spectra", lambda self, trajs: [
+        synthetic_spectrum(lam, method, dtype=None) for lam in next(grid_rows)])
+    imap = custom_map(lambda x: 0.5 * x, dim=2)
+    grid = (np.arange(len(rows), dtype=float), np.arange(len(rows[0]), dtype=float))
+    return sweep(imap, (1.0, 1.0), imap, grid, cfg=RunConfig(max_iters=2))
+
+
+@pytest.mark.parametrize("method", ["dmd", "edmd"])
+@pytest.mark.parametrize("reference", sorted(FEW_REFERENCES))
+def test_sweep_scores_cells_together_as_classify_scores_each(reference, method, monkeypatch):
+    lattice_tol, max_power = (1e-3, 4) if method == "dmd" else (5e-2, 6)
+    cells = few_eigenvalue_rows(lattice_tol, max_power) + MANY_EIGENVALUES
+    cells = [cells[i] for i in np.random.default_rng(19).permutation(len(cells))]
+    width = 11
+    cells += [[0.5]] * (-len(cells) % width)
+    rows = [cells[i:i + width] for i in range(0, len(cells), width)]
+    res = sweep_of_spectra(monkeypatch, FEW_REFERENCES[reference], rows, method)
+    spec_a = synthetic_spectrum(FEW_REFERENCES[reference], method)
+    want = [score_by_classify(spec_a, synthetic_spectrum(lam, method, dtype=None))
+            for lam in cells]
+    distances = np.array([d for d, _ in want]).reshape(res.distances.shape)
+    assert np.array_equal(res.distances.view(np.uint64), distances.view(np.uint64))
+    assert res.flags.ravel().tolist() == [flag for _, flag in want]
+    assert res.principal_a.size == {"one": 1, "pair": 2, "ties": 2, "three": 3}[reference]
+
+
+def test_two_by_two_ties_in_the_scored_rows():
+    # the "ties" reference meets both tie breaks of the 2x2 closed form
+    pa = np.array(FEW_REFERENCES["ties"])
+    costs = [np.abs(pa[:, None] - np.array(pb)[None, :]).ravel().tolist()
+             for pb in ([0.9375, -0.9375], [-0.9375, -0.875])]
+    for (c00, c01, c10, c11), swapped in zip(costs, (True, False)):
+        assert c00 + c11 == c01 + c10
+        assert compare._swapped(c00, c01, c10, c11) is swapped
+    assert compare._swapped(*np.array(costs).T).tolist() == [True, False]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_cells_scored_together_raise_on_overflow_as_alone(monkeypatch):
+    reference, cell = [-1.5e308, 0.5], [1.5e308, 0.25]
+    with pytest.raises(NumericFailureError, match="overflows"):
+        classify(synthetic_spectrum(reference), synthetic_spectrum(cell))
+    with pytest.raises(NumericFailureError, match="overflows"):
+        sweep_of_spectra(monkeypatch, reference, [[cell, [0.5]]], "dmd")
 
 
 @pytest.mark.filterwarnings("ignore:only .* snapshot pairs")

@@ -83,6 +83,35 @@ def test_iterate_validates_x0():
         iterate(imap, (1.0,))  # wrong length
 
 
+@pytest.mark.parametrize("x0", [np.ones((2, 1)), [[1.0, 1.0]], np.ones((1, 1, 2))])
+def test_iterate_rejects_an_x0_that_is_not_flat(x0):
+    # the right number of entries in another shape used to run, stacking
+    # states of that shape into a states array of three or more dimensions
+    imap = custom_map(lambda x: 0.5 * x, dim=2)
+    with pytest.raises(InvalidInputError, match=r"x0 must be a flat state vector"):
+        iterate(imap, x0)
+
+
+@pytest.mark.parametrize("dim, out_shape", [(2, (1, 2)), (2, (2, 1)), (1, (1, 1))])
+def test_step_output_of_another_shape_is_a_configuration_error(dim, out_shape):
+    # the right number of entries in another shape used to run on and then
+    # fail in np.array(states) with a raw ValueError ("inhomogeneous shape")
+    imap = custom_map(lambda x: np.reshape(0.5 * x, out_shape), dim=dim)
+    x0 = np.ones(dim)
+    with pytest.raises(ConfigurationError, match=r"step changed the state shape"):
+        iterate(imap, x0)
+    got = iterate_many(imap, np.stack([x0, 2 * x0]))
+    assert [type(r) for r in got] == [ConfigurationError] * 2
+    assert str(got[0]) == f"step changed the state shape from ({dim},) to {out_shape}"
+
+
+def test_a_0d_step_output_is_a_state_of_a_one_dimensional_map():
+    imap = custom_map(lambda x: 0.5 * x[0], dim=1)
+    traj = iterate(imap, 1.0, RunConfig(max_iters=3))
+    assert traj.states.shape == (4, 1)
+    assert traj.states[:, 0].tolist() == [1.0, 0.5, 0.25, 0.125]
+
+
 # ---------------------------------------------------------------------------
 # iterate_many
 
