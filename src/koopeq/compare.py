@@ -19,9 +19,10 @@ from .corpus import IterativeMap
 from .errors import (CardinalityMismatchError, DegenerateDataError,
                      InsufficientDataError, InvalidInputError, KoopeqError,
                      NumericFailureError, result_or_raise)
-from .spectral import (Dictionary, KoopmanSpectrum, RankPolicy, decompose_many,
+from .spectral import (Dictionary, KoopmanSpectrum, RankPolicy, decompose_stack,
                        principal_eigenvalues, principal_sets_of_few)
-from .trajectory import Centering, RunConfig, Trajectory, iterate, iterate_many, snapshots
+from .trajectory import (Centering, RunConfig, Trajectory, centred, iterate, iterate_many,
+                         snapshot_stack)
 
 # conjugacy tolerances: tight for plain DMD on both sides, loose when a
 # dictionary lifting is involved (dictionary-induced eigenvalue error)
@@ -260,21 +261,24 @@ class DecompositionSettings:
         """Drop each trajectory's transient, pair its snapshots and decompose
         them; a KoopeqError given in place of a trajectory is passed through.
         Returns, per trajectory, its KoopmanSpectrum or the KoopeqError that
-        pairing or decomposing it gave. Snapshot pairs of one shape decompose
-        as one stack, each cell bit for bit as it would alone."""
+        pairing or decomposing it gave. The runs of one states shape, dtype
+        and centring are paired and decomposed as one stack, each cell bit
+        for bit as it would be alone."""
         out = list(trajs)
-        cells = []
+        groups = {}
         for i, traj in enumerate(out):
-            if isinstance(traj, KoopeqError):
-                continue
+            if not isinstance(traj, KoopeqError):
+                key = (traj.states.shape, traj.states.dtype, centred(traj, self.centering))
+                groups.setdefault(key, []).append(i)
+        for (_, _, centre), cells in groups.items():
             try:
-                out[i] = snapshots(traj.discard_prefix(self.discard), self.centering)
-            except KoopeqError as exc:
-                out[i] = exc
-                continue
-            cells.append(i)
-        if cells:
-            done = decompose_many([out[i] for i in cells], self.dictionary, self.rank_policy)
+                X, Y, tag = snapshot_stack(np.stack([out[i].states for i in cells]), centre,
+                                           self.discard)
+            except KoopeqError as exc:  # runs too short to pair
+                done = [exc] * len(cells)
+            else:
+                done = decompose_stack(X, Y, [tag] * len(cells), self.dictionary,
+                                       self.rank_policy)
             for i, res in zip(cells, done):
                 out[i] = res
         return out
@@ -284,7 +288,7 @@ class DecompositionSettings:
 CELL_OK = 0
 CELL_HAUSDORFF = 1  # cardinality mismatch, symmetric Hausdorff fallback
 CELL_FIXED_POINT = 2  # initial condition sits on a fixed point; distance 0
-CELL_FAILED = 3  # decomposition failed; value is NaN
+CELL_FAILED = 3  # decomposition or matching failed; value is NaN
 
 
 @dataclass
@@ -301,7 +305,8 @@ def _score_few(lam: np.ndarray, pa: np.ndarray, lattice_tol: float, max_power: i
     """The sweep distances and flags of the cells whose eigenvalues are the
     rows of `lam` (shape (N, k), k <= 2) against the reference's principal
     set `pa`, bit for bit as each cell's principal set, `optimal_matching`
-    and `directed_hausdorff` give them."""
+    and `directed_hausdorff` give them; a cell whose matching overflows is
+    CELL_FAILED."""
     P, size = principal_sets_of_few(lam, lattice_tol, max_power)
     distances = np.zeros(len(P))
     flags = np.full(len(P), CELL_FIXED_POINT)  # an empty set; its distance stays 0
@@ -314,8 +319,6 @@ def _score_few(lam: np.ndarray, pa: np.ndarray, lattice_tol: float, max_power: i
             dab, dba = cost.min(axis=2).max(axis=1), cost.min(axis=1).max(axis=1)
             distances[at], flags[at] = np.where(dba > dab, dba, dab), CELL_HAUSDORFF
             continue
-        if not np.isfinite(cost).all():
-            raise NumericFailureError("a distance between eigenvalues overflows")
         if n == 1:
             distances[at] = cost[:, 0, 0]
         else:
@@ -323,6 +326,9 @@ def _score_few(lam: np.ndarray, pa: np.ndarray, lattice_tol: float, max_power: i
             swap = _swapped(c00, c01, c10, c11)
             distances[at] = (np.where(swap, c01, c00) + np.where(swap, c10, c11)) / 2
         flags[at] = CELL_OK
+        # a distance that overflows fails the cell, as optimal_matching fails it
+        failed = at[~np.isfinite(cost).all(axis=(1, 2))]
+        distances[failed], flags[failed] = np.nan, CELL_FAILED
     return distances, flags
 
 
@@ -343,8 +349,9 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
     (every DMD cell of a planar map_b) are scored together, in closed form,
     bit for bit as one at a time; cells of more are scored one at a time. A grid point whose data has no principal
     eigenvalues (it sits on a fixed point) scores 0 (flagged): the vacuous
-    limit of its neighbours. Genuine per-cell failures become NaN cells and
-    never abort the sweep. A reference without principal eigenvalues has
+    limit of its neighbours. Genuine per-cell failures (a decomposition that
+    fails, a matching distance that overflows) become NaN cells and never
+    abort the sweep. A reference without principal eigenvalues has
     nothing to compare against and is rejected.
     """
     axis1 = np.asarray(grid[0], dtype=float)
@@ -385,7 +392,10 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
             if pb.size == 0:
                 flags[i, j] = CELL_FIXED_POINT  # its distance stays 0
             elif pb.size == pa.size:
-                distances[i, j] = optimal_matching(pa, pb)[0]
+                try:
+                    distances[i, j] = optimal_matching(pa, pb)[0]
+                except NumericFailureError:  # a distance overflows
+                    distances[i, j], flags[i, j] = np.nan, CELL_FAILED
             else:
                 distances[i, j] = max(directed_hausdorff(pa, pb), directed_hausdorff(pb, pa))
                 flags[i, j] = CELL_HAUSDORFF

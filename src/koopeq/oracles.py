@@ -27,7 +27,7 @@ _PROX_KINDS = {OracleKind.PROX_L2, OracleKind.PROX_NEGLOGDET}
 
 
 def _check_finite(x, what="input"):
-    if not np.isfinite(x).all():
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise InvalidInputError(f"{what} contains non-finite entries")
 
 

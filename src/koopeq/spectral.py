@@ -230,6 +230,19 @@ def _by_type(lam: np.ndarray, W: np.ndarray):
     yield part, lam[part], W[part]
 
 
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a) of a whole array, by its own steps, so bit for bit,
+    at less call overhead: the square root of a dot over a in index order,
+    over its real and imaginary parts when it is complex."""
+    v = a.ravel(order="K")
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    if v.dtype.kind != "f":
+        v = v.astype(float)
+    return math.sqrt(v.dot(v))
+
+
 def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tags) -> list:
     """Shared DMD/EDMD core over a stack of N cells: PX and PY of shape
     (N, k, m) in the decomposition space, Xstate and Ystate of shape
@@ -279,8 +292,8 @@ def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tags) -> li
                 resid = (modes * lam[:, None, :]) @ (coeffs @ _take(PX, sub)) - Y
                 for i, c in enumerate(sub):
                     # per cell: a norm over an axis sums in another order
-                    ynorm = np.linalg.norm(Y[i])
-                    err = float(np.linalg.norm(resid[i]) / ynorm) if ynorm > 0 else 0.0
+                    ynorm = _norm(Y[i])
+                    err = _norm(resid[i]) / ynorm if ynorm > 0 else 0.0
                     out[c] = KoopmanSpectrum(
                         eigenvalues=lam[i], modes=modes[i], eigfn_coeffs=coeffs[i],
                         method=method, rank=r, dictionary_tag=dict_tag,
@@ -306,21 +319,17 @@ def _caller_level() -> int:
     return level
 
 
-def _lifted(snap: SnapshotPair, dictionary: Optional[Dictionary]):
-    """snap's (PX, PY) in the decomposition space: the snapshots themselves
-    for DMD (no dictionary), their lift through `dictionary` for EDMD."""
-    if snap.X.size == 0:
-        raise DegenerateDataError("empty snapshot pair")
-    if dictionary is None:
-        return snap.X, snap.Y
-    m = snap.X.shape[1]
+def _lifted(X: np.ndarray, Y: np.ndarray, dictionary: Dictionary):
+    """The lift of the snapshot pair (X, Y) through `dictionary`, checked to
+    show dynamics; warns when the pairs underdetermine the fit."""
+    m = X.shape[1]
     if m < dictionary.output_dim:
         warnings.warn(f"only {m} snapshot pairs for a dictionary of size "
                       f"{dictionary.output_dim}; the fit is underdetermined",
                       stacklevel=_caller_level())
-    PX = dictionary.lift(snap.X)
-    PY = dictionary.lift(snap.Y)
-    state_spread = np.max(np.abs(snap.X - snap.X[:, :1])) if m > 1 else 0.0
+    PX = dictionary.lift(X)
+    PY = dictionary.lift(Y)
+    state_spread = np.max(np.abs(X - X[:, :1])) if m > 1 else 0.0
     lifted_spread = np.max(np.abs(PX - PX[:, :1])) if m > 1 else 0.0
     if m > 1 and state_spread > 0 and lifted_spread <= 1e-14 * max(1.0, np.abs(PX).max()):
         raise DegenerateDataError("observables are constant on the data; "
@@ -329,8 +338,43 @@ def _lifted(snap: SnapshotPair, dictionary: Optional[Dictionary]):
 
 
 def _stack(arrays) -> np.ndarray:
-    """The arrays as one stack; a view of the only one, in its own layout."""
+    """The arrays as one stack: a stack as it is, a view of the only one in
+    its own layout, else a new stack."""
+    if isinstance(arrays, np.ndarray):
+        return arrays
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def decompose_stack(X, Y, tags: Sequence[str], dictionary: Optional[Dictionary] = None,
+                    rank_policy: RankPolicy = RankPolicy()) -> list:
+    """`decompose_many` of the snapshot pairs (X[i], Y[i]) with observable
+    tags tags[i], bit for bit: per pair, its KoopmanSpectrum or KoopeqError.
+    X and Y are stacks of shape (N, dim, m), or sequences of the pairs'
+    matrices of one shape. DMD decomposes them as one stack; EDMD lifts each
+    pair on its own, then decomposes the lifts as one stack."""
+    if X[0].size == 0:
+        return [DegenerateDataError("empty snapshot pair") for _ in tags]
+    if dictionary is None:
+        X, Y = _stack(X), _stack(Y)
+        return _decompose(X, Y, X, Y, rank_policy, "dmd", "identity", tags)
+    out = [None] * len(tags)
+    cells, PX, PY = [], [], []
+    for i in range(len(tags)):
+        try:
+            px, py = _lifted(X[i], Y[i], dictionary)
+        except KoopeqError as exc:
+            out[i] = exc
+            continue
+        cells.append(i)
+        PX.append(px)
+        PY.append(py)
+    if cells:
+        done = _decompose(_stack(PX), _stack(PY), _stack([X[i] for i in cells]),
+                          _stack([Y[i] for i in cells]), rank_policy, "edmd",
+                          dictionary.tag, [tags[i] for i in cells])
+        for i, res in zip(cells, done):
+            out[i] = res
+    return out
 
 
 def decompose_many(snaps: Sequence[SnapshotPair], dictionary: Optional[Dictionary] = None,
@@ -340,25 +384,17 @@ def decompose_many(snaps: Sequence[SnapshotPair], dictionary: Optional[Dictionar
 
     Returns, per pair, the KoopmanSpectrum that call returns or the
     KoopeqError it raises, bit for bit. Pairs whose data have the same shapes
-    decompose as one stack.
+    decompose as one stack, through `decompose_stack`.
     """
     out = [None] * len(snaps)
     groups = {}
     for i, snap in enumerate(snaps):
-        try:
-            PX, PY = _lifted(snap, dictionary)
-        except KoopeqError as exc:
-            out[i] = exc
-            continue
-        key = (PX.shape, PY.shape, snap.X.shape, snap.Y.shape)
-        groups.setdefault(key, []).append((i, PX, PY, snap))
-    method, tag = ("dmd", "identity") if dictionary is None else ("edmd", dictionary.tag)
+        groups.setdefault((snap.X.shape, snap.Y.shape), []).append(i)
     for cells in groups.values():
-        idx, PX, PY, group = zip(*cells)
-        done = _decompose(_stack(PX), _stack(PY), _stack([s.X for s in group]),
-                          _stack([s.Y for s in group]), rank_policy, method, tag,
-                          [s.observable_tag for s in group])
-        for i, res in zip(idx, done):
+        group = [snaps[i] for i in cells]
+        done = decompose_stack([s.X for s in group], [s.Y for s in group],
+                               [s.observable_tag for s in group], dictionary, rank_policy)
+        for i, res in zip(cells, done):
             out[i] = res
     return out
 

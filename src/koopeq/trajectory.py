@@ -65,8 +65,13 @@ class Trajectory:
 
     def discard_prefix(self, k: int) -> "Trajectory":
         """Drop the first k states (transient removal); keeps at least 3."""
-        k = max(0, min(k, len(self) - 3))
-        return Trajectory(self.states[k:], self.status)
+        return Trajectory(self.states[_first_kept(len(self), k):], self.status)
+
+
+def _first_kept(length: int, k: int) -> int:
+    """The first state that dropping k of `length` states keeps: at least 3
+    are kept, and a shorter run keeps all."""
+    return max(0, min(k, length - 3))
 
 
 @dataclass
@@ -82,18 +87,33 @@ class SnapshotPair:
 _NAN = "nan"  # _stop's verdict on a state that holds a NaN
 
 
+def _norm(v: np.ndarray) -> float:
+    """The l2 norm of the array v, np.linalg.norm's steps: the square root
+    of a dot over v in index order. A dot that overflows falls back to a
+    norm scaled by the largest entry, as LAPACK's dnrm2 does; a NaN entry
+    gives NaN. Call it with floating-point events ignored."""
+    v = v.ravel(order="K")
+    sq = v.dot(v)
+    if sq == math.inf:
+        top = float(np.abs(v).max())
+        if top < math.inf:
+            v = v / top
+            return top * math.sqrt(v.dot(v))
+    return math.sqrt(sq)
+
+
 def _stop(xn: np.ndarray, x: np.ndarray, cfg: RunConfig):
     """How a run ends at the state xn that follows x: None while it runs on,
-    _NAN for a NaN, else CONVERGED or DIVERGED. Both tests are the square
-    root of a dot, np.linalg.norm's own steps."""
-    v = xn.ravel(order="K")
-    sq = v.dot(v)  # NaN exactly when xn holds a NaN
-    if sq != sq:
-        return _NAN
-    d = (xn - x).ravel(order="K")
-    if math.sqrt(d.dot(d)) <= cfg.eps:
-        return TrajectoryStatus.CONVERGED
-    if math.sqrt(sq) >= cfg.overflow_cap:
+    _NAN for a NaN, else CONVERGED or DIVERGED, by the norms of xn - x and
+    of xn. Only steps that `_screen` does not clear take it, so it can
+    afford its errstate."""
+    with np.errstate(all="ignore"):
+        norm = _norm(xn)
+        if norm != norm:
+            return _NAN
+        if _norm(xn - x) <= cfg.eps:
+            return TrajectoryStatus.CONVERGED
+    if norm >= cfg.overflow_cap:
         return TrajectoryStatus.DIVERGED
     return None
 
@@ -108,6 +128,80 @@ def _result(states: np.ndarray, stop):
     return Trajectory(states, TrajectoryStatus.BUDGET_EXHAUSTED if stop is None else stop)
 
 
+def _raising():
+    """np.errstate's settings that raise each floating-point event the
+    caller's settings do not ignore. A run's steps are taken under them, so
+    that a step past its stop shows no event of its own; a step before it
+    whose event so raised is taken again under the caller's settings."""
+    return {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
+
+
+# steps a run takes between two screens: it runs at most _CHUNK - 1 steps
+# past its stop, and none of those states reaches a result
+_CHUNK = 16
+# relative margin of the screen, far above the rounding of a sum of squares
+# taken in another order; its bounds stay inside [_TINY, 1 / _TINY] (_HUGE
+# squared), clear of subnormals and overflow
+_MARGIN = 1e-9
+_TINY = 1e-290
+_HUGE = 1e145
+
+
+def _screen(T: np.ndarray, cfg: RunConfig) -> np.ndarray:
+    """For the states T (shape (c + 1, dim, N)) of N columns over c steps,
+    the (c, N) mask of the steps that end their run by neither of `_stop`'s
+    tests: the squared step length lies above (eps (1 + margin))**2 and the
+    squared norm below (overflow_cap (1 - margin))**2. A NaN or an infinity
+    fails the screen; a column stepped past its stop may hold them, so their
+    arithmetic here, like the squares that underflow, raises no
+    floating-point event."""
+    lo = cfg.eps * (1 + _MARGIN)
+    lo = max(lo * lo, _TINY) if lo < _HUGE else math.inf
+    hi = min(cfg.overflow_cap * (1 - _MARGIN), _HUGE)
+    hi = hi * hi if hi * hi >= _TINY else 0.0
+    with np.errstate(all="ignore"):
+        S = np.empty((2,) + T[1:].shape)
+        np.subtract(T[1:], T[:-1], out=S[0])
+        S[1] = T[1:]
+        S *= S
+        sq = S.sum(axis=2)
+    return (sq[0] > lo) & (sq[1] < hi)
+
+
+def _stops(T: np.ndarray, cfg: RunConfig):
+    """The first stop of each column of the states T (shape (c + 1, dim,
+    N)), as (column, states of T its run keeps, `_stop`'s verdict), in
+    column order. `_screen` clears the steps far from both thresholds; the
+    others take `_stop`'s exact tests in order."""
+    clear = _screen(T, cfg)
+    for i in np.flatnonzero(~clear.all(axis=0)):
+        for j in np.flatnonzero(~clear[:, i]):
+            stop = _stop(T[j + 1, :, i], T[j, :, i], cfg)
+            if stop is not None:
+                yield i, (j + 1 if stop is _NAN else j + 2), stop
+                break
+
+
+def _room(H: np.ndarray, end: int, cfg: RunConfig) -> np.ndarray:
+    """The history buffer H, doubled up to the budget's states when it has
+    no row for state `end`."""
+    if end < len(H):
+        return H
+    more = min(len(H), cfg.max_iters + 1 - len(H))
+    return np.concatenate([H, np.empty((more,) + H.shape[1:])])
+
+
+def _state(xn, shape: tuple) -> np.ndarray:
+    """A step's output as a state of the given shape; a 0-d output is the
+    state of a one-dimensional map."""
+    xn = np.asarray(xn, dtype=float)
+    if xn.ndim == 0:
+        xn = xn.reshape(1)
+    if xn.shape != shape:
+        raise ConfigurationError(f"step changed the state shape from {shape} to {xn.shape}")
+    return xn
+
+
 def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
     """Apply imap.step repeatedly from x0.
 
@@ -115,6 +209,13 @@ def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
     max_iters steps taken (BUDGET_EXHAUSTED), or state norm >= overflow_cap
     (DIVERGED; the crossing state is retained since growing modes are data).
     A NaN mid-run raises NumericFailureError carrying the partial trajectory.
+
+    The run takes `_CHUNK` steps between screens, as `iterate_many`'s block
+    does, so a step may run up to `_CHUNK - 1` times past the stop (`step`
+    must be pure). An exception a step raises there is discarded; one raised
+    before any stop propagates. Steps run under `_raising`'s errstate, so a
+    step past the stop shows no floating-point event; a step before it whose
+    event so raised is taken again under the caller's settings.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.ndim != 1:
@@ -123,23 +224,32 @@ def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
         raise InvalidInputError(f"x0 has length {x.size}, map expects {imap.dim}")
     if not np.isfinite(x).all():
         raise InvalidInputError("x0 contains non-finite entries")
-    states = [x]
-    step, shape = imap.step, x.shape
-    for _ in range(cfg.max_iters):
-        xn = np.asarray(step(x), dtype=float)
-        if xn.ndim == 0:
-            xn = xn.reshape(1)
-        if xn.shape != shape:
-            raise ConfigurationError(
-                f"step changed the state shape from {shape} to {xn.shape}")
-        stop = _stop(xn, x, cfg)
-        if stop is _NAN:
-            break
-        states.append(xn)
-        if stop is not None:
-            break
-        x = xn
-    return result_or_raise(_result(np.array(states), stop))
+    step, shape, raising = imap.step, x.shape, _raising()
+    H = np.empty((min(cfg.max_iters, 63) + 1, x.size))  # H[k]: state k
+    H[0] = x
+    k = k0 = 0  # states H[:k + 1] taken, those past H[k0] not yet screened
+    while k0 < cfg.max_iters:
+        end = min(k0 + _CHUNK, cfg.max_iters)
+        H = _room(H, end, cfg)
+        error = None
+        try:
+            with np.errstate(**raising):
+                while k < end:
+                    x = _state(step(x), shape)
+                    H[k + 1] = x
+                    k += 1
+        except Exception as exc:
+            error = exc
+        for _, n, stop in _stops(H[k0:k + 1, :, None], cfg):
+            return result_or_raise(_result(H[:k0 + n].copy(), stop))
+        k0 = k
+        if error is not None:
+            if not isinstance(error, FloatingPointError):
+                raise error
+            x = _state(step(x), shape)
+            H[k + 1] = x
+            k += 1
+    return _result(H[:k + 1].copy(), None)
 
 
 def iterate_many(imap: IterativeMap, X0, cfg: RunConfig = RunConfig()) -> list:
@@ -147,13 +257,11 @@ def iterate_many(imap: IterativeMap, X0, cfg: RunConfig = RunConfig()) -> list:
 
     Returns, per row, the Trajectory that `iterate` returns or the KoopeqError
     it raises, bit for bit. A columnwise map steps the finite starts together
-    as one (dim, N) block, a chunk of steps at a time, stepping only the
-    columns still running at the chunk's start; after each chunk one stacked
-    screen clears the steps far from both stop thresholds, and the others
-    take `iterate`'s stop rules in order. Its history buffer grows with the
-    longest run, not with `cfg.max_iters`. Other maps, other starts, and the
-    columns still running when a block step raises a KoopeqError that no
-    stop explains run through `iterate` itself.
+    as one (dim, N) block, a chunk of steps at a time as `iterate` does,
+    stepping only the columns still running at the chunk's start. Its history
+    buffer grows with the longest run, not with `cfg.max_iters`. Other maps,
+    other starts, and the columns still running when a block step raises an
+    exception that no stop explains run through `iterate` itself.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2:
@@ -172,56 +280,25 @@ def iterate_many(imap: IterativeMap, X0, cfg: RunConfig = RunConfig()) -> list:
     return out
 
 
-# steps a block takes between two screens: a column runs at most _CHUNK - 1
-# steps past its stop, and none of those states reaches a result
-_CHUNK = 16
-# relative margin of the block screen, far above the rounding of a sum of
-# squares taken in another order; its bounds stay inside [_TINY, 1 / _TINY]
-# (_HUGE squared), clear of subnormals and overflow
-_MARGIN = 1e-9
-_TINY = 1e-290
-_HUGE = 1e145
-
-
-def _screen(T: np.ndarray, cfg: RunConfig) -> np.ndarray:
-    """For the states T (shape (c + 1, dim, N)) of N columns over c steps,
-    the (c, N) mask of the steps that end their run by neither of `_stop`'s
-    tests: the squared step length lies above (eps (1 + margin))**2 and the
-    squared norm below (overflow_cap (1 - margin))**2. A NaN or an infinity
-    fails the screen; a column stepped past its stop may hold them, so their
-    arithmetic here raises no warning."""
-    lo = cfg.eps * (1 + _MARGIN)
-    lo = max(lo * lo, _TINY) if lo < _HUGE else math.inf
-    hi = min(cfg.overflow_cap * (1 - _MARGIN), _HUGE)
-    hi = hi * hi if hi * hi >= _TINY else 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = np.stack((T[1:] - T[:-1], T[1:]))
-        S *= S
-        sq = S.sum(axis=2)
-    return (sq[0] > lo) & (sq[1] < hi)
-
-
 def _iterate_block(imap: IterativeMap, X0: np.ndarray, rows: np.ndarray,
                    cfg: RunConfig, out: list) -> list:
     """Step the finite starts X0 (shape (n, dim)) as columns of one block and
     store the result of start c in out[rows[c]].
 
-    The block takes `_CHUNK` steps between screens. Each `_screen` clears
-    the chunk's steps far from both stop thresholds; a column with a step
-    it does not clear takes `_stop`'s exact tests on those steps in order,
-    and the first stop ends its run there. When a block step raises a
-    KoopeqError, the steps before it are resolved the same way, and the
-    block goes on without the columns they stopped; if they stopped none,
-    the rows still running are returned, for `iterate` to redo."""
+    The block takes `_CHUNK` steps between screens, and `_stops` finds each
+    column's stop among them. When a block step raises, the steps before it
+    are resolved the same way, and the block goes on without the columns
+    they stopped; if they stopped none, the rows still running are returned,
+    for `iterate` to redo."""
     n, dim = X0.shape
-    # H[k, :, c]: state k of start c; doubled as the longest run needs it
+    # H[k, :, c]: state k of start c
     H = np.empty((min(cfg.max_iters, 63) + 1, dim, n))
     H[0] = X0.T
+    raising = _raising()
     run, k = np.arange(n), 0
     while run.size and k < cfg.max_iters:
         k0, end = k, min(k + _CHUNK, cfg.max_iters)
-        if end >= len(H):
-            H = np.concatenate([H, np.empty((min(len(H), cfg.max_iters + 1 - len(H)), dim, n))])
+        H = _room(H, end, cfg)
         # B[j]: state k0 + j of the running columns; H itself while all run
         full = run.size == n
         B = H[k0:end + 1] if full else np.empty((end - k0 + 1, dim, run.size))
@@ -229,25 +306,17 @@ def _iterate_block(imap: IterativeMap, X0: np.ndarray, rows: np.ndarray,
             B[0] = H[k0][:, run]
         failed = False
         try:
-            while k < end:
-                B[k + 1 - k0] = imap.step(B[k - k0])
-                k += 1
-        except KoopeqError:
+            with np.errstate(**raising):
+                while k < end:
+                    B[k + 1 - k0] = imap.step(B[k - k0])
+                    k += 1
+        except Exception:
             failed = True
         if not full:
             H[k0 + 1:k + 1, :, run] = B[1:k + 1 - k0]
-        clear = _screen(B[:k + 1 - k0], cfg)
         stopped = []
-        for i in np.flatnonzero(~clear.all(axis=0)):
-            c = run[i]
-            for j in k0 + np.flatnonzero(~clear[:, i]):
-                stop = _stop(H[j + 1, :, c], H[j, :, c], cfg)
-                if stop is not None:
-                    break
-            else:
-                continue
-            end = j + 1 if stop is _NAN else j + 2
-            out[rows[c]] = _result(H[:end, :, c].copy(), stop)
+        for i, kept, stop in _stops(B[:k + 1 - k0], cfg):
+            out[rows[run[i]]] = _result(H[:k0 + kept, :, run[i]].copy(), stop)
             stopped.append(i)
         if failed and not stopped:
             return list(rows[run])
@@ -258,23 +327,40 @@ def _iterate_block(imap: IterativeMap, X0: np.ndarray, rows: np.ndarray,
     return []
 
 
+def centred(traj: Trajectory, centering: Optional[Centering] = None) -> bool:
+    """Whether snapshot assembly centres traj on its final state: always for
+    FIXED_POINT, never for NONE, and for centering=None when it converged."""
+    if centering is None:
+        return traj.status is TrajectoryStatus.CONVERGED
+    return centering is Centering.FIXED_POINT
+
+
+def snapshot_stack(states: np.ndarray, centre: bool, discard: int = 0):
+    """The snapshot pairs of a stack of runs, built in one pass over their
+    states (shape (N, L, dim)): drop each run's first `discard` states as
+    `Trajectory.discard_prefix` does, subtract its final state when
+    `centre`, and pair consecutive states. Returns X and Y of shape
+    (N, dim, m), each cell C-contiguous, and their observable tag."""
+    length = states.shape[1]
+    if length < 3:
+        raise InsufficientDataError(f"need at least 3 states, got {length}")
+    data = states[:, _first_kept(length, discard):]
+    tag = "identity"
+    if centre:
+        data = data - data[:, -1:]
+        tag = "identity(centered)"
+    return data[:, :-1].transpose(0, 2, 1).copy(), data[:, 1:].transpose(0, 2, 1).copy(), tag
+
+
 def snapshots(traj: Trajectory, centering: Optional[Centering] = None) -> SnapshotPair:
-    """Pair consecutive states into (X, Y) columns.
+    """Pair consecutive states into (X, Y) columns: `snapshot_stack` of the
+    one run.
 
     FIXED_POINT subtracts the final state from every column; centering=None
     does so for a converged run and leaves any other run uncentred.
     """
-    if len(traj) < 3:
-        raise InsufficientDataError(f"need at least 3 states, got {len(traj)}")
-    if centering is None:
-        converged = traj.status is TrajectoryStatus.CONVERGED
-        centering = Centering.FIXED_POINT if converged else Centering.NONE
-    data = traj.states
-    tag = "identity"
-    if centering is Centering.FIXED_POINT:
-        data = data - data[-1]
-        tag = "identity(centered)"
-    return SnapshotPair(X=data[:-1].T.copy(), Y=data[1:].T.copy(), observable_tag=tag)
+    X, Y, tag = snapshot_stack(traj.states[None], centred(traj, centering))
+    return SnapshotPair(X=X[0], Y=Y[0], observable_tag=tag)
 
 
 def multi_snapshots(trajs, centering: Optional[Centering] = None) -> SnapshotPair:

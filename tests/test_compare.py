@@ -8,7 +8,8 @@ import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 from koopeq import (AlgorithmId, Centering, DecompositionSettings, Oracle,
-                    OracleKind, RunConfig, Verdict, classify,
+                    OracleKind, RunConfig, SnapshotPair, Trajectory, TrajectoryStatus,
+                    Verdict, classify,
                     conjugacy_map, custom_map, directed_hausdorff, dmd, iterate,
                     make_algorithm, snapshots, sweep, wasserstein_distance)
 from koopeq import compare
@@ -748,12 +749,17 @@ def test_two_by_two_ties_in_the_scored_rows():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_sweep_cells_scored_together_raise_on_overflow_as_alone(monkeypatch):
-    reference, cell = [-1.5e308, 0.5], [1.5e308, 0.25]
-    with pytest.raises(NumericFailureError, match="overflows"):
-        classify(synthetic_spectrum(reference), synthetic_spectrum(cell))
-    with pytest.raises(NumericFailureError, match="overflows"):
-        sweep_of_spectra(monkeypatch, reference, [[cell, [0.5]]], "dmd")
+def test_sweep_cells_whose_matching_overflows_are_flagged(monkeypatch):
+    # classify raises; a sweep fails the cell, scored together (two
+    # eigenvalues) or alone (three, the unit one ignored), and scores the rest
+    reference, few, many = [-1.5e308, 0.5], [1.5e308, 0.25], [1.5e308, 0.25, 1.0]
+    for cell in (few, many):
+        with pytest.raises(NumericFailureError, match="overflows"):
+            classify(synthetic_spectrum(reference), synthetic_spectrum(cell))
+    res = sweep_of_spectra(monkeypatch, reference, [[few, [0.5], many, [0.5, 0.3]]], "dmd")
+    assert res.flags.tolist() == [[CELL_FAILED, CELL_HAUSDORFF, CELL_FAILED, CELL_OK]]
+    assert np.isnan(res.distances[0, [0, 2]]).all()
+    assert np.isfinite(res.distances[0, [1, 3]]).all()
 
 
 @pytest.mark.filterwarnings("ignore:only .* snapshot pairs")
@@ -784,6 +790,85 @@ def test_settings_spectra_match_spectrum_per_trajectory():
                                       np.ascontiguousarray(b).view(np.uint64))
             assert spec.reconstruction_error == want.reconstruction_error
             assert spec.centering_tag == want.centering_tag
+
+
+def reference_snapshots(traj, centering, discard):
+    """The reference: one run's snapshot pair built on its own, as `snapshots`
+    of `discard_prefix` built it one run at a time."""
+    states = traj.states[max(0, min(discard, len(traj) - 3)):]
+    if len(states) < 3:
+        raise InsufficientDataError(f"need at least 3 states, got {len(states)}")
+    if centering is None:
+        converged = traj.status is TrajectoryStatus.CONVERGED
+        centering = Centering.FIXED_POINT if converged else Centering.NONE
+    tag = "identity"
+    if centering is Centering.FIXED_POINT:
+        states = states - states[-1]
+        tag = "identity(centered)"
+    return SnapshotPair(X=states[:-1].T.copy(), Y=states[1:].T.copy(), observable_tag=tag)
+
+
+def assert_same_spectrum(got, want):
+    """Spectra, or errors, that agree bit for bit, layout included."""
+    assert type(got) is type(want)
+    if isinstance(want, KoopeqError):
+        assert str(got) == str(want)
+        return
+    for name in ("eigenvalues", "modes", "eigfn_coeffs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+        assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                              np.ascontiguousarray(b).view(np.uint64))
+    assert np.float64(got.reconstruction_error).view(np.uint64) == \
+        np.float64(want.reconstruction_error).view(np.uint64)
+    for name in ("method", "rank", "dictionary_tag", "centering_tag"):
+        assert getattr(got, name) == getattr(want, name)
+
+
+@pytest.mark.filterwarnings("ignore:only .* snapshot pairs")
+@pytest.mark.parametrize("centering", [None, Centering.NONE, Centering.FIXED_POINT],
+                         ids=["default", "none", "fixed_point"])
+@pytest.mark.parametrize("discard", [0, 5, 37, 500])
+def test_stacked_spectra_match_each_run_decomposed_alone(centering, discard):
+    # runs of mixed lengths and stops: converged and diverged ones of
+    # several lengths, budgets of 40 and 60 steps, runs of 2 and 3 states,
+    # and an error passed in; discards above len - 3 keep each run's last 3
+    quad, negcos = make_algorithm(AlgorithmId.ALGO2, QUAD), make_algorithm(AlgorithmId.ALGO2, NEGCOS)
+    trajs = [iterate(imap, x0, cfg) for imap, x0, cfg in [
+        (negcos, (0.3, -1.2), RunConfig(max_iters=60)),
+        (negcos, (1.1, 0.4), RunConfig(max_iters=60)),
+        (negcos, (-1.5, 0.9), RunConfig(max_iters=40)),
+        (quad, (0.5, 0.5), RunConfig(max_iters=200, eps=1e-6)),
+        (quad, (-0.4, 0.2), RunConfig(max_iters=200, eps=1e-6)),
+        (quad, (2.0, 2.0), RunConfig(max_iters=60, overflow_cap=3.0)),
+        (negcos, (0.7, 0.1), RunConfig(max_iters=2)),
+        (negcos, (0.7, 0.1), RunConfig(max_iters=60, eps=0.5)),
+        (negcos, (0.2, 0.6), RunConfig(max_iters=60))]]
+    trajs.insert(3, InsufficientDataError("passed through"))
+    statuses = {t.status for t in trajs if isinstance(t, Trajectory)}
+    assert statuses == set(TrajectoryStatus) and {2, 3} <= {len(t) for t in trajs[4:]}
+    for dictionary in (None, compare.Dictionary.monomials(2, 2)):
+        settings = DecompositionSettings(method="dmd" if dictionary is None else "edmd",
+                                         dictionary=dictionary, centering=centering,
+                                         discard=discard, rank_policy=RankPolicy(rel_tol=1e-8))
+        got = settings.spectra(trajs)
+        assert got[3] is trajs[3]
+        for traj, spec in zip(trajs, got):
+            if isinstance(traj, KoopeqError):
+                continue
+            try:
+                snap = reference_snapshots(traj, centering, discard)
+                if discard == 0:
+                    alone = snapshots(traj, centering)
+                    for a, b in ((alone.X, snap.X), (alone.Y, snap.Y)):
+                        assert a.strides == b.strides
+                        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                    assert alone.observable_tag == snap.observable_tag
+                want = (dmd(snap, settings.rank_policy) if dictionary is None
+                        else edmd(snap, dictionary, settings.rank_policy))
+            except KoopeqError as exc:
+                want = exc
+            assert_same_spectrum(spec, want)
 
 
 SHORT = RunConfig(max_iters=6)  # 6 snapshot pairs against 10 monomials

@@ -116,12 +116,42 @@ def test_a_0d_step_output_is_a_state_of_a_one_dimensional_map():
 # iterate_many
 
 
+def stepwise_iterate(imap, x0, cfg):
+    """The reference: `iterate` as it ran one step at a time, taking
+    `_stop`'s tests after every step and no step past the stop."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    if x.ndim != 1:
+        raise InvalidInputError(f"x0 must be a flat state vector, got shape {x.shape}")
+    if x.size != imap.dim:
+        raise InvalidInputError(f"x0 has length {x.size}, map expects {imap.dim}")
+    if not np.isfinite(x).all():
+        raise InvalidInputError("x0 contains non-finite entries")
+    states = [x]
+    for _ in range(cfg.max_iters):
+        xn = np.asarray(imap.step(x), dtype=float)
+        if xn.ndim == 0:
+            xn = xn.reshape(1)
+        if xn.shape != x.shape:
+            raise ConfigurationError(
+                f"step changed the state shape from {x.shape} to {xn.shape}")
+        stop = trajectory._stop(xn, x, cfg)
+        if stop is trajectory._NAN:
+            partial = Trajectory(np.array(states), TrajectoryStatus.BUDGET_EXHAUSTED)
+            raise NumericFailureError("NaN produced mid-run", partial=partial)
+        states.append(xn)
+        if stop is not None:
+            return Trajectory(np.array(states), stop)
+        x = xn
+    return Trajectory(np.array(states), TrajectoryStatus.BUDGET_EXHAUSTED)
+
+
 def looped_iterate(imap, X0, cfg):
-    """The reference: iterate row by row, keeping the error it raises."""
+    """The reference: `stepwise_iterate` row by row, keeping the error it
+    raises."""
     out = []
     for x0 in X0:
         try:
-            out.append(iterate(imap, x0, cfg))
+            out.append(stepwise_iterate(imap, x0, cfg))
         except KoopeqError as exc:
             out.append(exc)
     return out
@@ -488,15 +518,120 @@ def test_stop_cases_through_the_block_raise_no_warning(case):
         assert_same_bits_each(got, want)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 def test_block_thresholds_near_the_float_limit():
     # squared thresholds past the float range used to overflow in the screen;
-    # `_stop` squares the 1e200 state to inf in both paths, as a norm would
+    # `_stop` takes the 1e200 state's norm scaled, where its square overflows
     imap = _block_map(_rates, 2)
     X0 = np.array([[1e150, 2.0], [1.0, 0.5], [1e-170, 0.5], [1e200, 1.0]])
     for cfg in (RunConfig(overflow_cap=1e200), RunConfig(eps=1e160, overflow_cap=1e300),
                 RunConfig(eps=1e-200, overflow_cap=1e-100)):
         assert_same_bits_each(iterate_many(imap, X0, cfg), looped_iterate(imap, X0, cfg))
+
+
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_iterate_and_iterate_many_match_the_stepwise_loop(case):
+    # the chunked runs of both against the one-step-at-a-time loop, for a
+    # block map and a black box, at budgets that end inside and at the end
+    # of a chunk
+    step, dim, X0, cfgs = STOP_CASES[case]
+    X0 = np.array(X0)
+    for cfg in cfgs:
+        for max_iters in (C - 1, C, 2 * C + 3, cfg.max_iters):
+            cfg = dataclasses.replace(cfg, max_iters=max_iters)
+            for imap in (_block_map(step, dim), custom_map(step, dim)):
+                want = looped_iterate(imap, X0, cfg)
+                assert_same_bits_each(iterate_many(imap, X0, cfg), want)
+                got = []
+                for x0 in X0:
+                    try:
+                        got.append(iterate(imap, x0, cfg))
+                    except KoopeqError as exc:
+                        got.append(exc)
+                assert_same_bits_each(got, want)
+
+
+def _halving_until(floor, error):
+    """x -> x / 2, raising `error` for a state below `floor`."""
+    def step(x):
+        if np.any(np.abs(x) < floor):
+            raise error
+        return x / 2
+    return step
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["block", "serial"])
+def test_a_step_that_raises_past_a_stop_leaves_the_stopped_run(block):
+    # halving from 1 converges at state 5 (a step of 2**-5 meets eps); the
+    # step from state 5 raises, inside the chunk that stopped the run
+    step = _halving_until(0.04, ValueError("past the stop"))
+    imap = _block_map(step, 1) if block else custom_map(step, 1)
+    cfg = RunConfig(eps=2.0 ** -5)
+    got = iterate(imap, 1.0, cfg)
+    assert got.status is TrajectoryStatus.CONVERGED and len(got) == 6
+    assert_same_bits(got, stepwise_iterate(imap, 1.0, cfg))
+    assert_same_bits(iterate_many(imap, np.array([[1.0]]), cfg)[0], got)
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["block", "serial"])
+def test_a_step_that_raises_before_any_stop_propagates(block):
+    step = _halving_until(0.2, ValueError("before the stop"))
+    imap = _block_map(step, 1) if block else custom_map(step, 1)
+    cfg = RunConfig(eps=2.0 ** -5)
+    with pytest.raises(ValueError, match="before the stop"):
+        iterate(imap, 1.0, cfg)
+    with pytest.raises(ValueError, match="before the stop"):
+        iterate_many(imap, np.array([[1.0]]), cfg)
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["block", "serial"])
+def test_norms_whose_squares_overflow_stop_at_the_thresholds(block):
+    # a squared norm past the float range used to stop the run DIVERGED
+    # near 1.3e154, with a RuntimeWarning from the dot
+    make = (lambda step: _block_map(step, 1)) if block else (lambda step: custom_map(step, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grow = iterate(make(lambda x: 10.0 * x), 1e150, RunConfig(overflow_cap=1e300))
+        fixed = iterate(make(lambda x: np.minimum(x + 1e155, 1e155)), 0.0,
+                        RunConfig(eps=1e160, overflow_cap=1e300))
+        many = iterate_many(make(lambda x: 10.0 * x), np.array([[1e150], [1e290]]),
+                            RunConfig(overflow_cap=1e300))
+    assert grow.status is TrajectoryStatus.DIVERGED and len(grow) == 151
+    assert 1e300 <= grow.states[-1, 0] < 1e301
+    assert fixed.status is TrajectoryStatus.CONVERGED and len(fixed) == 2
+    assert_same_bits(many[0], grow)
+    assert many[1].status is TrajectoryStatus.DIVERGED and len(many[1]) == 11
+
+
+def test_steps_past_a_stop_show_no_floating_point_event():
+    # the chunk that stops the 10x run at the cap steps on to inf; a step
+    # before the stop still shows its event, by the caller's settings
+    imap = custom_map(lambda x: 10.0 * x, 1)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        got = iterate(imap, 1e295, RunConfig(overflow_cap=1e300))
+        many = iterate_many(_block_map(lambda x: 10.0 * x, 1), np.array([[1e295], [1e-3]]),
+                            RunConfig(overflow_cap=1e300))
+    assert got.status is TrajectoryStatus.DIVERGED and len(got) == 6 and shown == []
+    assert_same_bits(many[0], got)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        got = iterate(imap, 1e300, RunConfig(overflow_cap=np.inf))
+    assert got.status is TrajectoryStatus.DIVERGED and np.isinf(got.states[-1, 0])
+    assert len(got) == 10
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        iterate(imap, 1e300, RunConfig(overflow_cap=np.inf))
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["block", "serial"])
+def test_stop_tests_raise_no_floating_point_event_of_their_own(block):
+    # squares of a coordinate near 1e-160 underflow in the screen; the stop
+    # tests raise nothing under a caller's all="raise", as the dot did
+    step = lambda x: 0.5 * x
+    imap = _block_map(step, 2) if block else custom_map(step, 2)
+    cfg = RunConfig(max_iters=60, eps=1e-9)
+    with np.errstate(all="raise"):
+        got = iterate_many(imap, np.array([[1e-160, 1.0], [1e-200, 1e-200]]), cfg)
+    assert [t.status for t in got] == [TrajectoryStatus.CONVERGED] * 2
+    assert_same_bits_each(got, looped_iterate(imap, np.array([[1e-160, 1.0], [1e-200, 1e-200]]), cfg))
 
 
 @pytest.mark.parametrize("oracle", ["quad", "negcos"])
