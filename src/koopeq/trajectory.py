@@ -85,18 +85,20 @@ class SnapshotPair:
 
 
 _NAN = "nan"  # _stop's verdict on a state that holds a NaN
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 def _norm(v: np.ndarray) -> float:
     """The l2 norm of the array v, np.linalg.norm's steps: the square root
-    of a dot over v in index order. A dot that overflows falls back to a
-    norm scaled by the largest entry, as LAPACK's dnrm2 does; a NaN entry
-    gives NaN. Call it with floating-point events ignored."""
+    of a dot over v in index order. A dot that overflows, or one below the
+    smallest normal float, falls back to a norm scaled by the largest entry,
+    as LAPACK's dnrm2 does; a NaN entry gives NaN. Call it with
+    floating-point events ignored."""
     v = v.ravel(order="K")
     sq = v.dot(v)
-    if sq == math.inf:
+    if sq == math.inf or sq < _SMALLEST_NORMAL:
         top = float(np.abs(v).max())
-        if top < math.inf:
+        if 0.0 < top < math.inf:
             v = v / top
             return top * math.sqrt(v.dot(v))
     return math.sqrt(sq)
@@ -203,19 +205,17 @@ def _state(xn, shape: tuple) -> np.ndarray:
 
 
 def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
-    """Apply imap.step repeatedly from x0.
+    """Apply imap.step repeatedly from x0: `_run`'s block of one.
 
     Stops at the first of: successive-iterate distance <= eps (CONVERGED),
     max_iters steps taken (BUDGET_EXHAUSTED), or state norm >= overflow_cap
     (DIVERGED; the crossing state is retained since growing modes are data).
     A NaN mid-run raises NumericFailureError carrying the partial trajectory.
 
-    The run takes `_CHUNK` steps between screens, as `iterate_many`'s block
-    does, so a step may run up to `_CHUNK - 1` times past the stop (`step`
-    must be pure). An exception a step raises there is discarded; one raised
-    before any stop propagates. Steps run under `_raising`'s errstate, so a
-    step past the stop shows no floating-point event; a step before it whose
-    event so raised is taken again under the caller's settings.
+    A step may run up to `_CHUNK - 1` times past the stop (`step` must be
+    pure). An exception a step raises there is discarded; one raised before
+    any stop propagates, and a floating-point event before it warns or
+    raises as the caller's settings say.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.ndim != 1:
@@ -224,107 +224,101 @@ def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
         raise InvalidInputError(f"x0 has length {x.size}, map expects {imap.dim}")
     if not np.isfinite(x).all():
         raise InvalidInputError("x0 contains non-finite entries")
-    step, shape, raising = imap.step, x.shape, _raising()
-    H = np.empty((min(cfg.max_iters, 63) + 1, x.size))  # H[k]: state k
-    H[0] = x
-    k = k0 = 0  # states H[:k + 1] taken, those past H[k0] not yet screened
-    while k0 < cfg.max_iters:
-        end = min(k0 + _CHUNK, cfg.max_iters)
-        H = _room(H, end, cfg)
-        error = None
-        try:
-            with np.errstate(**raising):
-                while k < end:
-                    x = _state(step(x), shape)
-                    H[k + 1] = x
-                    k += 1
-        except Exception as exc:
-            error = exc
-        for _, n, stop in _stops(H[k0:k + 1, :, None], cfg):
-            return result_or_raise(_result(H[:k0 + n].copy(), stop))
-        k0 = k
-        if error is not None:
-            if not isinstance(error, FloatingPointError):
-                raise error
-            x = _state(step(x), shape)
-            H[k + 1] = x
-            k += 1
-    return _result(H[:k + 1].copy(), None)
+    return result_or_raise(_run(imap.step, x[None], cfg)[0])
 
 
 def iterate_many(imap: IterativeMap, X0, cfg: RunConfig = RunConfig()) -> list:
     """`iterate` from every row of X0 (shape (N, dim)).
 
     Returns, per row, the Trajectory that `iterate` returns or the KoopeqError
-    it raises, bit for bit. A columnwise map steps the finite starts together
-    as one (dim, N) block, a chunk of steps at a time as `iterate` does,
-    stepping only the columns still running at the chunk's start. Its history
-    buffer grows with the longest run, not with `cfg.max_iters`. Other maps,
-    other starts, and the columns still running when a block step raises an
-    exception that no stop explains run through `iterate` itself.
+    it raises, bit for bit. A columnwise map's finite starts, when there are
+    two or more, run as one `_run` block, whose history buffer grows with the
+    longest run, not with `cfg.max_iters`. Every other row, and each row that
+    a raising block step leaves unresolved, runs through `iterate`.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2:
         raise InvalidInputError("X0 must hold one initial state per row")
     out = [None] * X0.shape[0]
-    serial = range(X0.shape[0])
     if imap.columnwise and X0.shape[1] == imap.dim:
-        finite = np.all(np.isfinite(X0), axis=1)
-        rows = np.flatnonzero(finite)
-        serial = [*np.flatnonzero(~finite), *_iterate_block(imap, X0[rows], rows, cfg, out)]
-    for j in serial:
-        try:
-            out[j] = iterate(imap, X0[j], cfg)
-        except KoopeqError as exc:
-            out[j] = exc
+        rows = np.flatnonzero(np.all(np.isfinite(X0), axis=1))
+        if rows.size > 1:
+            for j, result in zip(rows, _run(imap.step, X0[rows], cfg)):
+                out[j] = result
+    for j, result in enumerate(out):
+        if result is None:
+            try:
+                out[j] = iterate(imap, X0[j], cfg)
+            except KoopeqError as exc:
+                out[j] = exc
     return out
 
 
-def _iterate_block(imap: IterativeMap, X0: np.ndarray, rows: np.ndarray,
-                   cfg: RunConfig, out: list) -> list:
-    """Step the finite starts X0 (shape (n, dim)) as columns of one block and
-    store the result of start c in out[rows[c]].
+def _run(step, X0: np.ndarray, cfg: RunConfig) -> list:
+    """The result (`_result`) of the run from each finite start X0[c] (X0 of
+    shape (n, dim)), the starts stepped together as the columns of one block.
 
-    The block takes `_CHUNK` steps between screens, and `_stops` finds each
-    column's stop among them. When a block step raises, the steps before it
-    are resolved the same way, and the block goes on without the columns
-    they stopped; if they stopped none, the rows still running are returned,
-    for `iterate` to redo."""
+    The block takes `_CHUNK` steps between screens under `_raising`'s
+    errstate, and `_stops` finds each column's stop among them. A block of
+    one steps its state flat, `step(x)` with `_state`'s shape check; a larger
+    block calls `step` on the (dim, running columns) block. When a step
+    raises, the steps before it are resolved the same way, and the block goes
+    on without the columns they stopped. If they stopped none, a block of one
+    takes a floating-point event's step again under the caller's settings and
+    re-raises any other exception, and a larger block gives None for each
+    column still running."""
     n, dim = X0.shape
     # H[k, :, c]: state k of start c
     H = np.empty((min(cfg.max_iters, 63) + 1, dim, n))
     H[0] = X0.T
-    raising = _raising()
-    run, k = np.arange(n), 0
-    while run.size and k < cfg.max_iters:
-        k0, end = k, min(k + _CHUNK, cfg.max_iters)
+    x, shape, raising = X0[0], (dim,), _raising()
+    out, run = [None] * n, np.arange(n)
+    k = k0 = 0  # states H[:k + 1] taken, those past H[k0] not yet screened
+    while k0 < cfg.max_iters:
+        end = min(k0 + _CHUNK, cfg.max_iters)
         H = _room(H, end, cfg)
         # B[j]: state k0 + j of the running columns; H itself while all run
         full = run.size == n
         B = H[k0:end + 1] if full else np.empty((end - k0 + 1, dim, run.size))
         if not full:
             B[0] = H[k0][:, run]
-        failed = False
+        error = None
         try:
             with np.errstate(**raising):
-                while k < end:
-                    B[k + 1 - k0] = imap.step(B[k - k0])
-                    k += 1
-        except Exception:
-            failed = True
+                if n == 1:
+                    h = H[:, :, 0]
+                    while k < end:
+                        x = _state(step(x), shape)
+                        h[k + 1] = x
+                        k += 1
+                else:
+                    while k < end:
+                        B[k + 1 - k0] = step(B[k - k0])
+                        k += 1
+        except Exception as exc:
+            error = exc
         if not full:
             H[k0 + 1:k + 1, :, run] = B[1:k + 1 - k0]
         stopped = []
         for i, kept, stop in _stops(B[:k + 1 - k0], cfg):
-            out[rows[run[i]]] = _result(H[:k0 + kept, :, run[i]].copy(), stop)
+            out[run[i]] = _result(H[:k0 + kept, :, run[i]].copy(), stop)
             stopped.append(i)
-        if failed and not stopped:
-            return list(rows[run])
+        if len(stopped) == run.size:
+            return out
         if stopped:
             run = np.delete(run, stopped)
+        k0 = k
+        if error is not None and not stopped:
+            if n > 1:
+                return out
+            if not isinstance(error, FloatingPointError):
+                raise error
+            x = _state(step(x), shape)
+            h[k + 1] = x
+            k += 1
     for c in run:
-        out[rows[c]] = _result(H[:k + 1, :, c].copy(), None)
-    return []
+        out[c] = _result(H[:k + 1, :, c].copy(), None)
+    return out
 
 
 def centred(traj: Trajectory, centering: Optional[Centering] = None) -> bool:

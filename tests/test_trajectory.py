@@ -602,6 +602,25 @@ def test_norms_whose_squares_overflow_stop_at_the_thresholds(block):
     assert many[1].status is TrajectoryStatus.DIVERGED and len(many[1]) == 11
 
 
+@pytest.mark.parametrize("block", [True, False], ids=["block", "serial"])
+def test_norms_whose_squares_underflow_stop_at_the_thresholds(block):
+    # a squared step of 1e-340 underflows to 0, which used to read CONVERGED
+    # under any eps; the scaled norm of a 1e-170 step is 1e-170
+    make = (lambda step: _block_map(step, 1)) if block else (lambda step: custom_map(step, 1))
+    imap = make(lambda x: x + 1e-170)
+    X0 = np.array([[0.0], [1e-300]])
+    for eps, status, length in ((1e-200, TrajectoryStatus.BUDGET_EXHAUSTED, 201),
+                                (1e-160, TrajectoryStatus.CONVERGED, 2)):
+        cfg = RunConfig(eps=eps, overflow_cap=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = iterate(imap, 0.0, cfg)
+            many = iterate_many(imap, X0, cfg)
+        assert single.status is status and len(single) == length
+        assert_same_bits(many[0], single)
+        assert many[1].status is status and len(many[1]) == length
+
+
 def test_steps_past_a_stop_show_no_floating_point_event():
     # the chunk that stops the 10x run at the cap steps on to inf; a step
     # before the stop still shows its event, by the caller's settings
@@ -619,6 +638,26 @@ def test_steps_past_a_stop_show_no_floating_point_event():
     assert len(got) == 10
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         iterate(imap, 1e300, RunConfig(overflow_cap=np.inf))
+
+
+def test_a_block_step_event_before_any_stop_redoes_the_rows():
+    # the block step that overflows row 0 to inf raises before its chunk
+    # shows a stop, so both rows run again one by one: the event shows once,
+    # by the caller's settings, and each row gets `iterate`'s result
+    imap = _block_map(lambda x: 10.0 * x, 1)
+    X0 = np.array([[1e300], [1.0]])
+    cfg = RunConfig(overflow_cap=np.inf)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        got = iterate_many(imap, X0, cfg)
+    assert [(w.category, "overflow" in str(w.message)) for w in shown] == [(RuntimeWarning, True)]
+    assert got[0].status is TrajectoryStatus.DIVERGED and len(got[0]) == 10
+    assert got[1].status is TrajectoryStatus.BUDGET_EXHAUSTED and len(got[1]) == 201
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_same_bits_each(got, [iterate(imap, x0, cfg) for x0 in X0])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        iterate_many(imap, X0, cfg)
 
 
 @pytest.mark.parametrize("block", [True, False], ids=["block", "serial"])
