@@ -7,7 +7,6 @@ distinct otherwise.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,7 +19,7 @@ from .errors import (CardinalityMismatchError, DegenerateDataError,
                      InsufficientDataError, InvalidInputError, KoopeqError,
                      NumericFailureError, result_or_raise)
 from .spectral import (Dictionary, KoopmanSpectrum, RankPolicy, decompose_stack,
-                       principal_eigenvalues, principal_sets_of_few)
+                       principal_eigenvalues, principal_sets)
 from .trajectory import (Centering, RunConfig, Trajectory, centred, iterate, iterate_many,
                          snapshot_stack)
 
@@ -53,19 +52,15 @@ def _assignment(cost: list) -> list[int]:
     """The column assigned to each row of a square cost matrix (a list of
     rows of finite floats) by a minimum-cost assignment.
 
-    n <= 2 has a closed form. Larger n takes the shortest augmenting path
-    form of Crouse ("On implementing 2D rectangular assignment algorithms",
-    IEEE TAES 52(4), 2016) as scipy's linear_sum_assignment implements it:
-    rows are added in order, each by a Dijkstra search over a list of the
-    remaining columns that starts in reverse order, breaking a tie in favour
-    of an unassigned column. The same arithmetic in the same order picks the same
-    permutation as scipy, ties included.
+    The shortest augmenting path form of Crouse ("On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4), 2016) as scipy's
+    linear_sum_assignment implements it: rows are added in order, each by a
+    Dijkstra search over a list of the remaining columns that starts in
+    reverse order, breaking a tie in favour of an unassigned column. The same
+    arithmetic in the same order picks the same permutation as scipy, ties
+    included. The scorer takes it for sets of more than two.
     """
     n = len(cost)
-    if n == 1:
-        return [0]
-    if n == 2:
-        return [1, 0] if _swapped(*cost[0], *cost[1]) else [0, 1]
     u, v = [0.0] * n, [0.0] * n  # dual variables of rows and columns
     col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
     for cur in range(n):
@@ -109,24 +104,65 @@ def _assignment(cost: list) -> list[int]:
     return col4row
 
 
+# score flags: a sweep cell's flag, and what classify reads from its pair
+CELL_OK = 0
+CELL_HAUSDORFF = 1  # cardinality mismatch, symmetric Hausdorff fallback
+CELL_FIXED_POINT = 2  # initial condition sits on a fixed point; distance 0
+CELL_FAILED = 3  # decomposition failed or a distance overflows; value is NaN
+
+
+def _score(P: np.ndarray, size: np.ndarray, pa: np.ndarray):
+    """Score each set P[c, :size[c]] of a stack against the one set `pa`,
+    from one cost array cost[c, i, j] = |pa[i] - pb[j]| per set size, with
+    floating-point events ignored. Returns per set its flag, its distance,
+    the directed Hausdorff distances from `pa` and to it, and the columns
+    matched to pa's elements. A set of pa's size is CELL_OK at the mean
+    matched cost of the minimum-cost assignment (`_swapped` for at most two,
+    `_assignment` beyond), another CELL_HAUSDORFF at the larger Hausdorff
+    distance, an empty one (or any, for an empty `pa`) CELL_FIXED_POINT at
+    0, and one with a non-finite cost CELL_FAILED at NaN."""
+    m, N = pa.size, len(P)
+    flags, distance = np.full(N, CELL_FIXED_POINT), np.zeros(N)
+    dab, dba = np.full((2, N), np.nan)
+    cols = np.zeros((N, m), dtype=int)
+    with np.errstate(all="ignore"):
+        for n in sorted(set(size.tolist()) - {0}) if m else ():
+            at = np.flatnonzero(size == n)
+            cost = np.abs(pa[None, :, None] - P[at, None, :n])
+            finite = np.isfinite(cost).all(axis=(1, 2))
+            ab, ba = cost.min(axis=2).max(axis=1), cost.min(axis=1).max(axis=1)
+            dab[at], dba[at] = ab, ba
+            if n != m:
+                distance[at], flags[at] = np.maximum(ab, ba), CELL_HAUSDORFF
+            else:
+                if n == 2:
+                    cols[at, 0] = _swapped(*cost.reshape(-1, 4).T)
+                    cols[at, 1] = 1 - cols[at, 0]
+                elif n > 2:
+                    for k in np.flatnonzero(finite).tolist():
+                        cols[at[k]] = _assignment(cost[k].tolist())
+                # NumPy's sum of the matched costs in row order, per set
+                matched = cost[np.arange(len(at))[:, None], np.arange(n), cols[at]]
+                distance[at], flags[at] = matched.sum(axis=1) / n, CELL_OK
+            distance[at[~finite]], flags[at[~finite]] = np.nan, CELL_FAILED
+    return flags, distance, dab, dba, cols
+
+
 def optimal_matching(A, B) -> tuple[float, list[tuple[int, int]]]:
     """Order-1 Wasserstein distance between equal-size eigenvalue multisets
     with uniform weights (the minimum over pairings of the mean |a - b|) and
-    the index pairs of the optimal assignment that attains it."""
+    the index pairs of the optimal assignment that attains it: the scorer's
+    stack of one. A distance that overflows raises NumericFailureError."""
     A = np.asarray(A, dtype=complex).ravel()
     B = np.asarray(B, dtype=complex).ravel()
     if A.size == 0 or B.size == 0:
         raise InvalidInputError("eigenvalue sets must be non-empty")
     if A.size != B.size:
         raise CardinalityMismatchError(f"set sizes differ: {A.size} vs {B.size}")
-    cost = np.abs(A[:, None] - B[None, :])
-    if not np.isfinite(cost).all():
+    flags, distance, _, _, cols = _score(B[None], np.array([B.size]), A)
+    if flags[0] == CELL_FAILED:
         raise NumericFailureError("a distance between eigenvalues overflows")
-    rows = cost.tolist()
-    cols = _assignment(rows)
-    # NumPy's sum of the matched costs in row order, as cost[rows, cols].sum()
-    matched = np.array([row[j] for row, j in zip(rows, cols)])
-    return float(matched.sum() / A.size), list(enumerate(cols))
+    return float(distance[0]), list(enumerate(cols[0].tolist()))
 
 
 def wasserstein_distance(A, B) -> float:
@@ -188,19 +224,20 @@ def classify(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum,
 
     Principal sets are extracted first (raw spectra contain lattice products
     that would corrupt the cardinality match); the constant-mode eigenvalue 1
-    from uncentered or dictionary-lifted runs is excluded by default. Verdicts:
-    CONJUGATE for equal cardinality with Wasserstein <= eps_conj, otherwise a
-    SEMI_CONJUGATE direction when one set embeds in the other within eps_semi,
-    otherwise DISTINCT.
+    from uncentered or dictionary-lifted runs is excluded by default. The
+    pair is then scored as `sweep` scores a cell, by the one scorer: the
+    Wasserstein distance and matching for equal cardinalities, and both
+    directed Hausdorff distances. Verdicts: CONJUGATE for equal cardinality
+    with Wasserstein <= eps_conj, otherwise a SEMI_CONJUGATE direction when
+    one set embeds in the other within eps_semi, otherwise DISTINCT. A
+    non-finite eigenvalue or a distance that overflows raises
+    NumericFailureError.
     """
     eps_conj, eps_semi, lattice_tol, max_power = _rules(
         spec_a, spec_b, eps_conj, eps_semi, lattice_tol, max_power)
-    for name, tol in (("eps_conj", eps_conj), ("eps_semi", eps_semi),
-                      ("lattice_tol", lattice_tol)):
+    for name, tol in (("eps_conj", eps_conj), ("eps_semi", eps_semi)):
         if not 0.0 <= tol < math.inf:
             raise InvalidInputError(f"{name} must be finite and non-negative, got {tol!r}")
-    if isinstance(max_power, bool) or not isinstance(max_power, int) or max_power < 1:
-        raise InvalidInputError(f"max_power must be a positive integer, got {max_power!r}")
     tols = ComparisonTolerances(eps_conj=eps_conj, eps_semi=eps_semi)
     notes = []
 
@@ -210,13 +247,17 @@ def classify(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum,
                                ignore_unit=ignore_unit_constant)
     if ignore_unit_constant:
         notes.append(f"unit-constant eigenvalues excluded (tol {lattice_tol:g})")
-    if pa.size == 0 or pb.size == 0:
+    flags, distance, dab, dba, cols = _score(pb[None], np.array([pb.size]), pa)
+    if flags[0] == CELL_FIXED_POINT:
         notes.append("degenerate principal set; verdict forced to distinct")
         return SpectrumComparison(None, None, None, [], Verdict.DISTINCT, tols,
                                   pa, pb, notes)
-
-    dab, dba = directed_hausdorff(pa, pb), directed_hausdorff(pb, pa)
-    wass, matching = optimal_matching(pa, pb) if pa.size == pb.size else (None, [])
+    if flags[0] == CELL_FAILED:
+        raise NumericFailureError("a distance between eigenvalues overflows")
+    dab, dba = float(dab[0]), float(dba[0])
+    wass, matching = None, []
+    if flags[0] == CELL_OK:
+        wass, matching = float(distance[0]), list(enumerate(cols[0].tolist()))
     if wass is not None and wass <= eps_conj:
         verdict = Verdict.CONJUGATE
     elif pa.size <= pb.size and dab <= eps_semi:
@@ -284,13 +325,6 @@ class DecompositionSettings:
         return out
 
 
-# sweep cell flags
-CELL_OK = 0
-CELL_HAUSDORFF = 1  # cardinality mismatch, symmetric Hausdorff fallback
-CELL_FIXED_POINT = 2  # initial condition sits on a fixed point; distance 0
-CELL_FAILED = 3  # decomposition or matching failed; value is NaN
-
-
 @dataclass
 class SweepResult:
     axis1: np.ndarray
@@ -299,37 +333,6 @@ class SweepResult:
     flags: np.ndarray
     spectrum_a: KoopmanSpectrum
     principal_a: np.ndarray
-
-
-def _score_few(lam: np.ndarray, pa: np.ndarray, lattice_tol: float, max_power: int):
-    """The sweep distances and flags of the cells whose eigenvalues are the
-    rows of `lam` (shape (N, k), k <= 2) against the reference's principal
-    set `pa`, bit for bit as each cell's principal set, `optimal_matching`
-    and `directed_hausdorff` give them; a cell whose matching overflows is
-    CELL_FAILED."""
-    P, size = principal_sets_of_few(lam, lattice_tol, max_power)
-    distances = np.zeros(len(P))
-    flags = np.full(len(P), CELL_FIXED_POINT)  # an empty set; its distance stays 0
-    for n in range(1, lam.shape[1] + 1):
-        at = np.flatnonzero(size == n)
-        if not at.size:
-            continue
-        cost = np.abs(pa[None, :, None] - P[at, None, :n])  # cost[c, i, j] = |pa[i] - pb[j]|
-        if n != pa.size:
-            dab, dba = cost.min(axis=2).max(axis=1), cost.min(axis=1).max(axis=1)
-            distances[at], flags[at] = np.where(dba > dab, dba, dab), CELL_HAUSDORFF
-            continue
-        if n == 1:
-            distances[at] = cost[:, 0, 0]
-        else:
-            c00, c01, c10, c11 = cost.reshape(-1, 4).T
-            swap = _swapped(c00, c01, c10, c11)
-            distances[at] = (np.where(swap, c01, c00) + np.where(swap, c10, c11)) / 2
-        flags[at] = CELL_OK
-        # a distance that overflows fails the cell, as optimal_matching fails it
-        failed = at[~np.isfinite(cost).all(axis=(1, 2))]
-        distances[failed], flags[failed] = np.nan, CELL_FAILED
-    return distances, flags
 
 
 def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
@@ -342,17 +345,17 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
     act on R^2, at (axis1[i], axis2[j]). The cells of a grid row run through
     one `iterate_many` call, as one block for a columnwise map_b, and
     decompose through one `DecompositionSettings.spectra` call. The
-    reference's principal set is extracted once, and each cell is scored
-    against it by `classify`'s rules: the Wasserstein distance between
-    principal sets, or the larger directed Hausdorff distance when their
-    cardinalities differ (flagged). A row's cells of at most two eigenvalues
-    (every DMD cell of a planar map_b) are scored together, in closed form,
-    bit for bit as one at a time; cells of more are scored one at a time. A grid point whose data has no principal
-    eigenvalues (it sits on a fixed point) scores 0 (flagged): the vacuous
-    limit of its neighbours. Genuine per-cell failures (a decomposition that
-    fails, a matching distance that overflows) become NaN cells and never
-    abort the sweep. A reference without principal eigenvalues has
-    nothing to compare against and is rejected.
+    reference's principal set is extracted once. A row's decomposed cells of
+    one eigenvalue count take one `principal_sets` call and one call of the
+    scorer `classify` uses, so each cell scores bit for bit as `classify`
+    scores it: the Wasserstein distance between principal sets, or the
+    larger directed Hausdorff distance when their cardinalities differ
+    (flagged). A grid point whose data has no principal eigenvalues (it sits
+    on a fixed point) scores 0 (flagged): the vacuous limit of its
+    neighbours. Genuine per-cell failures (a decomposition that fails, a
+    distance that overflows) become NaN cells and never abort the sweep. A
+    reference without principal eigenvalues has nothing to compare against
+    and is rejected.
     """
     axis1 = np.asarray(grid[0], dtype=float)
     axis2 = np.asarray(grid[1], dtype=float)
@@ -363,9 +366,8 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
     spec_a = settings.spectrum(iterate(map_a, x0_a, cfg))
     # both sides decompose by `settings`, so classify's rules hold for every cell
     _, _, lattice_tol, max_power = _rules(spec_a, spec_a)
-    principal = functools.partial(principal_eigenvalues, lattice_tol=lattice_tol,
-                                  max_power=max_power, ignore_unit=True)
-    pa = principal(spec_a)
+    pa = principal_eigenvalues(spec_a, lattice_tol=lattice_tol, max_power=max_power,
+                               ignore_unit=True)
     if pa.size == 0:
         raise DegenerateDataError("the reference spectrum has no principal eigenvalues")
 
@@ -373,34 +375,19 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
     flags = np.zeros((axis1.size, axis2.size), dtype=int)
     for i, a in enumerate(axis1):
         starts = np.column_stack([np.full(axis2.size, a), axis2])
-        few = {}  # eigenvalue count (at most 2) -> the cells, their eigenvalues
+        groups = {}  # eigenvalue count -> the cells, their eigenvalues
         for j, spec_b in enumerate(settings.spectra(iterate_many(map_b, starts, cfg))):
             if isinstance(spec_b, (InsufficientDataError, DegenerateDataError)):
                 flags[i, j] = CELL_FIXED_POINT  # its distance stays 0
-                continue
-            if isinstance(spec_b, KoopeqError):
-                distances[i, j] = np.nan
-                flags[i, j] = CELL_FAILED
-                continue
-            lam = spec_b.eigenvalues
-            if lam.size <= 2:
-                cells, lams = few.setdefault(lam.size, ([], []))
-                cells.append(j)
-                lams.append(lam)
-                continue
-            pb = principal(spec_b)
-            if pb.size == 0:
-                flags[i, j] = CELL_FIXED_POINT  # its distance stays 0
-            elif pb.size == pa.size:
-                try:
-                    distances[i, j] = optimal_matching(pa, pb)[0]
-                except NumericFailureError:  # a distance overflows
-                    distances[i, j], flags[i, j] = np.nan, CELL_FAILED
+            elif isinstance(spec_b, KoopeqError):
+                distances[i, j], flags[i, j] = np.nan, CELL_FAILED
             else:
-                distances[i, j] = max(directed_hausdorff(pa, pb), directed_hausdorff(pb, pa))
-                flags[i, j] = CELL_HAUSDORFF
-        for cells, lams in few.values():
-            distances[i, cells], flags[i, cells] = _score_few(
-                np.array(lams, dtype=complex), pa, lattice_tol, max_power)
+                cells, lams = groups.setdefault(spec_b.eigenvalues.size, ([], []))
+                cells.append(j)
+                lams.append(spec_b.eigenvalues)
+        for cells, lams in groups.values():
+            P, size = principal_sets(np.array(lams, dtype=complex), lattice_tol, max_power,
+                                     ignore_unit=True)
+            flags[i, cells], distances[i, cells] = _score(P, size, pa)[:2]
     return SweepResult(axis1=axis1, axis2=axis2, distances=distances, flags=flags,
                        spectrum_a=spec_a, principal_a=pa)

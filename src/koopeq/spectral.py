@@ -179,9 +179,10 @@ class KoopmanSpectrum:
     centering_tag: str = "identity"
 
 
-def _canonical_order(lam: np.ndarray) -> np.ndarray:
-    """The canonical triplet order of each row of `lam`."""
-    return np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
+def _canonical_order(lam: np.ndarray, *first) -> np.ndarray:
+    """The canonical triplet order of each row of `lam`, within the order of
+    the sort keys `first` when given."""
+    return np.lexsort((-lam.imag, -lam.real, -np.abs(lam)) + first)
 
 
 def _ranks(s: np.ndarray, policy: RankPolicy) -> list:
@@ -418,20 +419,9 @@ def edmd(snap: SnapshotPair, dictionary: Dictionary,
     return result_or_raise(decompose_many([snap], dictionary, rank_policy)[0])
 
 
-def principal_eigenvalues(spectrum, lattice_tol: float = 1e-6, max_power: int = 4,
-                          ignore_unit: bool = False) -> np.ndarray:
-    """Reduce a spectrum to its generating set.
-
-    Walking the eigenvalues in descending modulus, an eigenvalue is dropped
-    when it lies within lattice_tol of a product of 2 to max_power retained
-    eigenvalues, repeats allowed. Conjugate pairs are kept or dropped together.
-    With ignore_unit, eigenvalues within lattice_tol of 1 are removed first:
-    they are the constant-observable mode, not dynamics.
-    """
-    lam = np.asarray(getattr(spectrum, "eigenvalues", spectrum), dtype=complex).ravel()
-    lam = lam[_canonical_order(lam)]
-    if ignore_unit:
-        lam = lam[np.abs(lam - 1.0) > lattice_tol]
+def _lattice_free(lam: np.ndarray, lattice_tol: float, max_power: int) -> np.ndarray:
+    """The walk of principal_sets over one row `lam`, in canonical order
+    and rid of its unit eigenvalues: the row's principal set."""
     decided = np.zeros(lam.size, dtype=bool)
     keep = np.zeros(lam.size, dtype=bool)
     # levels[d]: every product of d retained eigenvalues; `joining` enters at the next test
@@ -461,37 +451,59 @@ def principal_eigenvalues(spectrum, lattice_tol: float = 1e-6, max_power: int = 
     return lam[keep]
 
 
-def principal_sets_of_few(lam: np.ndarray, lattice_tol: float, max_power: int):
-    """`principal_eigenvalues(row, lattice_tol, max_power, ignore_unit=True)`
-    of every row of `lam`, an (N, k) complex array with k <= 2, bit for bit,
-    as (P, size): the principal set of row i is P[i, :size[i]].
+def principal_sets(lam, lattice_tol: float, max_power: int, ignore_unit: bool):
+    """Reduce each row of `lam`, an (N, k) stack of eigenvalues, to its
+    generating set, as (P, size): row i's set is P[i, :size[i]].
 
-    The loop's tests in closed form. Rows are sorted and rid of eigenvalues
-    within lattice_tol of 1 as it does. A second eigenvalue is kept when it
-    is the first one's conjugate partner, or when it lies farther than
-    lattice_tol from each power l0**2 .. l0**max_power of the first one; the
-    pair test and the powers take the loop's complex scalar arithmetic
-    (`abs` is hypot, a product takes no fused multiply-add), which NumPy's
-    array loops do not."""
-    lam = np.take_along_axis(lam, _canonical_order(lam), axis=1)
-    live = np.abs(lam - 1.0) > lattice_tol
-    lam = np.take_along_axis(lam, np.argsort(~live, axis=1, kind="stable"), axis=1)
-    size = live.sum(axis=1)
-    both = np.flatnonzero(size == 2)
-    if both.size and max_power >= 2:
-        l0, l1 = lam[both, 0], lam[both, 1]
-        gap = l1 - np.conj(l0)
-        paired = (np.abs(l0.imag) > PAIR_TOL) & (np.hypot(gap.real, gap.imag) <= PAIR_TOL)
-        both, l0, l1 = both[~paired], l0[~paired], l1[~paired]
-        a, b = l0.real, l0.imag
-        re, im = 1.0 * a - 0.0 * b, 1.0 * b + 0.0 * a  # (1 + 0j) * l0
-        powers = np.empty((both.size, max_power - 1, 2))
-        for d in range(max_power - 1):
-            re, im = re * a - im * b, re * b + im * a
-            powers[:, d, 0], powers[:, d, 1] = re, im
-        gaps = np.abs(powers.view(complex)[:, :, 0] - l1[:, None])
-        size[both[gaps.min(axis=1) <= lattice_tol]] = 1
+    Walking a row in canonical order (descending modulus), an eigenvalue is
+    dropped when it lies within lattice_tol of a product of 2 to max_power
+    retained eigenvalues, repeats allowed; a conjugate pair is kept or
+    dropped together. With ignore_unit, eigenvalues within lattice_tol of 1,
+    the constant-observable mode, are removed first. Rows of more than two
+    take the walk one at a time; rows of at most two take its tests in
+    closed form, all at once, bit for bit: the pair test by hypot and the
+    powers l0**2 .. l0**max_power by non-fused products, as the walk's
+    complex scalar arithmetic gives them and NumPy's array loops do not.
+    Floating-point events are ignored. A lattice_tol that is not finite and
+    non-negative, or a max_power that is not an int >= 1, raises
+    InvalidInputError; a non-finite eigenvalue raises NumericFailureError."""
+    if not 0.0 <= lattice_tol < math.inf:
+        raise InvalidInputError(
+            f"lattice_tol must be finite and non-negative, got {lattice_tol!r}")
+    if isinstance(max_power, bool) or not isinstance(max_power, int) or max_power < 1:
+        raise InvalidInputError(f"max_power must be a positive integer, got {max_power!r}")
+    lam = np.asarray(lam, dtype=complex)
+    if not np.isfinite(lam).all():
+        raise NumericFailureError("an eigenvalue is not finite")
+    with np.errstate(all="ignore"):
+        live = np.abs(lam - 1.0) > lattice_tol if ignore_unit else np.ones(lam.shape, bool)
+        size = live.sum(axis=1)
+        lam = lam[np.arange(len(lam))[:, None], _canonical_order(lam, ~live)]  # unit ones last
+        if lam.shape[1] > 2:
+            for i, n in enumerate(size.tolist()):
+                kept = _lattice_free(lam[i, :n], lattice_tol, max_power)
+                lam[i, :kept.size], size[i] = kept, kept.size
+        elif lam.shape[1] == 2 and max_power >= 2:
+            l0, l1 = lam[:, 0], lam[:, 1]
+            gap = l1 - np.conj(l0)
+            paired = (np.abs(l0.imag) > PAIR_TOL) & (np.hypot(gap.real, gap.imag) <= PAIR_TOL)
+            re, im = a, b = l0.real, l0.imag  # (1 + 0j) * l0, up to the sign of a zero
+            powers = np.empty((len(lam), max_power - 1, 2))
+            for d in range(max_power - 1):
+                re, im = re * a - im * b, re * b + im * a
+                powers[:, d, 0], powers[:, d, 1] = re, im
+            near = np.abs(powers.view(complex)[:, :, 0] - l1[:, None]).min(axis=1) <= lattice_tol
+            size[(size == 2) & ~paired & near] = 1
     return lam, size
+
+
+def principal_eigenvalues(spectrum, lattice_tol: float = 1e-6, max_power: int = 4,
+                          ignore_unit: bool = False) -> np.ndarray:
+    """Reduce a spectrum, or an array of eigenvalues, to its generating set:
+    principal_sets of the one row, with its rule and its checks."""
+    lam = np.asarray(getattr(spectrum, "eigenvalues", spectrum), dtype=complex).ravel()
+    P, size = principal_sets(lam[None], lattice_tol, max_power, ignore_unit)
+    return P[0, :size[0]]
 
 
 def reconstruct(spectrum: KoopmanSpectrum, x0_lifted, k: int) -> np.ndarray:

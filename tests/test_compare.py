@@ -17,8 +17,9 @@ from koopeq.compare import CELL_FAILED, CELL_FIXED_POINT, CELL_HAUSDORFF, CELL_O
 from koopeq.errors import (CardinalityMismatchError, DegenerateDataError,
                            InsufficientDataError, InvalidInputError, KoopeqError,
                            NumericFailureError)
-from koopeq.spectral import (PAIR_TOL, KoopmanSpectrum, RankPolicy, decompose_many, edmd,
-                             principal_eigenvalues, principal_sets_of_few)
+from koopeq.spectral import (PAIR_TOL, KoopmanSpectrum, RankPolicy, _canonical_order,
+                             _lattice_free, decompose_many, edmd, principal_eigenvalues,
+                             principal_sets)
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
 NEGCOS = Oracle(OracleKind.GRAD_NEGCOS)
@@ -59,11 +60,11 @@ def test_wasserstein_single_pair():
 def test_wasserstein_crossing_assignment(monkeypatch):
     # both pairings enumerated: optimum pairs (0, 0.1) and (1, 0.9)
     assert wasserstein_distance([0.0, 1.0], [0.1, 0.9]) == pytest.approx(0.1)
-    # classify solves the assignment once and reports it as a permutation
-    # whose mean pair distance is the Wasserstein distance
+    # classify solves the assignment once, by the 2x2 rule, and reports it as
+    # a permutation whose mean pair distance is the Wasserstein distance
     calls = []
-    solve = compare._assignment
-    monkeypatch.setattr(compare, "_assignment", lambda cost: calls.append(cost) or solve(cost))
+    solve = compare._swapped
+    monkeypatch.setattr(compare, "_swapped", lambda *cost: calls.append(cost) or solve(*cost))
     cmp = classify(synthetic_spectrum([0.9, -0.85]), synthetic_spectrum([-0.88, 0.86]))
     assert len(calls) == 1
     assert sorted(cmp.matching) == [(0, 1), (1, 0)]
@@ -106,7 +107,10 @@ def test_assignment_matches_scipy(n):
 
 def test_assignment_two_by_two_closed_form_matches_scipy():
     for vals in itertools.product(range(4), repeat=4):
-        _assert_same_as_scipy(np.array(vals, float).reshape(2, 2))
+        cost = np.array(vals, float).reshape(2, 2)
+        _assert_same_as_scipy(cost)
+        want = scipy.optimize.linear_sum_assignment(cost)[1].tolist()
+        assert ([1, 0] if compare._swapped(*vals) else [0, 1]) == want, cost
 
 
 def test_wasserstein_cardinality_error():
@@ -238,8 +242,33 @@ def test_settings_are_checked_when_built(kwargs):
 @pytest.mark.parametrize("max_power", [0, -2, 2.5, True])
 def test_classify_rejects_a_max_power_that_is_not_a_positive_int(max_power):
     sa = synthetic_spectrum([0.6, 0.36])
-    with pytest.raises(InvalidInputError, match="max_power"):
+    with pytest.raises(InvalidInputError, match="max_power must be a positive integer"):
         classify(sa, sa, max_power=max_power)
+    with pytest.raises(InvalidInputError, match="max_power must be a positive integer"):
+        principal_eigenvalues(sa, max_power=max_power)
+
+
+@pytest.mark.parametrize("lattice_tol", [-1.0, np.nan, np.inf])
+def test_principal_sets_reject_a_lattice_tol_that_is_not_finite_and_non_negative(lattice_tol):
+    sa = synthetic_spectrum([0.6, 0.36])
+    for extract in (lambda: classify(sa, sa, lattice_tol=lattice_tol),
+                    lambda: principal_eigenvalues(sa, lattice_tol=lattice_tol)):
+        with pytest.raises(InvalidInputError, match="lattice_tol must be finite"):
+            extract()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan), -np.inf * 1j])
+def test_classify_rejects_non_finite_eigenvalues(bad):
+    # a NaN is no constant mode to drop, and an infinity no eigenvalue to
+    # multiply: both fail, with no RuntimeWarning, whichever side holds them
+    good = synthetic_spectrum([0.5])
+    for lam in ([0.5, bad], [bad, 0.5, 0.25, 0.7j, -0.7j]):
+        with pytest.raises(NumericFailureError, match="not finite"):
+            classify(synthetic_spectrum(lam), good)
+        with pytest.raises(NumericFailureError, match="not finite"):
+            classify(good, synthetic_spectrum(lam), ignore_unit_constant=False)
+        with pytest.raises(NumericFailureError, match="not finite"):
+            principal_eigenvalues(np.array(lam))
 
 
 def test_classify_degenerate_spectra_distinct():
@@ -569,8 +598,8 @@ def test_sweep_scores_each_cell_as_classify_does(case):
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
     map_a, x0_a, map_b, axis1, axis2, cfg, settings = SWEEP_CASES[case]
-    calls = {"classify": 0, "principal": 0, "spectrum": 0, "cells": 0, "many": 0,
-             "matching": 0}
+    calls = {"classify": 0, "principal": 0, "sets": 0, "spectrum": 0, "cells": 0,
+             "many": 0, "groups": 0, "matching": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -584,10 +613,10 @@ def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
 
     def counted_cells(self, trajs):
         out = spectra(self, trajs)
-        for spec in out:
-            if isinstance(spec, KoopmanSpectrum):
-                calls["cells"] += 1
-                calls["many"] += spec.eigenvalues.size > 2
+        counts = [spec.eigenvalues.size for spec in out if isinstance(spec, KoopmanSpectrum)]
+        calls["cells"] += len(counts)
+        calls["many"] += sum(n > 2 for n in counts)
+        calls["groups"] += len(set(counts))
         return out
 
     def counted_matching(A, B):
@@ -595,32 +624,34 @@ def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
         return matching(A, B)
 
     def counted_reference(self, traj):
-        cells, many = calls["cells"], calls["many"]
+        counts = dict(calls)
         out = spectrum(self, traj)
         calls["spectrum"] += 1
         # `spectrum` runs through `spectra`; the reference is no cell
-        calls["cells"], calls["many"] = cells, many
+        for name in ("cells", "many", "groups"):
+            calls[name] = counts[name]
         return out
 
     monkeypatch.setattr(compare, "classify", counted("classify", compare.classify))
     monkeypatch.setattr(compare, "principal_eigenvalues",
                         counted("principal", compare.principal_eigenvalues))
+    monkeypatch.setattr(compare, "principal_sets", counted("sets", compare.principal_sets))
     monkeypatch.setattr(DecompositionSettings, "spectrum", counted_reference)
     monkeypatch.setattr(DecompositionSettings, "spectra", counted_cells)
     monkeypatch.setattr(compare, "optimal_matching", counted_matching)
     sweep(map_a, x0_a, map_b, (axis1, axis2), cfg=cfg, settings=settings)
     assert calls["classify"] == 0
     assert calls["spectrum"] == 1  # the reference; the cells decompose by rows
-    # the reference's principal set, and one per cell of more than two
-    # eigenvalues; the other cells of a row are scored together
-    assert calls["principal"] == calls["many"] + 1
+    # the reference's principal set once; the cells' sets by one call per
+    # row and eigenvalue count, and the scorer in place of optimal_matching
+    assert calls["principal"] == 1
+    assert calls["sets"] == calls["groups"]
     assert calls["cells"] > 0
-    # only a cell scored alone takes optimal_matching
-    assert calls["matching"] <= calls["many"]
+    assert calls["matching"] == 0
     if case == "edmd":
         assert 0 < calls["many"] < calls["cells"]
     else:
-        assert calls["many"] == 0 and calls["matching"] == 0
+        assert calls["many"] == 0
 
 
 def lattice_powers(l0, max_power):
@@ -683,22 +714,34 @@ def few_eigenvalue_rows(lattice_tol, max_power):
     return rows
 
 
+def walked(row, lattice_tol, max_power, ignore_unit):
+    """The principal set of one row by the walk alone, sorted and rid of the
+    unit eigenvalues first."""
+    row = np.asarray(row, dtype=complex)
+    row = row[_canonical_order(row)]
+    if ignore_unit:
+        row = row[np.abs(row - 1.0) > lattice_tol]
+    return _lattice_free(row, lattice_tol, max_power)
+
+
 @pytest.mark.parametrize("lattice_tol, max_power", [(1e-3, 4), (5e-2, 6), (1e-3, 1)])
 def test_principal_sets_of_few_match_principal_eigenvalues(lattice_tol, max_power):
-    sizes = set()
-    for k in (1, 2):
-        rows = [row for row in few_eigenvalue_rows(lattice_tol, max_power) if len(row) == k]
-        P, size = principal_sets_of_few(np.array(rows, dtype=complex), lattice_tol, max_power)
-        for row, p, n in zip(rows, P, size):
-            want = principal_eigenvalues(np.asarray(row), lattice_tol=lattice_tol,
-                                         max_power=max_power, ignore_unit=True)
-            assert n == want.size, row
-            assert np.array_equal(p[:n].view(np.uint64), want.view(np.uint64)), row
-        sizes |= set(size.tolist())
-    assert sizes == {0, 1, 2}
+    # the closed form of rows of one or two against the walk
+    for ignore_unit in (True, False):
+        sizes = set()
+        for k in (1, 2):
+            rows = [row for row in few_eigenvalue_rows(lattice_tol, max_power) if len(row) == k]
+            P, size = principal_sets(np.array(rows, dtype=complex), lattice_tol, max_power,
+                                     ignore_unit)
+            for row, p, n in zip(rows, P, size):
+                want = walked(row, lattice_tol, max_power, ignore_unit)
+                assert n == want.size, row
+                assert np.array_equal(p[:n].view(np.uint64), want.view(np.uint64)), row
+            sizes |= set(size.tolist())
+        assert sizes == ({0, 1, 2} if ignore_unit else {1, 2})
 
 
-# cells of more than two eigenvalues, scored one at a time
+# cells of more than two eigenvalues, whose principal sets take the walk
 MANY_EIGENVALUES = [[0.8, 0.64, 0.3], [0.5 + 0.5j, 0.5 - 0.5j, 0.25, 1.0],
                     [0.9, 0.6 + 0.3j, 0.6 - 0.3j], [0.7, 0.49, 0.343]]
 FEW_REFERENCES = {"one": [0.6], "pair": [0.8 + 0.4j, 0.8 - 0.4j],
@@ -748,17 +791,20 @@ def test_two_by_two_ties_in_the_scored_rows():
     assert compare._swapped(*np.array(costs).T).tolist() == [True, False]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_cells_whose_matching_overflows_are_flagged(monkeypatch):
-    # classify raises; a sweep fails the cell, scored together (two
-    # eigenvalues) or alone (three, the unit one ignored), and scores the rest
-    reference, few, many = [-1.5e308, 0.5], [1.5e308, 0.25], [1.5e308, 0.25, 1.0]
-    for cell in (few, many):
+    # classify raises; a sweep fails the cell, of two eigenvalues, of three
+    # (the unit one ignored) or of one (the Hausdorff fallback overflows),
+    # and scores the rest
+    reference = [-1.5e308, 0.5]
+    few, many, one = [1.5e308, 0.25], [1.5e308, 0.25, 1.0], [1.5e308]
+    for cell in (few, many, one):
         with pytest.raises(NumericFailureError, match="overflows"):
             classify(synthetic_spectrum(reference), synthetic_spectrum(cell))
-    res = sweep_of_spectra(monkeypatch, reference, [[few, [0.5], many, [0.5, 0.3]]], "dmd")
-    assert res.flags.tolist() == [[CELL_FAILED, CELL_HAUSDORFF, CELL_FAILED, CELL_OK]]
-    assert np.isnan(res.distances[0, [0, 2]]).all()
+    res = sweep_of_spectra(monkeypatch, reference,
+                           [[few, [0.5], many, [0.5, 0.3], one]], "dmd")
+    assert res.flags.tolist() == [[CELL_FAILED, CELL_HAUSDORFF, CELL_FAILED, CELL_OK,
+                                   CELL_FAILED]]
+    assert np.isnan(res.distances[0, [0, 2, 4]]).all()
     assert np.isfinite(res.distances[0, [1, 3]]).all()
 
 

@@ -428,6 +428,40 @@ def test_principal_matches_brute_force_lattice(lattice_tol, max_power, ignore_un
     assert pruned > 40 and several > 40  # some drop eigenvalues, some keep several
 
 
+# test_compare's sweep cells of more than two eigenvalues
+MANY_EIGENVALUES = [[0.8, 0.64, 0.3], [0.5 + 0.5j, 0.5 - 0.5j, 0.25, 1.0],
+                    [0.9, 0.6 + 0.3j, 0.6 - 0.3j], [0.7, 0.49, 0.343]]
+
+
+@pytest.mark.parametrize("lattice_tol, max_power, ignore_unit",
+                         [(1e-6, 4, False), (1e-3, 4, True), (0.05, 6, True)])
+def test_principal_sets_of_longer_rows_match_principal_eigenvalues(lattice_tol, max_power,
+                                                                   ignore_unit):
+    # stacks of rows of three to six eigenvalues, one stack per length, bit
+    # for bit as each row alone
+    rng = np.random.default_rng(20222)
+    rows = list(MANY_EIGENVALUES)
+    while len(rows) < 100:
+        lam = _random_lattice_spectrum(rng)
+        if 3 <= lam.size <= 6:
+            rows.append(lam)
+    stacks = {}
+    for row in rows:
+        stacks.setdefault(len(row), []).append(row)
+    assert sorted(stacks) == [3, 4, 5, 6]
+    pruned = 0
+    for same in stacks.values():
+        P, size = spectral.principal_sets(np.array(same, dtype=complex), lattice_tol,
+                                          max_power, ignore_unit)
+        for row, p, n in zip(same, P, size):
+            want = principal_eigenvalues(np.asarray(row), lattice_tol=lattice_tol,
+                                         max_power=max_power, ignore_unit=ignore_unit)
+            assert n == want.size, row
+            assert np.array_equal(p[:n].view(np.uint64), want.view(np.uint64)), row
+            pruned += n < len(row)
+    assert pruned > 20
+
+
 def test_principal_keeps_thirty_independent_eigenvalues():
     # 15 conjugate pairs, none a product of the others, all kept at max power 6
     z = np.linspace(0.9, 0.99, 15) * np.exp(1j * np.linspace(0.2, 2.9, 15))
