@@ -148,21 +148,30 @@ def _score(P: np.ndarray, size: np.ndarray, pa: np.ndarray):
     return flags, distance, dab, dba, cols
 
 
+def _scored(A, B, equal_sizes: bool):
+    """The scorer's stack of one, the set B against the set A, both
+    non-empty (and of one size, with equal_sizes): the distance, the directed
+    Hausdorff distance from A to B and the columns matched to A's elements.
+    A distance that overflows raises NumericFailureError."""
+    A = np.asarray(A, dtype=complex).ravel()
+    B = np.asarray(B, dtype=complex).ravel()
+    if A.size == 0 or B.size == 0:
+        raise InvalidInputError("eigenvalue sets must be non-empty")
+    if equal_sizes and A.size != B.size:
+        raise CardinalityMismatchError(f"set sizes differ: {A.size} vs {B.size}")
+    flags, distance, dab, _, cols = _score(B[None], np.array([B.size]), A)
+    if flags[0] == CELL_FAILED:
+        raise NumericFailureError("a distance between eigenvalues overflows")
+    return float(distance[0]), float(dab[0]), cols[0]
+
+
 def optimal_matching(A, B) -> tuple[float, list[tuple[int, int]]]:
     """Order-1 Wasserstein distance between equal-size eigenvalue multisets
     with uniform weights (the minimum over pairings of the mean |a - b|) and
     the index pairs of the optimal assignment that attains it: the scorer's
     stack of one. A distance that overflows raises NumericFailureError."""
-    A = np.asarray(A, dtype=complex).ravel()
-    B = np.asarray(B, dtype=complex).ravel()
-    if A.size == 0 or B.size == 0:
-        raise InvalidInputError("eigenvalue sets must be non-empty")
-    if A.size != B.size:
-        raise CardinalityMismatchError(f"set sizes differ: {A.size} vs {B.size}")
-    flags, distance, _, _, cols = _score(B[None], np.array([B.size]), A)
-    if flags[0] == CELL_FAILED:
-        raise NumericFailureError("a distance between eigenvalues overflows")
-    return float(distance[0]), list(enumerate(cols[0].tolist()))
+    distance, _, cols = _scored(A, B, equal_sizes=True)
+    return distance, list(enumerate(cols.tolist()))
 
 
 def wasserstein_distance(A, B) -> float:
@@ -171,13 +180,10 @@ def wasserstein_distance(A, B) -> float:
 
 
 def directed_hausdorff(A, B) -> float:
-    """max over a in A of the distance from a to its nearest element of B.
-    Zero means A is a subset of B up to rounding."""
-    A = np.asarray(A, dtype=complex).ravel()
-    B = np.asarray(B, dtype=complex).ravel()
-    if A.size == 0 or B.size == 0:
-        raise InvalidInputError("eigenvalue sets must be non-empty")
-    return float(np.max(np.min(np.abs(A[:, None] - B[None, :]), axis=1)))
+    """max over a in A of the distance from a to its nearest element of B:
+    the scorer's, of its stack of one. Zero means A is a subset of B up to
+    rounding. A distance that overflows raises NumericFailureError."""
+    return _scored(A, B, equal_sizes=False)[1]
 
 
 @dataclass

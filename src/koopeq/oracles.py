@@ -24,9 +24,25 @@ class OracleKind(Enum):
 
 _GRAD_KINDS = {OracleKind.GRAD_QUADRATIC, OracleKind.GRAD_NEGCOS}
 _PROX_KINDS = {OracleKind.PROX_L2, OracleKind.PROX_NEGLOGDET}
+# the kinds as module globals for Oracle.apply's dispatch: reading a member
+# off the Enum class costs about 0.1 us
+_GRAD_QUADRATIC, _GRAD_NEGCOS, _PROX_L2 = (
+    OracleKind.GRAD_QUADRATIC, OracleKind.GRAD_NEGCOS, OracleKind.PROX_L2)
+
+
+# the Python sum beats NumPy's exact test up to about 30 entries; proximal
+# blocks hold 3 to 6, a sweep row's gradient blocks 21 or 41
+_SCREENED = 16
 
 
 def _check_finite(x, what="input"):
+    """Raise InvalidInputError unless every entry of the float array x is
+    finite. A block of at most _SCREENED entries passes with no NumPy call
+    when the Python sum of its entries is finite, as it is only when every
+    entry is; a sum that is not (a non-finite entry, or finite entries whose
+    sum overflows) and a larger block take NumPy's exact test."""
+    if x.size <= _SCREENED and math.isfinite(sum(x.ravel().tolist())):
+        return
     if np.count_nonzero(np.isfinite(x)) != x.size:
         raise InvalidInputError(f"{what} contains non-finite entries")
 
@@ -94,7 +110,7 @@ def prox_neglogdet(V, gamma):
     if not np.allclose(V, V.T, atol=1e-10 * scale):
         raise InvalidInputError("matrix is not symmetric")
     with np.errstate(all="ignore"):
-        R = _prox_neglogdet(V, gamma)
+        R = _prox_neglogdet((V + V.T) / 2.0, gamma)
         R = (R + R.T) / 2.0
     # entries near the float limit overflow; Oracle.apply leaves this to iterate
     if not np.all(np.isfinite(R)):
@@ -103,26 +119,36 @@ def prox_neglogdet(V, gamma):
 
 
 def _prox_neglogdet(V, gamma):
-    """The log-det prox of a finite, square, symmetric V with finite gamma > 0,
-    unchecked and not yet symmetrised: each caller takes (R + R.T) / 2 in its
-    own shape."""
-    w, Q = np.linalg.eigh((V + V.T) / 2.0)
-    m = (w + np.sqrt(w * w + 4.0 * gamma)) / 2.0
+    """The log-det prox of a finite, square, exactly symmetric V with finite
+    gamma > 0, unchecked and not yet symmetrised: each caller makes V
+    symmetric and takes (R + R.T) / 2 in its own shape. eigh failing to
+    converge, as on entries near the float limit, is a NumericFailureError.
+
+    The eigenvalue map runs on Python floats, NumPy's IEEE operations in its
+    order; an eigenvalue whose square overflows maps to inf with no
+    floating-point event of its own, and R is then not finite."""
+    try:
+        w, Q = np.linalg.eigh(V)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"log-det prox failed: {exc}") from None
+    g4 = 4.0 * gamma
+    m = np.array([(t + math.sqrt(t * t + g4)) / 2.0 for t in w.tolist()])
     return (Q * m) @ Q.T
 
 
 @lru_cache(maxsize=8)
 def _sym_index(n):
     """Read-only flat indices for n x n symmetric matrices: `full` gathers a
-    matrix from its upper-triangle flattening, and `upper` and `lower` read
-    the upper triangle of a matrix and of its transpose, in flattening order."""
+    matrix from its upper-triangle flattening, and the two rows of `pair`
+    read the upper triangle of a matrix and of its transpose, in flattening
+    order."""
     rows, cols = np.triu_indices(n)
     full = np.empty((n, n), dtype=np.intp)
     full[rows, cols] = full[cols, rows] = np.arange(rows.size)
-    tables = full, rows * n + cols, cols * n + rows
-    for a in tables:
+    pair = np.stack([rows * n + cols, cols * n + rows])
+    for a in (full, pair):
         a.flags.writeable = False
-    return tables
+    return full, pair
 
 
 def sym_flatten(V):
@@ -130,7 +156,7 @@ def sym_flatten(V):
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise InvalidInputError("expected a square matrix")
-    return V.take(_sym_index(V.shape[0])[1])
+    return V.take(_sym_index(V.shape[0])[1][0])
 
 
 def sym_unflatten(v, n):
@@ -182,25 +208,27 @@ class Oracle:
 
     def apply(self, v):
         """Evaluate the oracle on a flattened state block."""
-        if self.kind is OracleKind.GRAD_QUADRATIC:
+        kind = self.kind
+        if kind is _GRAD_QUADRATIC:
             return grad_quadratic(v)
-        if self.kind is OracleKind.GRAD_NEGCOS:
+        if kind is _GRAD_NEGCOS:
             return grad_negcos(v)
         # __post_init__ enforced 0 < gamma < inf, so the proximal kinds only
         # check the block itself before their kernels
         v = np.asarray(v, dtype=float)
-        if self.kind is OracleKind.PROX_L2:
+        if kind is _PROX_L2:
             _check_finite(v)
             return _prox_l2(v, self.gamma)
-        n = self.domain_dim
-        if v.shape != (self.state_dim,):
-            sym_unflatten(v, n)  # raises its own error for a block of the wrong shape
+        full, pair = _sym_index(self.domain_dim)
+        if v.shape != pair.shape[1:]:
+            # raises its own error for a block of the wrong shape
+            sym_unflatten(v, self.domain_dim)
         _check_finite(v)
-        full, upper, lower = _sym_index(n)
-        M = v.take(full)  # sym_unflatten(v, n) past its checks
+        M = v.take(full)  # sym_unflatten(v, n) past its checks: exactly symmetric
         M += 0.0
         R = _prox_neglogdet(M, self.gamma)
-        return (R.take(upper) + R.take(lower)) / 2.0  # sym_flatten((R + R.T) / 2.0)
+        T = R.take(pair)
+        return (T[0] + T[1]) / 2.0  # sym_flatten((R + R.T) / 2.0)
 
     @property
     def tag(self) -> str:

@@ -442,7 +442,9 @@ def _lattice_free(lam: np.ndarray, lattice_tol: float, max_power: int) -> np.nda
                 levels[d] += [p * r for p in levels[d - 1]]
             joining = []
             products = np.array([p for level in levels[2:] for p in level], dtype=complex)
-        is_product = products.size > 0 and np.min(np.abs(products - lam[i])) <= lattice_tol
+        # a NaN product (an overflowing pair's square) is near nothing and
+        # hides no other product
+        is_product = products.size > 0 and (np.abs(products - lam[i]) <= lattice_tol).any()
         for j in group:
             decided[j] = True
             keep[j] = not is_product
@@ -459,14 +461,16 @@ def principal_sets(lam, lattice_tol: float, max_power: int, ignore_unit: bool):
     dropped when it lies within lattice_tol of a product of 2 to max_power
     retained eigenvalues, repeats allowed; a conjugate pair is kept or
     dropped together. With ignore_unit, eigenvalues within lattice_tol of 1,
-    the constant-observable mode, are removed first. Rows of more than two
-    take the walk one at a time; rows of at most two take its tests in
-    closed form, all at once, bit for bit: the pair test by hypot and the
-    powers l0**2 .. l0**max_power by non-fused products, as the walk's
-    complex scalar arithmetic gives them and NumPy's array loops do not.
-    Floating-point events are ignored. A lattice_tol that is not finite and
-    non-negative, or a max_power that is not an int >= 1, raises
-    InvalidInputError; a non-finite eigenvalue raises NumericFailureError."""
+    the constant-observable mode, are removed first. Rows of more than two,
+    and a lone row of two, take the walk one at a time; in a stack of two or
+    more, rows of two take its tests in closed form, all at once, bit for
+    bit: the pair test by hypot and the powers l0**2 .. l0**max_power by
+    non-fused products, as the walk's complex scalar arithmetic gives them
+    and NumPy's array loops do not. Rows of one need no test. A NaN product
+    is near no eigenvalue. Floating-point events are ignored. A lattice_tol
+    that is not finite and non-negative, or a max_power that is not an int
+    >= 1, raises InvalidInputError; a non-finite eigenvalue raises
+    NumericFailureError."""
     if not 0.0 <= lattice_tol < math.inf:
         raise InvalidInputError(
             f"lattice_tol must be finite and non-negative, got {lattice_tol!r}")
@@ -479,7 +483,7 @@ def principal_sets(lam, lattice_tol: float, max_power: int, ignore_unit: bool):
         live = np.abs(lam - 1.0) > lattice_tol if ignore_unit else np.ones(lam.shape, bool)
         size = live.sum(axis=1)
         lam = lam[np.arange(len(lam))[:, None], _canonical_order(lam, ~live)]  # unit ones last
-        if lam.shape[1] > 2:
+        if lam.shape[1] > 2 or lam.shape == (1, 2):
             for i, n in enumerate(size.tolist()):
                 kept = _lattice_free(lam[i, :n], lattice_tol, max_power)
                 lam[i, :kept.size], size[i] = kept, kept.size
@@ -492,7 +496,7 @@ def principal_sets(lam, lattice_tol: float, max_power: int, ignore_unit: bool):
             for d in range(max_power - 1):
                 re, im = re * a - im * b, re * b + im * a
                 powers[:, d, 0], powers[:, d, 1] = re, im
-            near = np.abs(powers.view(complex)[:, :, 0] - l1[:, None]).min(axis=1) <= lattice_tol
+            near = (np.abs(powers.view(complex)[:, :, 0] - l1[:, None]) <= lattice_tol).any(axis=1)
             size[(size == 2) & ~paired & near] = 1
     return lam, size
 

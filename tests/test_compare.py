@@ -12,7 +12,7 @@ from koopeq import (AlgorithmId, Centering, DecompositionSettings, Oracle,
                     Verdict, classify,
                     conjugacy_map, custom_map, directed_hausdorff, dmd, iterate,
                     make_algorithm, snapshots, sweep, wasserstein_distance)
-from koopeq import compare
+from koopeq import compare, spectral
 from koopeq.compare import CELL_FAILED, CELL_FIXED_POINT, CELL_HAUSDORFF, CELL_OK
 from koopeq.errors import (CardinalityMismatchError, DegenerateDataError,
                            InsufficientDataError, InvalidInputError, KoopeqError,
@@ -154,6 +154,15 @@ def test_directed_hausdorff_subset():
 def test_directed_hausdorff_empty():
     with pytest.raises(InvalidInputError):
         directed_hausdorff([], [0.5])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("A, B", [([1.5e308], [-1.5e308]), ([0.5, 1e308], [-1e308, 0.5j])],
+                         ids=["single", "pair"])
+def test_directed_hausdorff_overflow_is_numeric_failure(A, B):
+    # the distance fails as the scorer fails it, with no RuntimeWarning
+    with pytest.raises(NumericFailureError):
+        directed_hausdorff(A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +748,33 @@ def test_principal_sets_of_few_match_principal_eigenvalues(lattice_tol, max_powe
                 assert np.array_equal(p[:n].view(np.uint64), want.view(np.uint64)), row
             sizes |= set(size.tolist())
         assert sizes == ({0, 1, 2} if ignore_unit else {1, 2})
+
+
+def test_principal_sets_of_two_see_past_nan_powers():
+    # l0's square is finite and within lattice_tol of l1, and its fifth and
+    # sixth powers are NaN; the closed form (a stack of two rows) and the
+    # walk both drop l1
+    lattice_tol, max_power = 1e308, 6
+    rows = [[5e153 + 5e153j, 1.0], [0.5, 0.25]]
+    P, size = principal_sets(np.array(rows, dtype=complex), lattice_tol, max_power, False)
+    assert size.tolist() == [1, 1]
+    for row, p, n in zip(rows, P, size):
+        with np.errstate(all="ignore"):  # as principal_sets walks
+            want = walked(row, lattice_tol, max_power, False)
+        assert np.array_equal(p[:n].view(np.uint64), want.view(np.uint64)), row
+
+
+def test_a_lone_row_of_few_takes_the_walk(monkeypatch):
+    # a stack of one row of two eigenvalues takes the walk, a stack of two
+    # or more such rows the closed form, and a row of one neither
+    calls = []
+    walk = spectral._lattice_free
+    monkeypatch.setattr(spectral, "_lattice_free", lambda *a: calls.append(a) or walk(*a))
+    for rows, walks in (([[0.5, 0.25]], 1), ([[0.7]], 0), ([[0.5, 0.25], [0.6, 0.36]], 0)):
+        calls.clear()
+        P, size = principal_sets(np.array(rows, dtype=complex), 1e-6, 4, False)
+        assert len(calls) == walks
+        assert size.tolist() == [1] * len(rows)
 
 
 # cells of more than two eigenvalues, whose principal sets take the walk

@@ -302,12 +302,27 @@ def test_public_oracle_entries_reject_malformed_input(call):
 
 
 @pytest.mark.parametrize("V", [np.full((2, 2), 1e308), np.diag([1e308, -1e308]),
-                               np.full((3, 3), 1e200)], ids=["sum", "diag", "square"])
+                               np.full((3, 3), 1e200), np.full((3, 3), 1e308)],
+                         ids=["sum", "diag", "square", "no_convergence"])
 def test_prox_neglogdet_overflow_is_numeric_failure(V, recwarn):
-    # finite input whose prox overflows is an error, not a silent NaN matrix
+    # finite input whose prox overflows is an error, not a silent NaN matrix;
+    # on the last, whose symmetrised entries are inf, eigh does not converge
     with pytest.raises(NumericFailureError):
         prox_neglogdet(V, 1.0)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_oracle_apply_near_the_float_limit_is_not_a_linalg_error():
+    # the block itself is exactly symmetric, so the oracle eigendecomposes it
+    # as it is; what LAPACK makes of it fails numerically, as a non-finite
+    # block or a NumericFailureError, and never as NumPy's LinAlgError
+    oracle = Oracle(OracleKind.PROX_NEGLOGDET, gamma=1.0, domain_dim=3)
+    with np.errstate(all="ignore"):
+        try:
+            out = oracle.apply(sym_flatten(np.full((3, 3), 1e308)))
+        except NumericFailureError:
+            return
+    assert not np.isfinite(out).all()
 
 
 def bits(x):
@@ -384,6 +399,52 @@ def reference_apply(oracle, v):
     m = (w + np.sqrt(w * w + 4.0 * gamma)) / 2.0
     R = (Q * m) @ Q.T
     return ((R + R.T) / 2.0)[rows, cols]
+
+
+BELOW_LIMIT = np.nextafter(2.0 ** 1023, 0.0)  # the largest x with x + x finite
+
+
+@pytest.mark.parametrize("block", [
+    [-0.0, 2.0, -0.0], [-0.0, -0.0, -0.0], [0.5, -0.0, -3.0],
+    [2.0 ** 1022, -0.0, 1.0], [BELOW_LIMIT, 0.0, -BELOW_LIMIT], [8e307, 8e307, 8e307],
+], ids=["minus_zero", "all_minus_zero", "indefinite_minus_zero",
+        "near_limit", "below_limit", "sum_overflows"])
+@pytest.mark.parametrize("kind", [OracleKind.PROX_NEGLOGDET, OracleKind.PROX_L2])
+def test_oracle_apply_edge_blocks_match_the_reference(kind, block):
+    # a block the finiteness screen passes, or whose sum overflows and which
+    # the exact test then accepts, gives reference_apply's bits; where those
+    # are finite, the public prox's too, and where not, the public prox fails
+    block = np.array(block)
+    oracle = Oracle(kind, gamma=1.0, domain_dim=2 if kind is OracleKind.PROX_NEGLOGDET else 3)
+    with np.errstate(all="ignore"):
+        out = oracle.apply(block)
+        np.testing.assert_array_equal(bits(out), bits(reference_apply(oracle, block)))
+        if kind is OracleKind.PROX_L2:
+            np.testing.assert_array_equal(bits(out), bits(prox_l2(block, 1.0)))
+        elif np.isfinite(out).all():
+            expected = sym_flatten(prox_neglogdet(sym_unflatten(block, 2), 1.0))
+            np.testing.assert_array_equal(bits(out), bits(expected))
+        else:
+            with pytest.raises(NumericFailureError):
+                prox_neglogdet(sym_unflatten(block, 2), 1.0)
+
+
+@pytest.mark.parametrize("block", [
+    [np.inf, -np.inf, 1.0], [1.0, np.nan, 2.0], [1.0, 2.0, np.inf], [-np.inf, 0.0, 1e308],
+    [1.0] * 40 + [np.nan] + [1.0] * 4,
+], ids=["inf_pair", "nan", "inf", "minus_inf", "long_nan"])
+@pytest.mark.parametrize("kind", [OracleKind.PROX_NEGLOGDET, OracleKind.PROX_L2])
+def test_oracle_apply_rejects_non_finite_blocks_as_the_reference(kind, block):
+    # the screen's sum is not finite, and the exact test rejects the block
+    # with the reference's error
+    block = np.array(block)
+    n = {3: 2, 45: 9}[block.size] if kind is OracleKind.PROX_NEGLOGDET else block.size
+    oracle = Oracle(kind, gamma=1.0, domain_dim=n)
+    with pytest.raises(InvalidInputError) as expected:
+        reference_apply(oracle, block)
+    with pytest.raises(InvalidInputError) as got:
+        oracle.apply(block)
+    assert str(got.value) == str(expected.value) == "input contains non-finite entries"
 
 
 def run_outcome(imap, x0):

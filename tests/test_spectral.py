@@ -352,6 +352,14 @@ def test_principal_ignore_unit():
     np.testing.assert_allclose(p, [0.6])
 
 
+def test_principal_nan_products_hide_no_finite_product():
+    # the pair's products of three and more are NaN (its square's real part
+    # is inf - inf); 0.25 = 0.5**2 is pruned all the same, as without the pair
+    pair = [1e200 + 1e200j, 1e200 - 1e200j]
+    assert principal_eigenvalues(pair + [0.5, 0.25], 1e-6, 4).tolist() == pair + [0.5]
+    assert principal_eigenvalues([0.5, 0.25], 1e-6, 4).tolist() == [0.5]
+
+
 def test_principal_empty():
     assert principal_eigenvalues(np.empty(0, complex)).size == 0
 
