@@ -10,7 +10,7 @@ from .corpus import (AlgorithmId, ConjugacyKind, ConjugacyMap, IterativeMap,
 from .oracles import (Oracle, OracleKind, grad_negcos, grad_quadratic, prox_l2,
                       prox_neglogdet, sym_flatten, sym_unflatten)
 from .spectral import (Dictionary, DictionaryKind, KoopmanSpectrum, RankPolicy,
-                       decompose_many, dmd, edmd, principal_eigenvalues, reconstruct)
+                       dmd, edmd, principal_eigenvalues, reconstruct)
 from .trajectory import (Centering, RunConfig, SnapshotPair, Trajectory,
                          TrajectoryStatus, iterate, iterate_many, multi_snapshots,
                          snapshots)
@@ -23,7 +23,7 @@ __all__ = [
     "KoopmanSpectrum", "Oracle", "OracleKind", "RankPolicy", "RunConfig",
     "SnapshotPair", "SpectrumComparison", "SweepResult", "Trajectory",
     "TrajectoryStatus", "Verdict", "classify", "conjugacy_map", "custom_map",
-    "decompose_many", "directed_hausdorff", "dmd", "edmd", "grad_negcos", "grad_quadratic",
+    "directed_hausdorff", "dmd", "edmd", "grad_negcos", "grad_quadratic",
     "iterate", "iterate_many", "make_algorithm", "multi_snapshots",
     "principal_eigenvalues", "prox_l2", "prox_neglogdet", "reconstruct",
     "snapshots", "sweep", "sym_flatten", "sym_unflatten", "verify_commutation",

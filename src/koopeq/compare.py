@@ -324,8 +324,7 @@ class DecompositionSettings:
             except KoopeqError as exc:  # runs too short to pair
                 done = [exc] * len(cells)
             else:
-                done = decompose_stack(X, Y, [tag] * len(cells), self.dictionary,
-                                       self.rank_policy)
+                done = decompose_stack(X, Y, tag, self.dictionary, self.rank_policy)
             for i, res in zip(cells, done):
                 out[i] = res
         return out

@@ -54,12 +54,20 @@ def _monomial_exponents(dim: int, max_degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """An ordered set of scalar observables used as the EDMD lifting basis."""
+    """An ordered set of scalar observables used as the EDMD lifting basis.
+    `dim`, and `max_degree` for monomials, are checked when built: ints >= 1."""
 
     kind: DictionaryKind
     dim: int
     max_degree: Optional[int] = None
     functions: Optional[tuple] = None  # tuple of (name, callable state -> scalar)
+
+    def __post_init__(self):
+        sizes = ("dim", "max_degree") if self.kind is DictionaryKind.MONOMIALS else ("dim",)
+        for name in sizes:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
 
     @staticmethod
     def identity(dim: int) -> "Dictionary":
@@ -68,8 +76,6 @@ class Dictionary:
     @staticmethod
     def monomials(dim: int, max_degree: int) -> "Dictionary":
         """All monomials of total degree <= max_degree, constant included."""
-        if max_degree < 1:
-            raise ConfigurationError("max_degree must be a positive integer")
         return Dictionary(DictionaryKind.MONOMIALS, dim=dim, max_degree=max_degree)
 
     @staticmethod
@@ -244,10 +250,10 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tags) -> list:
+def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag) -> list:
     """Shared DMD/EDMD core over a stack of N cells: PX and PY of shape
     (N, k, m) in the decomposition space, Xstate and Ystate of shape
-    (N, dim, m), and one observable tag per cell. Returns per cell its
+    (N, dim, m), and the cells' one observable tag. Returns per cell its
     reduced operator's eigentriplets and training error as a KoopmanSpectrum,
     or its KoopeqError. Non-finite data and a LAPACK failure are a
     NumericFailureError.
@@ -298,11 +304,11 @@ def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tags) -> li
                     out[c] = KoopmanSpectrum(
                         eigenvalues=lam[i], modes=modes[i], eigfn_coeffs=coeffs[i],
                         method=method, rank=r, dictionary_tag=dict_tag,
-                        reconstruction_error=err, centering_tag=obs_tags[c])
+                        reconstruction_error=err, centering_tag=obs_tag)
     except np.linalg.LinAlgError as exc:
         if len(PX) > 1:
             return [_decompose(PX[c:c + 1], PY[c:c + 1], Xstate[c:c + 1], Ystate[c:c + 1],
-                               policy, method, dict_tag, obs_tags[c:c + 1])[0]
+                               policy, method, dict_tag, obs_tag)[0]
                     for c in range(len(PX))]
         err = NumericFailureError(f"{method} failed: {exc}")
         err.__cause__ = exc
@@ -338,66 +344,44 @@ def _lifted(X: np.ndarray, Y: np.ndarray, dictionary: Dictionary):
     return PX, PY
 
 
-def _stack(arrays) -> np.ndarray:
-    """The arrays as one stack: a stack as it is, a view of the only one in
-    its own layout, else a new stack."""
-    if isinstance(arrays, np.ndarray):
-        return arrays
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def decompose_stack(X, Y, tags: Sequence[str], dictionary: Optional[Dictionary] = None,
+def decompose_stack(X: np.ndarray, Y: np.ndarray, tag: str,
+                    dictionary: Optional[Dictionary] = None,
                     rank_policy: RankPolicy = RankPolicy()) -> list:
-    """`decompose_many` of the snapshot pairs (X[i], Y[i]) with observable
-    tags tags[i], bit for bit: per pair, its KoopmanSpectrum or KoopeqError.
-    X and Y are stacks of shape (N, dim, m), or sequences of the pairs'
-    matrices of one shape. DMD decomposes them as one stack; EDMD lifts each
-    pair on its own, then decomposes the lifts as one stack."""
-    if X[0].size == 0:
-        return [DegenerateDataError("empty snapshot pair") for _ in tags]
+    """Per snapshot pair (X[i], Y[i]) of the stacks X and Y (shape
+    (N, dim, m)), all in the observable `tag`: its KoopmanSpectrum, by DMD,
+    or by EDMD through `dictionary` when one is given, or its KoopeqError.
+    DMD decomposes the pairs as one stack; EDMD lifts each pair on its own,
+    then decomposes the lifts as one stack. Each pair gets the bits of its
+    stack of one, which `dmd` and `edmd` decompose."""
+    if X.size == 0:
+        return [DegenerateDataError("empty snapshot pair") for _ in range(len(X))]
     if dictionary is None:
-        X, Y = _stack(X), _stack(Y)
-        return _decompose(X, Y, X, Y, rank_policy, "dmd", "identity", tags)
-    out = [None] * len(tags)
-    cells, PX, PY = [], [], []
-    for i in range(len(tags)):
+        return _decompose(X, Y, X, Y, rank_policy, "dmd", "identity", tag)
+    out = [None] * len(X)
+    PX = np.empty((len(X), dictionary.output_dim, X.shape[2]))
+    PY = np.empty_like(PX)
+    for i in range(len(X)):
         try:
-            px, py = _lifted(X[i], Y[i], dictionary)
+            PX[i], PY[i] = _lifted(X[i], Y[i], dictionary)
         except KoopeqError as exc:
             out[i] = exc
-            continue
-        cells.append(i)
-        PX.append(px)
-        PY.append(py)
+    cells = [i for i, res in enumerate(out) if res is None]
     if cells:
-        done = _decompose(_stack(PX), _stack(PY), _stack([X[i] for i in cells]),
-                          _stack([Y[i] for i in cells]), rank_policy, "edmd",
-                          dictionary.tag, [tags[i] for i in cells])
+        done = _decompose(_take(PX, cells), _take(PY, cells), _take(X, cells), _take(Y, cells),
+                          rank_policy, "edmd", dictionary.tag, tag)
         for i, res in zip(cells, done):
             out[i] = res
     return out
 
 
-def decompose_many(snaps: Sequence[SnapshotPair], dictionary: Optional[Dictionary] = None,
-                   rank_policy: RankPolicy = RankPolicy()) -> list:
-    """`dmd` of each snapshot pair, or `edmd` through `dictionary` when one is
-    given.
-
-    Returns, per pair, the KoopmanSpectrum that call returns or the
-    KoopeqError it raises, bit for bit. Pairs whose data have the same shapes
-    decompose as one stack, through `decompose_stack`.
-    """
-    out = [None] * len(snaps)
-    groups = {}
-    for i, snap in enumerate(snaps):
-        groups.setdefault((snap.X.shape, snap.Y.shape), []).append(i)
-    for cells in groups.values():
-        group = [snaps[i] for i in cells]
-        done = decompose_stack([s.X for s in group], [s.Y for s in group],
-                               [s.observable_tag for s in group], dictionary, rank_policy)
-        for i, res in zip(cells, done):
-            out[i] = res
-    return out
+def _stack_of_one(snap: SnapshotPair):
+    """The snapshot pair as stacks of one, views that keep its layout; X and
+    Y must be 2-D and of one shape."""
+    X, Y = np.asarray(snap.X, dtype=float), np.asarray(snap.Y, dtype=float)
+    if X.ndim != 2 or X.shape != Y.shape:
+        raise InvalidInputError("a snapshot pair's X and Y must be 2-D and of one shape, "
+                                f"got {X.shape} and {Y.shape}")
+    return X[None], Y[None]
 
 
 def dmd(snap: SnapshotPair, rank_policy: RankPolicy = RankPolicy()) -> KoopmanSpectrum:
@@ -406,7 +390,8 @@ def dmd(snap: SnapshotPair, rank_policy: RankPolicy = RankPolicy()) -> KoopmanSp
     SVD-truncates X per rank_policy, eigendecomposes the reduced operator and
     lifts eigenvectors back to state-space modes.
     """
-    return result_or_raise(decompose_many([snap], None, rank_policy)[0])
+    X, Y = _stack_of_one(snap)
+    return result_or_raise(decompose_stack(X, Y, snap.observable_tag, None, rank_policy)[0])
 
 
 def edmd(snap: SnapshotPair, dictionary: Dictionary,
@@ -416,7 +401,9 @@ def edmd(snap: SnapshotPair, dictionary: Dictionary,
     modes by projecting the identity observable onto the eigenvectors."""
     if dictionary is None:
         raise InvalidInputError("edmd needs a dictionary")
-    return result_or_raise(decompose_many([snap], dictionary, rank_policy)[0])
+    X, Y = _stack_of_one(snap)
+    return result_or_raise(decompose_stack(X, Y, snap.observable_tag, dictionary,
+                                           rank_policy)[0])
 
 
 def _lattice_free(lam: np.ndarray, lattice_tol: float, max_power: int) -> np.ndarray:

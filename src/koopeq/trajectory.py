@@ -84,7 +84,8 @@ class SnapshotPair:
     observable_tag: str = "identity"
 
 
-_NAN = "nan"  # _stop's verdict on a state that holds a NaN
+_NAN = "NaN produced mid-run"  # _stop's verdict on a state that holds a NaN
+_NON_FINITE = "non-finite value produced mid-run"  # see _run
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
@@ -122,20 +123,24 @@ def _stop(xn: np.ndarray, x: np.ndarray, cfg: RunConfig):
 
 def _result(states: np.ndarray, stop):
     """A run's result from its states, short of a NaN state, and how it
-    stopped (`_stop`'s verdict, or None when the budget ran out): a
-    Trajectory, or for a NaN the NumericFailureError carrying the states."""
-    if stop is _NAN:
+    stopped (`_stop`'s verdict, _NON_FINITE, or None when the budget ran
+    out): a Trajectory, or for _NAN and _NON_FINITE the NumericFailureError
+    carrying the states."""
+    if stop is _NAN or stop is _NON_FINITE:
         partial = Trajectory(states, TrajectoryStatus.BUDGET_EXHAUSTED)
-        return NumericFailureError("NaN produced mid-run", partial=partial)
+        return NumericFailureError(stop, partial=partial)
     return Trajectory(states, TrajectoryStatus.BUDGET_EXHAUSTED if stop is None else stop)
 
 
 def _raising():
-    """np.errstate's settings that raise each floating-point event the
-    caller's settings do not ignore. A run's steps are taken under them, so
-    that a step past its stop shows no event of its own; a step before it
-    whose event so raised is taken again under the caller's settings."""
-    return {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
+    """np.errstate's settings for a run's steps: raise an overflow, an
+    invalid operation and a division by zero, and an underflow unless the
+    caller's settings ignore it. A step past its stop so shows no event of
+    its own; a step before it whose event so raised is taken again under the
+    caller's settings, whatever they are, as the step that made a non-finite
+    value."""
+    return {kind: "ignore" if how == "ignore" and kind == "under" else "raise"
+            for kind, how in np.geterr().items()}
 
 
 # steps a run takes between two screens: it runs at most _CHUNK - 1 steps
@@ -266,7 +271,9 @@ def _run(step, X0: np.ndarray, cfg: RunConfig) -> list:
     on without the columns they stopped. If they stopped none, a block of one
     takes a floating-point event's step again under the caller's settings and
     re-raises any other exception, and a larger block gives None for each
-    column still running."""
+    column still running. A block of one whose step so taken again raises
+    InvalidInputError ends in _NON_FINITE: an oracle rejected the non-finite
+    value that the step made from a finite state."""
     n, dim = X0.shape
     # H[k, :, c]: state k of start c
     H = np.empty((min(cfg.max_iters, 63) + 1, dim, n))
@@ -313,7 +320,10 @@ def _run(step, X0: np.ndarray, cfg: RunConfig) -> list:
                 return out
             if not isinstance(error, FloatingPointError):
                 raise error
-            x = _state(step(x), shape)
+            try:
+                x = _state(step(x), shape)
+            except InvalidInputError:
+                return [_result(H[:k + 1, :, 0].copy(), _NON_FINITE)]
             h[k + 1] = x
             k += 1
     for c in run:

@@ -18,7 +18,7 @@ from koopeq.errors import (CardinalityMismatchError, DegenerateDataError,
                            InsufficientDataError, InvalidInputError, KoopeqError,
                            NumericFailureError)
 from koopeq.spectral import (PAIR_TOL, KoopmanSpectrum, RankPolicy, _canonical_order,
-                             _lattice_free, decompose_many, edmd, principal_eigenvalues,
+                             _lattice_free, decompose_stack, edmd, principal_eigenvalues,
                              principal_sets)
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
@@ -961,15 +961,20 @@ def _short_traj():
     return iterate(make_algorithm(AlgorithmId.ALGO2, QUAD), (0.5, -0.3), SHORT)
 
 
+def _short_stack():
+    snap = snapshots(_short_traj())
+    return snap.X[None], snap.Y[None]
+
+
 @pytest.mark.parametrize("entry", [
     lambda: EDMD3.spectrum(_short_traj()),
     lambda: EDMD3.spectra([_short_traj(), _short_traj()]),
-    lambda: decompose_many([snapshots(_short_traj())], EDMD3.dictionary),
+    lambda: decompose_stack(*_short_stack(), "identity", EDMD3.dictionary),
     lambda: edmd(snapshots(_short_traj()), EDMD3.dictionary),
     lambda: sweep(make_algorithm(AlgorithmId.ALGO1, QUAD), (0.1, 0.1),
                   make_algorithm(AlgorithmId.ALGO2, QUAD), ([0.5, 1.0], [-0.5, 0.5]),
                   cfg=SHORT, settings=EDMD3)],
-    ids=["spectrum", "spectra", "decompose_many", "edmd", "sweep"])
+    ids=["spectrum", "spectra", "decompose_stack", "edmd", "sweep"])
 def test_underdetermined_fit_warning_names_the_callers_line(entry):
     with pytest.warns(UserWarning, match="snapshot pairs") as record:
         entry()

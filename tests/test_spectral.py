@@ -13,7 +13,7 @@ from koopeq import (AlgorithmId, Centering, Dictionary, Oracle, OracleKind,
                     make_algorithm, multi_snapshots, principal_eigenvalues,
                     reconstruct, snapshots)
 from koopeq import spectral
-from koopeq.errors import (DegenerateDataError, InvalidInputError,
+from koopeq.errors import (ConfigurationError, DegenerateDataError, InvalidInputError,
                            InvalidObservableError, NumericFailureError)
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
@@ -206,6 +206,49 @@ def test_monomial_dictionary_shape():
     ident = Dictionary.identity(3)
     assert ident.output_dim == 3
     assert ident.tag == "identity"
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: Dictionary.monomials(2, 2.5), "max_degree"),
+    (lambda: Dictionary.monomials(2, True), "max_degree"),
+    (lambda: Dictionary.monomials(2, 0), "max_degree"),
+    (lambda: Dictionary.monomials(2, None), "max_degree"),
+    (lambda: Dictionary.monomials(0, 2), "dim"),
+    (lambda: Dictionary.monomials(2.0, 2), "dim"),
+    (lambda: Dictionary.identity(0), "dim"),
+    (lambda: Dictionary.identity(True), "dim"),
+    (lambda: Dictionary.custom(0, [("one", lambda s: 1.0)]), "dim")],
+    ids=["degree_2.5", "degree_True", "degree_0", "degree_None", "dim_0", "dim_2.0",
+         "identity_0", "identity_True", "custom_0"])
+def test_dictionary_checks_its_sizes_when_built(build, field):
+    # a fractional degree used to build, then raise TypeError in lift; True
+    # gave the tag degree=True; dim 0 built an empty lift
+    with pytest.raises(ConfigurationError, match=f"{field} must be a positive integer"):
+        build()
+
+
+def test_decomposition_rejects_a_malformed_snapshot_pair():
+    # X and Y of two shapes used to raise a raw matmul ValueError, a 1-D X
+    # IndexError, and list data AttributeError
+    X = np.array([[1.0, 0.5, 0.25], [0.2, 0.1, 0.05]])
+    dct = Dictionary.monomials(2, 1)
+    for snap in (SnapshotPair(X=X, Y=X[:, :2]), SnapshotPair(X=X[0], Y=X[0] / 2)):
+        with pytest.raises(InvalidInputError, match="2-D and of one shape"):
+            dmd(snap)
+        with pytest.raises(InvalidInputError, match="2-D and of one shape"):
+            edmd(snap, dct)
+    lists = SnapshotPair(X=X.tolist(), Y=(0.5 * X).tolist())
+    assert_same_spectrum(dmd(lists), dmd(SnapshotPair(X=X, Y=0.5 * X)))
+    assert_same_spectrum(edmd(lists, dct), edmd(SnapshotPair(X=X, Y=0.5 * X), dct))
+    # integer data decomposes as its float copy does, bit for bit
+    A = np.array([[2, 1], [0, 3]])
+    S = np.array([[1, 2]]).T
+    for _ in range(4):
+        S = np.hstack([S, A @ S[:, -1:]])
+    ints = SnapshotPair(X=S[:, :-1], Y=S[:, 1:])
+    floats = SnapshotPair(X=ints.X.astype(float), Y=ints.Y.astype(float))
+    assert_same_spectrum(dmd(ints), dmd(floats))
+    assert_same_spectrum(edmd(ints, dct), edmd(floats, dct))
 
 
 def _per_monomial_lift(states, dim, degree):
@@ -623,37 +666,45 @@ def _rotation(rho, theta):
     return rho * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
 
 
-def _mixed_cells(m=20):
-    """Equal-shaped cells that hit every trap of a stacked decomposition."""
+def _mixed_cells(m=20, tag="identity"):
+    """Equal-shaped cells, all in the observable `tag`, that hit every trap
+    of a stacked decomposition."""
     rng = np.random.default_rng(7)
     P = np.array([[1.0, 0.4], [-0.3, 1.0]])
     real_map = P @ np.diag([0.9, 0.5]) @ np.linalg.inv(P)
     cells = {
-        "real": _linear_pair(real_map, (1.0, -0.7), m),
-        "complex": _linear_pair(_rotation(0.8, 0.4), (0.3, 1.1), m, "identity(centered)"),
-        "real_2": _linear_pair(np.diag([0.95, -0.6]), rng.uniform(-1, 1, 2), m),
+        "real": _linear_pair(real_map, (1.0, -0.7), m, tag),
+        "complex": _linear_pair(_rotation(0.8, 0.4), (0.3, 1.1), m, tag),
+        "real_2": _linear_pair(np.diag([0.95, -0.6]), rng.uniform(-1, 1, 2), m, tag),
         # a start on an eigenvector: one singular value survives, rank 1
-        "rank_1": _linear_pair(np.diag([0.7, 0.3]), (1.0, 0.0), m),
-        "complex_2": _linear_pair(_rotation(0.95, 2.0), rng.uniform(-1, 1, 2), m),
+        "rank_1": _linear_pair(np.diag([0.7, 0.3]), (1.0, 0.0), m, tag),
+        "complex_2": _linear_pair(_rotation(0.95, 2.0), rng.uniform(-1, 1, 2), m, tag),
     }
-    bad = _linear_pair(real_map, (0.5, 0.5), m)
+    bad = _linear_pair(real_map, (0.5, 0.5), m, tag)
     bad.X[1, 7] = np.nan
     cells["non_finite"] = bad
-    cells["vanishing"] = SnapshotPair(X=np.zeros((2, m)), Y=np.zeros((2, m)))
+    cells["vanishing"] = SnapshotPair(X=np.zeros((2, m)), Y=np.zeros((2, m)), observable_tag=tag)
     # X selects the first two columns of Y, so the reduced operator is the
     # Jordan block [[1, 1e308], [0, 1]], whose eigenvector matrix eig
     # returns exactly singular
     X, Y = np.zeros((2, m)), np.zeros((2, m))
     X[:, :2] = np.eye(2)
     Y[:, :2] = [[1.0, 1e308], [0.0, 1.0]]
-    cells["singular_eigenvectors"] = SnapshotPair(X=X, Y=Y)
+    cells["singular_eigenvectors"] = SnapshotPair(X=X, Y=Y, observable_tag=tag)
     return cells
 
 
+def stacked(snaps, dictionary=None, policy=RankPolicy()):
+    """`decompose_stack` of equal-shaped pairs in one observable."""
+    tag, = {snap.observable_tag for snap in snaps}
+    return spectral.decompose_stack(np.stack([snap.X for snap in snaps]),
+                                    np.stack([snap.Y for snap in snaps]), tag, dictionary, policy)
+
+
 def test_stacked_dmd_matches_single_cells_bit_for_bit():
-    cells = _mixed_cells()
+    cells = _mixed_cells(tag="identity(centered)")
     snaps = list(cells.values())
-    got = spectral.decompose_many(snaps)
+    got = stacked(snaps)
     assert_same_cells(got, reference(snaps))
     assert_same_cells(looped(dmd, snaps), reference(snaps))
     by_name = dict(zip(cells, got))
@@ -670,8 +721,8 @@ def test_stacked_dmd_matches_single_cells_bit_for_bit():
 def test_a_failing_cell_leaves_its_neighbours_alone(trap):
     cells = _mixed_cells()
     clean = [cells[name] for name in ("real", "complex", "rank_1", "complex_2")]
-    alone = spectral.decompose_many(clean)
-    mixed = spectral.decompose_many(clean[:2] + [cells[trap]] + clean[2:])
+    alone = stacked(clean)
+    mixed = stacked(clean[:2] + [cells[trap]] + clean[2:])
     assert isinstance(mixed[2], (NumericFailureError, DegenerateDataError))
     assert_same_cells(mixed[:2] + mixed[3:], alone)
 
@@ -689,7 +740,7 @@ def test_stacked_edmd_matches_single_cells_bit_for_bit(degree):
     cells["large"] = _linear_pair(np.diag([0.9, 0.7]), (1e3, -2e3), 30)
     cells["small"] = _linear_pair(_rotation(0.97, 0.3), (1e-4, 2e-4), 30)
     snaps = list(cells.values())
-    got = spectral.decompose_many(snaps, dct)
+    got = stacked(snaps, dct)
     assert_same_cells(got, reference(snaps, dct))
     assert_same_cells(looped(lambda s: edmd(s, dct), snaps), reference(snaps, dct))
     ranks = {spec.rank for spec in got if not isinstance(spec, Exception)}
@@ -699,13 +750,16 @@ def test_stacked_edmd_matches_single_cells_bit_for_bit(degree):
 
 
 def test_stacked_cells_of_other_shapes_and_settings():
+    # one stack per shape: runs of several lengths grouped into stacks are
+    # tests/test_compare.py::test_stacked_spectra_match_each_run_decomposed_alone
     cells = _mixed_cells()
-    snaps = [cells["real"], _linear_pair(np.diag([0.9, 0.2]), (1.0, 1.0), 12),
-             cells["complex"], SnapshotPair(X=np.zeros((2, 0)), Y=np.zeros((2, 0))),
-             _linear_pair(np.diag([0.9, 0.2, -0.4]), (1.0, 1.0, 0.5), 20)]
+    empty = SnapshotPair(X=np.zeros((2, 0)), Y=np.zeros((2, 0)))
+    stacks = [[cells["real"], cells["complex"]],
+              [_linear_pair(np.diag([0.9, 0.2]), (1.0, 1.0), 12)], [empty, empty],
+              [_linear_pair(np.diag([0.9, 0.2, -0.4]), (1.0, 1.0, 0.5), 20)]]
     for policy in (RankPolicy(), RankPolicy.fixed(1), RankPolicy(rel_tol=0.5)):
-        assert_same_cells(spectral.decompose_many(snaps, rank_policy=policy),
-                          reference(snaps, policy=policy))
+        for snaps in stacks:
+            assert_same_cells(stacked(snaps, policy=policy), reference(snaps, policy=policy))
 
 
 def test_one_stack_takes_one_svd_eig_and_solve(monkeypatch):
@@ -718,10 +772,10 @@ def test_one_stack_takes_one_svd_eig_and_solve(monkeypatch):
     cells = _mixed_cells()
     # one rank and eigenvalue type: one call each; a second type adds eig's
     # split, not a second eig
-    spectral.decompose_many([cells["complex"], cells["complex_2"]] * 3)
+    stacked([cells["complex"], cells["complex_2"]] * 3)
     assert calls == {"svd": 1, "eig": 1, "solve": 1}
-    spectral.decompose_many([cells["complex"], cells["real"], cells["complex_2"],
-                             cells["real_2"], cells["rank_1"]])
+    stacked([cells["complex"], cells["real"], cells["complex_2"], cells["real_2"],
+             cells["rank_1"]])
     assert calls == {"svd": 2, "eig": 3, "solve": 4}
 
 
@@ -731,6 +785,6 @@ def test_stacked_norms_sum_as_single_norms():
     rng = np.random.default_rng(11)
     snaps = [SnapshotPair(X=rng.standard_normal((3, 100)), Y=rng.standard_normal((3, 100)))
              for _ in range(8)]
-    assert_same_cells(spectral.decompose_many(snaps), reference(snaps))
+    assert_same_cells(stacked(snaps), reference(snaps))
     dct = Dictionary.monomials(3, 2)
-    assert_same_cells(spectral.decompose_many(snaps, dct), reference(snaps, dct))
+    assert_same_cells(stacked(snaps, dct), reference(snaps, dct))

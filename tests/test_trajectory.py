@@ -9,7 +9,7 @@ from koopeq import (AlgorithmId, Centering, Oracle, OracleKind, RunConfig,
                     Trajectory, TrajectoryStatus, custom_map, iterate,
                     iterate_many, make_algorithm, multi_snapshots, snapshots)
 from koopeq import serialize, trajectory
-from koopeq.compare import sweep
+from koopeq.compare import CELL_FAILED, sweep
 from koopeq.errors import (ConfigurationError, InsufficientDataError,
                            InvalidInputError, KoopeqError, NumericFailureError)
 from koopeq.experiments import FIG2_DEFAULTS, FIG2_RANGE, FIG2_X0_A
@@ -128,7 +128,21 @@ def stepwise_iterate(imap, x0, cfg):
         raise InvalidInputError("x0 contains non-finite entries")
     states = [x]
     for _ in range(cfg.max_iters):
-        xn = np.asarray(imap.step(x), dtype=float)
+        try:
+            xn = np.asarray(imap.step(x), dtype=float)
+        except InvalidInputError:
+            # an oracle rejected a non-finite value: the run's own, when the
+            # step meets a floating-point event
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                try:
+                    imap.step(x)
+                except FloatingPointError:
+                    partial = Trajectory(np.array(states), TrajectoryStatus.BUDGET_EXHAUSTED)
+                    raise NumericFailureError("non-finite value produced mid-run",
+                                              partial=partial) from None
+                except InvalidInputError:
+                    pass
+            raise
         if xn.ndim == 0:
             xn = xn.reshape(1)
         if xn.shape != x.shape:
@@ -232,7 +246,8 @@ def test_iterate_many_nan_error_carries_partial():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_iterate_many_block_step_error_falls_back():
     # log of a negative start is NaN, which the oracle rejects for the whole
-    # block; the rows then run one by one and only that start fails
+    # block; the rows then run one by one and only that start fails, as a
+    # run that made a NaN
     imap = make_algorithm(AlgorithmId.ALGO5, QUAD)
     X0 = np.array([[0.5], [-1.0], [2.0]])
     cfg = RunConfig(max_iters=60)
@@ -240,8 +255,49 @@ def test_iterate_many_block_step_error_falls_back():
         imap.step(X0.T)
     got = iterate_many(imap, X0, cfg)
     assert_same_results(got, looped_iterate(imap, X0, cfg))
-    assert isinstance(got[1], InvalidInputError)
+    assert isinstance(got[1], NumericFailureError)
+    assert got[1].partial.states.tolist() == [[-1.0]]
     assert got[0].status is got[2].status is TrajectoryStatus.CONVERGED
+
+
+LOGDET_3 = Oracle(OracleKind.PROX_NEGLOGDET, gamma=1.0, domain_dim=3)
+L2_6 = Oracle(OracleKind.PROX_L2, gamma=1.0, domain_dim=6)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("errstate", ["warn", "ignore"])
+@pytest.mark.parametrize("imap, x0, states", [
+    (make_algorithm(AlgorithmId.ALGO1, NEGCOS), (1e308, 1e308), 1),
+    # 2 * 1.6e308 overflows in the second step
+    (make_algorithm(AlgorithmId.ALGO1, NEGCOS), (8e307, 0.0), 2),
+    # the log-det prox of a block near the float limit is not finite
+    (make_algorithm(AlgorithmId.ALGO6, LOGDET_3, L2_6), (0.0,) * 12 + (1e308,) * 6, 1)],
+    ids=["negcos_at_start", "negcos_mid_run", "logdet_limit"])
+def test_a_step_that_overflows_ends_the_run_as_a_numeric_failure(imap, x0, states, errstate):
+    # the step makes a non-finite value from a finite state and its next
+    # oracle rejects it: the run fails numerically, with its states so far
+    cfg = RunConfig(overflow_cap=np.inf)
+    with np.errstate(all=errstate):
+        with pytest.raises(NumericFailureError, match="non-finite value produced mid-run") as info:
+            iterate(imap, x0, cfg)
+        partial = info.value.partial.states
+        assert len(partial) == states and partial[0].tolist() == list(x0)
+        assert np.isfinite(partial).all()
+        got = iterate_many(imap, np.array([x0, x0]), cfg)
+        assert_same_results(got, [info.value] * 2)
+        assert_same_results(got, looped_iterate(imap, np.array([x0]), cfg) * 2)
+    # the oracles still reject non-finite input that a caller passes in
+    for oracle in (NEGCOS, LOGDET_3, L2_6):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            oracle.apply(np.full(oracle.state_dim, np.inf))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_sweep_cell_whose_run_overflows_is_a_failed_cell():
+    negcos = make_algorithm(AlgorithmId.ALGO1, NEGCOS)
+    res = sweep(negcos, (0.1, 0.1), negcos, ([0.1, 1e308], [0.1, 1e308]))
+    assert res.flags[1].tolist() == [CELL_FAILED] * 2 and np.isnan(res.distances[1]).all()
+    assert res.flags[0, 0] != CELL_FAILED
 
 
 def test_iterate_many_serial_for_non_columnwise_maps():
