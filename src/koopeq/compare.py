@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import IterativeMap
 from .errors import (CardinalityMismatchError, DegenerateDataError,
                      InsufficientDataError, InvalidInputError, KoopeqError,
-                     NumericFailureError, result_or_raise)
+                     NumericFailureError, count, result_or_raise, tolerance)
 from .spectral import (Dictionary, KoopmanSpectrum, RankPolicy, decompose_stack,
                        principal_eigenvalues, principal_sets)
 from .trajectory import (Centering, RunConfig, Trajectory, centred, iterate, iterate_many,
@@ -210,11 +210,14 @@ class SpectrumComparison:
 def _rules(spec_a, spec_b, eps_conj=None, eps_semi=None, lattice_tol=None,
            max_power=None):
     """classify's defaults for the tolerances a caller leaves unset; looser
-    tolerances and deeper lattice products when either side is EDMD."""
+    tolerances and deeper lattice products when either side is EDMD.
+    eps_conj and eps_semi must be non-negative tolerances."""
     edmd_involved = "edmd" in (spec_a.method, spec_b.method)
     eps = EPS_EDMD if edmd_involved else EPS_DMD
     eps_conj = eps if eps_conj is None else eps_conj
     eps_semi = eps if eps_semi is None else eps_semi
+    tolerance("eps_conj", eps_conj, InvalidInputError)
+    tolerance("eps_semi", eps_semi, InvalidInputError)
     lattice_tol = max(1e-6, eps_conj) if lattice_tol is None else lattice_tol
     if max_power is None:
         max_power = MAX_POWER_EDMD if edmd_involved else MAX_POWER_DMD
@@ -241,9 +244,6 @@ def classify(spec_a: KoopmanSpectrum, spec_b: KoopmanSpectrum,
     """
     eps_conj, eps_semi, lattice_tol, max_power = _rules(
         spec_a, spec_b, eps_conj, eps_semi, lattice_tol, max_power)
-    for name, tol in (("eps_conj", eps_conj), ("eps_semi", eps_semi)):
-        if not 0.0 <= tol < math.inf:
-            raise InvalidInputError(f"{name} must be finite and non-negative, got {tol!r}")
     tols = ComparisonTolerances(eps_conj=eps_conj, eps_semi=eps_semi)
     notes = []
 
@@ -282,7 +282,7 @@ class DecompositionSettings:
     """How a trajectory turns into a spectrum: the one path shared by sweeps,
     presets and the command line. The fields are checked when built: `method`
     is "dmd" or "edmd", a dictionary is given exactly for "edmd", and
-    `discard` is an int >= 0."""
+    `discard` is a non-negative count."""
 
     method: str = "dmd"
     dictionary: Optional[Dictionary] = None
@@ -296,9 +296,7 @@ class DecompositionSettings:
         if (self.dictionary is None) == (self.method == "edmd"):
             raise InvalidInputError("edmd needs a dictionary" if self.method == "edmd"
                                     else "dmd takes no dictionary")
-        discard = self.discard
-        if isinstance(discard, bool) or not isinstance(discard, int) or discard < 0:
-            raise InvalidInputError(f"discard must be a non-negative integer, got {discard!r}")
+        count("discard", self.discard, 0, InvalidInputError)
 
     def spectrum(self, traj: Trajectory) -> KoopmanSpectrum:
         """`spectra` of the one trajectory: its spectrum, or its error raised."""

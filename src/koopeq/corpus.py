@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedPairError
+from .errors import ConfigurationError, InvalidInputError, UnsupportedPairError, count
 from .oracles import Oracle
 
 Array = np.ndarray
@@ -58,8 +58,7 @@ class IterativeMap:
 
 def custom_map(step: Callable[[Array], Array], dim: int, tag: str = "custom") -> IterativeMap:
     """Wrap a user-supplied step function as a black-box map."""
-    if dim < 1:
-        raise ConfigurationError("dim must be a positive integer")
+    count("dim", dim, 1, ConfigurationError)
     return IterativeMap(id=AlgorithmId.CUSTOM, dim=dim, step=step, tag=tag)
 
 
@@ -123,7 +122,12 @@ def make_algorithm(algo_id: AlgorithmId, oracle_f: Oracle,
         _require_gradient(oracle_f, oracle_g, algo_id)
 
         def step(x):
-            return x * np.exp(-0.2 * g(np.log(x)))
+            try:
+                return x * np.exp(-0.2 * g(np.log(x)))
+            except (FloatingPointError, InvalidInputError):  # the log of x <= 0
+                if (x > 0).all():
+                    raise
+                raise InvalidInputError("ALGO5 acts on states > 0 only") from None
 
         dim = 1
     elif algo_id is AlgorithmId.ALGO6:

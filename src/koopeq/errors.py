@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for a count
+or a tolerance argument."""
+import math
+import numbers
 
 
 class KoopeqError(Exception):
@@ -57,3 +60,22 @@ def result_or_raise(result):
     if isinstance(result, KoopeqError):
         raise result
     return result
+
+
+def count(name, value, least, error):
+    """`value` as a Python int; raises `error` unless it is a Python or NumPy
+    integer, not a bool, of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        rule = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer of at least {least}")
+        raise error(f"{name} must be {rule}, got {value!r}")
+    return int(value)
+
+
+def tolerance(name, value, error, positive=False):
+    """Raise `error` unless `value` is a finite real number, not a bool, that
+    is > 0 when `positive` and >= 0 otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (0 < value < math.inf if positive else 0 <= value < math.inf)):
+        rule = "positive" if positive else "non-negative"
+        raise error(f"{name} must be finite and {rule}, got {value!r}")

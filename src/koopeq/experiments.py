@@ -18,7 +18,7 @@ import numpy as np
 from . import serialize, svgplot
 from .compare import DecompositionSettings, classify, sweep
 from .corpus import AlgorithmId, ConjugacyKind, conjugacy_map, make_algorithm
-from .errors import ConfigurationError, NumericFailureError
+from .errors import ConfigurationError, NumericFailureError, count
 from .oracles import Oracle, OracleKind, sym_flatten
 from .spectral import Dictionary, RankPolicy
 from .trajectory import Centering, RunConfig, iterate
@@ -243,8 +243,7 @@ def run_sweep_preset(resolution: Optional[int], oracle: str, outdir) -> dict:
     defaults = FIG2_DEFAULTS[oracle]
     if resolution is None:
         resolution = defaults["resolution"]
-    if resolution < 2:
-        raise ConfigurationError("resolution must be at least 2")
+    resolution = count("resolution", resolution, 2, ConfigurationError)  # written to JSON
 
     kind = OracleKind.GRAD_QUADRATIC if oracle == "quad" else OracleKind.GRAD_NEGCOS
     map_a = make_algorithm(AlgorithmId.ALGO1, Oracle(kind))

@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, NumericFailureError
+from .errors import (ConfigurationError, InvalidInputError, NumericFailureError, count,
+                     tolerance)
 
 
 class OracleKind(Enum):
@@ -75,8 +76,7 @@ def prox_l2(v, gamma):
     Minimizes ||u||_2 + ||u - v||**2 / (2*gamma); the minimizer is
     max(0, 1 - gamma/||v||) * v, with 0 at v = 0.
     """
-    if not 0.0 < gamma < np.inf:
-        raise InvalidInputError(f"gamma must be finite and positive, got {gamma!r}")
+    tolerance("gamma", gamma, InvalidInputError, positive=True)
     v = np.asarray(v, dtype=float)
     _check_finite(v)
     return _prox_l2(v, gamma)
@@ -100,8 +100,7 @@ def prox_neglogdet(V, gamma):
     -log(det(U)) + ||U - V||_F**2 / (2*gamma). The map is positive for every
     real t, so V need not be positive definite; the result always is.
     """
-    if not 0.0 < gamma < np.inf:
-        raise InvalidInputError(f"gamma must be finite and positive, got {gamma!r}")
+    tolerance("gamma", gamma, InvalidInputError, positive=True)
     V = np.asarray(V, dtype=float)
     _check_finite(V)
     if V.ndim != 2 or V.shape[0] != V.shape[1] or V.size == 0:
@@ -161,8 +160,7 @@ def sym_flatten(V):
 
 def sym_unflatten(v, n):
     """Inverse of sym_flatten."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise InvalidInputError(f"n must be a non-negative integer, got {n!r}")
+    count("n", n, 0, InvalidInputError)
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise InvalidInputError("expected a 1-D array of upper-triangle entries")
@@ -185,10 +183,9 @@ class Oracle:
     domain_dim: int = 1
 
     def __post_init__(self):
-        if self.kind in _PROX_KINDS and not 0.0 < self.gamma < np.inf:
-            raise ConfigurationError(f"proximal oracles need 0 < gamma < inf, got {self.gamma!r}")
-        if self.domain_dim < 1:
-            raise ConfigurationError("domain_dim must be a positive integer")
+        if self.kind in _PROX_KINDS:
+            tolerance("gamma", self.gamma, ConfigurationError, positive=True)
+        count("domain_dim", self.domain_dim, 1, ConfigurationError)
 
     @property
     def is_gradient(self) -> bool:
@@ -213,7 +210,7 @@ class Oracle:
             return grad_quadratic(v)
         if kind is _GRAD_NEGCOS:
             return grad_negcos(v)
-        # __post_init__ enforced 0 < gamma < inf, so the proximal kinds only
+        # __post_init__ enforced a finite gamma > 0, so the proximal kinds only
         # check the block itself before their kernels
         v = np.asarray(v, dtype=float)
         if kind is _PROX_L2:

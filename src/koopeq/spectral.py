@@ -23,9 +23,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateDataError, InvalidInputError,
-                     InvalidObservableError, KoopeqError, NumericFailureError,
-                     result_or_raise)
-from .trajectory import SnapshotPair
+                     InvalidObservableError, KoopeqError, NumericFailureError, count,
+                     result_or_raise, tolerance)
+from .trajectory import SnapshotPair, _norm
 
 PAIR_TOL = 1e-10  # conjugate-partner detection
 
@@ -55,7 +55,7 @@ def _monomial_exponents(dim: int, max_degree: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Dictionary:
     """An ordered set of scalar observables used as the EDMD lifting basis.
-    `dim`, and `max_degree` for monomials, are checked when built: ints >= 1."""
+    `dim`, and `max_degree` for monomials, are positive counts."""
 
     kind: DictionaryKind
     dim: int
@@ -63,11 +63,9 @@ class Dictionary:
     functions: Optional[tuple] = None  # tuple of (name, callable state -> scalar)
 
     def __post_init__(self):
-        sizes = ("dim", "max_degree") if self.kind is DictionaryKind.MONOMIALS else ("dim",)
-        for name in sizes:
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
+        count("dim", self.dim, 1, ConfigurationError)
+        if self.kind is DictionaryKind.MONOMIALS:
+            count("max_degree", self.max_degree, 1, ConfigurationError)
 
     @staticmethod
     def identity(dim: int) -> "Dictionary":
@@ -146,18 +144,15 @@ class Dictionary:
 @dataclass(frozen=True)
 class RankPolicy:
     """SVD truncation rule: keep every singular value above
-    rel_tol * sigma_max, at most `rank` of them when set (an int >= 1)."""
+    rel_tol * sigma_max, at most `rank` of them when set (a positive count)."""
 
     rank: Optional[int] = None
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        rank = self.rank
-        if rank is not None and (isinstance(rank, bool) or not isinstance(rank, int) or rank < 1):
-            raise InvalidInputError(f"rank must be None or a positive integer, got {rank!r}")
-        if not 0.0 <= self.rel_tol < math.inf:
-            raise InvalidInputError(
-                f"rel_tol must be finite and non-negative, got {self.rel_tol!r}")
+        if self.rank is not None:
+            count("rank", self.rank, 1, InvalidInputError)
+        tolerance("rel_tol", self.rel_tol, InvalidInputError)
 
     @staticmethod
     def fixed(rank: int) -> "RankPolicy":
@@ -237,19 +232,6 @@ def _by_type(lam: np.ndarray, W: np.ndarray):
     yield part, lam[part], W[part]
 
 
-def _norm(a: np.ndarray) -> float:
-    """np.linalg.norm(a) of a whole array, by its own steps, so bit for bit,
-    at less call overhead: the square root of a dot over a in index order,
-    over its real and imaginary parts when it is complex."""
-    v = a.ravel(order="K")
-    if v.dtype.kind == "c":
-        re, im = v.real, v.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    if v.dtype.kind != "f":
-        v = v.astype(float)
-    return math.sqrt(v.dot(v))
-
-
 def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag) -> list:
     """Shared DMD/EDMD core over a stack of N cells: PX and PY of shape
     (N, k, m) in the decomposition space, Xstate and Ystate of shape
@@ -297,14 +279,15 @@ def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag) -> lis
                 modes = modes.swapaxes(1, 2)[at, order].swapaxes(1, 2)
                 Y = _take(Ystate, sub)
                 resid = (modes * lam[:, None, :]) @ (coeffs @ _take(PX, sub)) - Y
-                for i, c in enumerate(sub):
-                    # per cell: a norm over an axis sums in another order
-                    ynorm = _norm(Y[i])
-                    err = _norm(resid[i]) / ynorm if ynorm > 0 else 0.0
-                    out[c] = KoopmanSpectrum(
-                        eigenvalues=lam[i], modes=modes[i], eigfn_coeffs=coeffs[i],
-                        method=method, rank=r, dictionary_tag=dict_tag,
-                        reconstruction_error=err, centering_tag=obs_tag)
+                with np.errstate(all="ignore"):  # as _norm asks
+                    for i, c in enumerate(sub):
+                        # per cell: a norm over an axis sums in another order
+                        ynorm = _norm(Y[i])
+                        err = _norm(resid[i]) / ynorm if ynorm > 0 else 0.0
+                        out[c] = KoopmanSpectrum(
+                            eigenvalues=lam[i], modes=modes[i], eigfn_coeffs=coeffs[i],
+                            method=method, rank=r, dictionary_tag=dict_tag,
+                            reconstruction_error=err, centering_tag=obs_tag)
     except np.linalg.LinAlgError as exc:
         if len(PX) > 1:
             return [_decompose(PX[c:c + 1], PY[c:c + 1], Xstate[c:c + 1], Ystate[c:c + 1],
@@ -352,7 +335,12 @@ def decompose_stack(X: np.ndarray, Y: np.ndarray, tag: str,
     or by EDMD through `dictionary` when one is given, or its KoopeqError.
     DMD decomposes the pairs as one stack; EDMD lifts each pair on its own,
     then decomposes the lifts as one stack. Each pair gets the bits of its
-    stack of one, which `dmd` and `edmd` decompose."""
+    stack of one, which `dmd` and `edmd` decompose. X and Y that are not
+    stacks of one shape raise InvalidInputError."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    if X.ndim != 3 or X.shape != Y.shape:
+        raise InvalidInputError("a snapshot pair's X and Y must be 2-D and of one shape, "
+                                f"got {X.shape[1:]} and {Y.shape[1:]}")
     if X.size == 0:
         return [DegenerateDataError("empty snapshot pair") for _ in range(len(X))]
     if dictionary is None:
@@ -374,23 +362,13 @@ def decompose_stack(X: np.ndarray, Y: np.ndarray, tag: str,
     return out
 
 
-def _stack_of_one(snap: SnapshotPair):
-    """The snapshot pair as stacks of one, views that keep its layout; X and
-    Y must be 2-D and of one shape."""
-    X, Y = np.asarray(snap.X, dtype=float), np.asarray(snap.Y, dtype=float)
-    if X.ndim != 2 or X.shape != Y.shape:
-        raise InvalidInputError("a snapshot pair's X and Y must be 2-D and of one shape, "
-                                f"got {X.shape} and {Y.shape}")
-    return X[None], Y[None]
-
-
 def dmd(snap: SnapshotPair, rank_policy: RankPolicy = RankPolicy()) -> KoopmanSpectrum:
     """Dynamic mode decomposition of the snapshot pair.
 
     SVD-truncates X per rank_policy, eigendecomposes the reduced operator and
     lifts eigenvectors back to state-space modes.
     """
-    X, Y = _stack_of_one(snap)
+    X, Y = np.asarray(snap.X)[None], np.asarray(snap.Y)[None]
     return result_or_raise(decompose_stack(X, Y, snap.observable_tag, None, rank_policy)[0])
 
 
@@ -401,7 +379,7 @@ def edmd(snap: SnapshotPair, dictionary: Dictionary,
     modes by projecting the identity observable onto the eigenvectors."""
     if dictionary is None:
         raise InvalidInputError("edmd needs a dictionary")
-    X, Y = _stack_of_one(snap)
+    X, Y = np.asarray(snap.X)[None], np.asarray(snap.Y)[None]
     return result_or_raise(decompose_stack(X, Y, snap.observable_tag, dictionary,
                                            rank_policy)[0])
 
@@ -455,14 +433,11 @@ def principal_sets(lam, lattice_tol: float, max_power: int, ignore_unit: bool):
     non-fused products, as the walk's complex scalar arithmetic gives them
     and NumPy's array loops do not. Rows of one need no test. A NaN product
     is near no eigenvalue. Floating-point events are ignored. A lattice_tol
-    that is not finite and non-negative, or a max_power that is not an int
-    >= 1, raises InvalidInputError; a non-finite eigenvalue raises
+    that is not a non-negative tolerance, or a max_power that is not a
+    positive count, raises InvalidInputError; a non-finite eigenvalue raises
     NumericFailureError."""
-    if not 0.0 <= lattice_tol < math.inf:
-        raise InvalidInputError(
-            f"lattice_tol must be finite and non-negative, got {lattice_tol!r}")
-    if isinstance(max_power, bool) or not isinstance(max_power, int) or max_power < 1:
-        raise InvalidInputError(f"max_power must be a positive integer, got {max_power!r}")
+    tolerance("lattice_tol", lattice_tol, InvalidInputError)
+    count("max_power", max_power, 1, InvalidInputError)
     lam = np.asarray(lam, dtype=complex)
     if not np.isfinite(lam).all():
         raise NumericFailureError("an eigenvalue is not finite")
@@ -505,7 +480,6 @@ def reconstruct(spectrum: KoopmanSpectrum, x0_lifted, k: int) -> np.ndarray:
         raise InvalidInputError(
             f"x0_lifted has length {x0.size}, decomposition space is "
             f"{spectrum.eigfn_coeffs.shape[1]}")
-    if k < 0:
-        raise InvalidInputError("k must be nonnegative")
+    count("k", k, 0, InvalidInputError)
     amps = spectrum.eigfn_coeffs @ x0
     return (spectrum.modes * spectrum.eigenvalues ** k) @ amps

@@ -3,7 +3,6 @@ assemble the paired snapshot matrices consumed by the spectral module."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -12,7 +11,7 @@ import numpy as np
 
 from .corpus import IterativeMap
 from .errors import (ConfigurationError, InsufficientDataError, InvalidInputError,
-                     KoopeqError, NumericFailureError, result_or_raise)
+                     KoopeqError, NumericFailureError, count, result_or_raise, tolerance)
 
 
 class TrajectoryStatus(Enum):
@@ -35,17 +34,13 @@ class RunConfig:
     overflow_cap: float = 1e8
 
     def __post_init__(self):
-        n = self.max_iters
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-            raise ConfigurationError(f"max_iters must be an integer of at least 2, got {n!r}")
-        for name in ("eps", "overflow_cap"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ConfigurationError(f"{name} must be a real number, got {v!r}")
-        if not self.eps > 0:
-            raise ConfigurationError("eps must be positive")
-        if not self.overflow_cap > self.eps:
-            raise ConfigurationError("overflow_cap must exceed eps")
+        count("max_iters", self.max_iters, 2, ConfigurationError)
+        tolerance("eps", self.eps, ConfigurationError, positive=True)
+        cap = self.overflow_cap
+        if not (isinstance(cap, float) and cap == math.inf):  # inf is a cap too
+            tolerance("overflow_cap", cap, ConfigurationError)
+        if not cap > self.eps:
+            raise ConfigurationError(f"overflow_cap must be a real number > eps, got {cap!r}")
 
 
 @dataclass
@@ -90,18 +85,18 @@ _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 def _norm(v: np.ndarray) -> float:
-    """The l2 norm of the array v, np.linalg.norm's steps: the square root
-    of a dot over v in index order. A dot that overflows, or one below the
-    smallest normal float, falls back to a norm scaled by the largest entry,
-    as LAPACK's dnrm2 does; a NaN entry gives NaN. Call it with
-    floating-point events ignored."""
+    """The l2 norm of the real or complex array v, np.linalg.norm's steps:
+    the square root of a dot over v in index order, or of the dots over its
+    real and imaginary parts. A sum that overflows, or one below the smallest
+    normal float, falls back to a norm scaled by the largest modulus, as
+    LAPACK's dnrm2 does; a NaN entry gives NaN. Call it with floating-point
+    events ignored."""
     v = v.ravel(order="K")
-    sq = v.dot(v)
+    sq = v.dot(v) if v.dtype.kind != "c" else v.real.dot(v.real) + v.imag.dot(v.imag)
     if sq == math.inf or sq < _SMALLEST_NORMAL:
         top = float(np.abs(v).max())
         if 0.0 < top < math.inf:
-            v = v / top
-            return top * math.sqrt(v.dot(v))
+            return top * _norm(v / top)
     return math.sqrt(sq)
 
 

@@ -67,6 +67,31 @@ def test_run_traj_non_finite_cell_exit_102(tmp_path, capsys, cell):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_run_traj_far_from_one_writes_a_finite_error(tmp_path, scale):
+    # the data's squares overflow (1e200) or underflow (1e-170): the error
+    # used to read NaN, and the run exited 103, or to read 0.0
+    csv = tmp_path / "far.csv"
+    csv.write_text("k,x0,x1\n" + "".join(f"{k},{scale * 0.9 ** k!r},{scale * 2 * 0.5 ** k!r}\n"
+                                         for k in range(40)))
+    out = tmp_path / "s.json"
+    assert run_cli("run", "--traj", str(csv), "--centering", "none", "--out", str(out)) == 0
+    spec = read_spectrum(out)
+    np.testing.assert_allclose(spec.eigenvalues, [0.9, 0.5], rtol=1e-12)
+    assert 0.0 < spec.reconstruction_error < 1e-12
+
+
+@pytest.mark.parametrize("x0", ["-1", "0"])
+def test_run_algo5_outside_its_domain_exit_101(tmp_path, capsys, x0):
+    # algorithm 5 takes the log of its state; such a start used to end as a
+    # numeric failure mid-run (103)
+    out = tmp_path / "s.json"
+    assert run_cli("run", "--algo", "5", "--oracle", "quad", f"--x0={x0}", "--out", str(out)) == 101
+    err = capsys.readouterr().err
+    assert err == "error: kind=configuration message=ALGO5 acts on states > 0 only\n"
+    assert not out.exists()
+
+
 def test_runtime_without_scipy(tmp_path):
     # scipy is a test-only dependency: with it blocked, run, compare (which
     # assigns) and fig2 (which sweeps and flood-fills) all succeed

@@ -248,13 +248,23 @@ def test_settings_are_checked_when_built(kwargs):
         DecompositionSettings(**kwargs)
 
 
-@pytest.mark.parametrize("max_power", [0, -2, 2.5, True])
+@pytest.mark.parametrize("max_power", [0, -2, 2.5, True, "3", np.nan, np.inf])
 def test_classify_rejects_a_max_power_that_is_not_a_positive_int(max_power):
     sa = synthetic_spectrum([0.6, 0.36])
     with pytest.raises(InvalidInputError, match="max_power must be a positive integer"):
         classify(sa, sa, max_power=max_power)
     with pytest.raises(InvalidInputError, match="max_power must be a positive integer"):
         principal_eigenvalues(sa, max_power=max_power)
+
+
+def test_classify_takes_a_numpy_integer_max_power():
+    # NumPy integers used to be rejected
+    sa, sb = synthetic_spectrum([0.6, 0.36, 0.3]), synthetic_spectrum([0.6, 0.3])
+    for power in (1, 2, 4):
+        np.testing.assert_array_equal(principal_eigenvalues(sa, max_power=np.int64(power)),
+                                      principal_eigenvalues(sa, max_power=power))
+        assert (classify(sa, sb, max_power=np.int64(power)).verdict
+                is classify(sa, sb, max_power=power).verdict)
 
 
 @pytest.mark.parametrize("lattice_tol", [-1.0, np.nan, np.inf])

@@ -217,14 +217,39 @@ def test_monomial_dictionary_shape():
     (lambda: Dictionary.monomials(2.0, 2), "dim"),
     (lambda: Dictionary.identity(0), "dim"),
     (lambda: Dictionary.identity(True), "dim"),
-    (lambda: Dictionary.custom(0, [("one", lambda s: 1.0)]), "dim")],
+    (lambda: Dictionary.custom(0, [("one", lambda s: 1.0)]), "dim"),
+    (lambda: Dictionary.monomials(2, "3"), "max_degree"),
+    (lambda: Dictionary.monomials(2, np.nan), "max_degree"),
+    (lambda: Dictionary.monomials(np.inf, 2), "dim"),
+    (lambda: Dictionary.identity("3"), "dim")],
     ids=["degree_2.5", "degree_True", "degree_0", "degree_None", "dim_0", "dim_2.0",
-         "identity_0", "identity_True", "custom_0"])
+         "identity_0", "identity_True", "custom_0", "degree_str", "degree_nan", "dim_inf",
+         "identity_str"])
 def test_dictionary_checks_its_sizes_when_built(build, field):
     # a fractional degree used to build, then raise TypeError in lift; True
     # gave the tag degree=True; dim 0 built an empty lift
     with pytest.raises(ConfigurationError, match=f"{field} must be a positive integer"):
         build()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_dmd_error_of_data_far_from_one(scale):
+    # the data's squares overflow (1e200) or underflow (1e-170): the error
+    # used to read NaN, with an overflow warning, or 0.0
+    k = np.arange(40)
+    S = scale * np.array([0.9 ** k, 2 * 0.5 ** k])
+    spec = dmd(SnapshotPair(X=S[:, :-1], Y=S[:, 1:]))
+    np.testing.assert_allclose(spec.eigenvalues, [0.9, 0.5], rtol=1e-12)
+    assert 0.0 < spec.reconstruction_error < 1e-12
+
+
+def test_dictionary_takes_numpy_integer_sizes():
+    # NumPy integers used to be rejected
+    X = np.array([[1.0, 0.5, 0.25], [0.2, 0.1, 0.05]])
+    dct = Dictionary.monomials(np.int64(2), np.int64(3))
+    assert dct.tag == Dictionary.monomials(2, 3).tag
+    np.testing.assert_array_equal(dct.lift(X), Dictionary.monomials(2, 3).lift(X))
+    np.testing.assert_array_equal(Dictionary.identity(np.int32(2)).lift(X), X)
 
 
 def test_decomposition_rejects_a_malformed_snapshot_pair():
@@ -609,9 +634,20 @@ def single_cell_core(PX, PY, Xstate, Ystate, policy, method):
     order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
     lam, modes, coeffs = lam[order], modes[:, order], coeffs[order]
     Yhat = (modes * lam) @ (coeffs @ PX)
-    ynorm = np.linalg.norm(Ystate)
-    err = float(np.linalg.norm(Yhat - Ystate) / ynorm) if ynorm > 0 else 0.0
+    ynorm = scaled_norm(Ystate)
+    err = float(scaled_norm(Yhat - Ystate) / ynorm) if ynorm > 0 else 0.0
     return lam, modes, coeffs, err
+
+
+def scaled_norm(a):
+    """np.linalg.norm(a), or, where its sum of squares overflows or falls
+    below the smallest normal float, the norm of a scaled by its largest
+    modulus."""
+    with np.errstate(all="ignore"):
+        norm, top = np.linalg.norm(a), np.abs(a).max(initial=0.0)
+        if (norm == np.inf or norm < np.sqrt(np.finfo(float).tiny)) and 0 < top < np.inf:
+            return top * np.linalg.norm(a / top)
+    return norm
 
 
 def reference(snaps, dictionary=None, policy=RankPolicy()):

@@ -32,7 +32,8 @@ def test_run_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("max_iters", 10.5), ("max_iters", float("nan")), ("max_iters", np.float64(3.0)),
     ("max_iters", "10"), ("eps", "x"), ("eps", None), ("overflow_cap", "1e8"),
-    ("overflow_cap", [1e8])])
+    ("overflow_cap", [1e8]), ("overflow_cap", True), ("overflow_cap", np.nan),
+    ("overflow_cap", -np.inf), ("overflow_cap", 1e-13)])
 def test_run_config_checks_field_types_when_built(field, value):
     # these used to build, or to raise TypeError, and then fail inside iterate
     with pytest.raises(ConfigurationError, match=field):
@@ -245,18 +246,17 @@ def test_iterate_many_nan_error_carries_partial():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_iterate_many_block_step_error_falls_back():
-    # log of a negative start is NaN, which the oracle rejects for the whole
-    # block; the rows then run one by one and only that start fails, as a
-    # run that made a NaN
+    # algorithm 5 rejects a state outside its domain x > 0, for the whole
+    # block; the rows then run one by one and only that start fails, with
+    # the step's error
     imap = make_algorithm(AlgorithmId.ALGO5, QUAD)
     X0 = np.array([[0.5], [-1.0], [2.0]])
     cfg = RunConfig(max_iters=60)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="states > 0"):
         imap.step(X0.T)
     got = iterate_many(imap, X0, cfg)
     assert_same_results(got, looped_iterate(imap, X0, cfg))
-    assert isinstance(got[1], NumericFailureError)
-    assert got[1].partial.states.tolist() == [[-1.0]]
+    assert isinstance(got[1], InvalidInputError) and "states > 0" in str(got[1])
     assert got[0].status is got[2].status is TrajectoryStatus.CONVERGED
 
 
