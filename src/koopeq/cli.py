@@ -4,7 +4,8 @@ Commands: `run` (trajectory -> spectrum file), `compare` (two spectrum files
 -> verdict), `sweep` (initial-condition distance grid), `reproduce` (figure
 presets). Exit status encodes the verdict for scripting: 0 conjugate, 10
 semi-conjugate, 20 distinct; errors use codes above 100 (101 configuration,
-102 parse, 103 numeric/degenerate) with a single-line diagnostic on stderr.
+102 parse, 103 numeric/degenerate), each stated by the error's class in
+`errors.py`, with a single-line diagnostic on stderr.
 """
 from __future__ import annotations
 
@@ -19,20 +20,10 @@ import numpy as np
 from . import experiments, serialize
 from .compare import DecompositionSettings, classify
 from .corpus import AlgorithmId, make_algorithm
-from .errors import (CardinalityMismatchError, ConfigurationError,
-                     DegenerateDataError, InsufficientDataError,
-                     InvalidInputError, InvalidObservableError, KoopeqError,
-                     NumericFailureError, ParseError, UnsupportedPairError)
+from .errors import ConfigurationError, KoopeqError, ParseError
 from .oracles import Oracle, OracleKind
 from .spectral import Dictionary, RankPolicy
 from .trajectory import Centering, RunConfig, iterate
-
-EXIT_CONJUGATE = 0
-EXIT_SEMI = 10
-EXIT_DISTINCT = 20
-EXIT_CONFIG = 101
-EXIT_PARSE = 102
-EXIT_NUMERIC = 103
 
 OUTDIR_ENV = "KOOPEQ_OUTDIR"
 
@@ -164,20 +155,11 @@ def _apply_config(parser, subparsers, argv, args):
     return parser.parse_args([args.command] + given + argv[argv.index(args.command) + 1:])
 
 
-def _make_oracles(args):
-    if args.oracle is None:
-        raise ConfigurationError("--oracle is required when --algo is given")
-    kind = _ORACLES[args.oracle]
-    dim = args.matrix_dim if kind is OracleKind.PROX_NEGLOGDET else 1
-    oracle_f = Oracle(kind, gamma=args.gamma, domain_dim=dim)
-    oracle_g = None
-    if args.algo in (6, 7):
-        if args.oracle_g is None:
-            raise ConfigurationError("algorithms 6 and 7 need --oracle-g")
-        gkind = _ORACLES[args.oracle_g]
-        gdim = args.matrix_dim if gkind is OracleKind.PROX_NEGLOGDET else oracle_f.state_dim
-        oracle_g = Oracle(gkind, gamma=args.gamma, domain_dim=gdim)
-    return oracle_f, oracle_g
+def _make_oracle(name, args, dim):
+    """The oracle `name` on blocks of `dim` entries; log-det on --matrix-dim."""
+    kind = _ORACLES[name]
+    dim = args.matrix_dim if kind is OracleKind.PROX_NEGLOGDET else dim
+    return Oracle(kind, gamma=args.gamma, domain_dim=dim)
 
 
 def _centering_of(args):
@@ -191,7 +173,12 @@ def cmd_run(args) -> int:
     if args.traj is not None:
         traj = serialize.ingest_external_trajectory(args.traj, eps=args.eps)
     else:
-        oracle_f, oracle_g = _make_oracles(args)
+        if args.oracle is None:
+            raise ConfigurationError("--oracle is required when --algo is given")
+        oracle_f = _make_oracle(args.oracle, args, 1)
+        # make_algorithm decides whether the algorithm takes a second oracle
+        oracle_g = (None if args.oracle_g is None
+                    else _make_oracle(args.oracle_g, args, oracle_f.state_dim))
         imap = make_algorithm(AlgorithmId(args.algo), oracle_f, oracle_g)
         if args.x0 is None:
             raise ConfigurationError("--x0 is required when --algo is given")
@@ -203,9 +190,7 @@ def cmd_run(args) -> int:
             dct = Dictionary.identity(traj.dim)
         elif args.dictionary == "monomials":
             dct = Dictionary.monomials(traj.dim, args.degree)
-        else:
-            if traj.dim != 1:
-                raise ConfigurationError("the log dictionary is scalar only")
+        else:  # scalar: its lift rejects data of any other dimension
             dct = Dictionary.custom(1, [("log", lambda s: float(np.log(s[0])))])
     settings = DecompositionSettings(method=args.method, dictionary=dct,
                                      rank_policy=RankPolicy(rank=args.rank,
@@ -221,10 +206,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-_VERDICT_EXIT = {"conjugate": EXIT_CONJUGATE,
-                 "semi_conjugate_a_into_b": EXIT_SEMI,
-                 "semi_conjugate_b_into_a": EXIT_SEMI,
-                 "distinct": EXIT_DISTINCT}
+_VERDICT_EXIT = {"conjugate": 0, "semi_conjugate_a_into_b": 10,
+                 "semi_conjugate_b_into_a": 10, "distinct": 20}
 
 
 def cmd_compare(args) -> int:
@@ -272,18 +255,14 @@ def main(argv=None) -> int:
         # NumPy's RuntimeWarning lines would only precede it on stderr
         with np.errstate(all="ignore"):
             return handler(args)
-    except (CliUsageError, ConfigurationError, UnsupportedPairError,
-            InvalidInputError, OSError) as exc:
-        print(f"error: kind=configuration message={exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ParseError as exc:
-        loc = f" line={exc.line}" if exc.line is not None else ""
-        print(f"error: kind=parse{loc} message={exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NumericFailureError, DegenerateDataError, InsufficientDataError,
-            InvalidObservableError, CardinalityMismatchError) as exc:
-        print(f"error: kind=numeric message={exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except KoopeqError as exc:  # its class states its kind and exit code
+        line = getattr(exc, "line", None)  # a ParseError's first bad line
+        loc = f" line={line}" if line is not None else ""
+        print(f"error: kind={exc.kind}{loc} message={exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:  # reported as the base class reports
+        print(f"error: kind={KoopeqError.kind} message={exc}", file=sys.stderr)
+        return KoopeqError.exit_code
 
 
 if __name__ == "__main__":

@@ -5,7 +5,10 @@ import numbers
 
 
 class KoopeqError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. A class states the `kind` and
+    `exit_code` the command line reports it by, or takes its base's."""
+
+    kind, exit_code = "configuration", 101
 
 
 class InvalidInputError(KoopeqError):
@@ -24,22 +27,32 @@ class UnsupportedPairError(KoopeqError):
 class InsufficientDataError(KoopeqError):
     """Too few states or snapshots for the requested operation."""
 
+    kind, exit_code = "numeric", 103
+
 
 class DegenerateDataError(KoopeqError):
     """Data carries no usable dynamics (all-zero snapshots, constant
     observables, every singular value below threshold)."""
 
+    kind, exit_code = "numeric", 103
+
 
 class InvalidObservableError(KoopeqError):
     """A dictionary function could not be evaluated on the data."""
+
+    kind, exit_code = "numeric", 103
 
 
 class CardinalityMismatchError(KoopeqError):
     """Wasserstein distance requested for eigenvalue sets of unequal size."""
 
+    kind, exit_code = "numeric", 103
+
 
 class NumericFailureError(KoopeqError):
     """NaN appeared mid-run. Carries the partial trajectory, if any."""
+
+    kind, exit_code = "numeric", 103
 
     def __init__(self, message, partial=None):
         super().__init__(message)
@@ -49,6 +62,8 @@ class NumericFailureError(KoopeqError):
 class ParseError(KoopeqError):
     """A file does not follow its documented schema. `line` is the first
     offending line number when the format is line-oriented."""
+
+    kind, exit_code = "parse", 102
 
     def __init__(self, message, line=None):
         super().__init__(message)

@@ -231,4 +231,4 @@ class Oracle:
     def tag(self) -> str:
         if self.is_gradient:
             return self.kind.value
-        return f"{self.kind.value}(gamma={self.gamma!r})"
+        return f"{self.kind.value}(gamma={float(self.gamma)!r})"

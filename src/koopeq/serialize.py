@@ -19,7 +19,7 @@ import numpy as np
 from .compare import SpectrumComparison
 from .errors import NumericFailureError, ParseError
 from .spectral import KoopmanSpectrum, principal_eigenvalues
-from .trajectory import Trajectory, TrajectoryStatus
+from .trajectory import RunConfig, Trajectory, TrajectoryStatus, _stop
 
 SPECTRUM_REQUIRED_KEYS = {"method", "dictionary", "rank", "reconstruction_error",
                           "eigenvalues", "modes", "principal"}
@@ -188,9 +188,10 @@ def ingest_external_trajectory(path, eps: float = 1e-12) -> Trajectory:
 
     Expected format: UTF-8 text, header `k,x0,x1,...`, one row per iterate
     with k counting up from 0 without gaps and finite state cells; blank lines
-    are skipped. Returns status BUDGET_EXHAUSTED (convergence is unknown for
-    external data) unless the final two rows coincide within eps.
+    are skipped. Status CONVERGED when the last step passes the run loop's
+    test under `eps`, which RunConfig checks, else BUDGET_EXHAUSTED.
     """
+    cfg = RunConfig(eps=eps, overflow_cap=math.inf)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             header = next(csv.reader(fh))
@@ -211,9 +212,8 @@ def ingest_external_trajectory(path, eps: float = 1e-12) -> Trajectory:
     if states is None:
         states = _states_by_row(body, len(expected))
     status = TrajectoryStatus.BUDGET_EXHAUSTED
-    with np.errstate(over="ignore"):  # rows far apart have an infinite distance
-        if np.linalg.norm(states[-1] - states[-2]) <= eps:
-            status = TrajectoryStatus.CONVERGED
+    if _stop(states[-1], states[-2], cfg) is TrajectoryStatus.CONVERGED:
+        status = TrajectoryStatus.CONVERGED
     return Trajectory(states=states, status=status)
 
 

@@ -14,10 +14,14 @@ import numpy as np
 import pytest
 
 import koopeq
-from koopeq import serialize
+from koopeq import cli, serialize
 from koopeq.cli import main
-from koopeq.errors import NumericFailureError, ParseError
-from koopeq.trajectory import TrajectoryStatus
+from koopeq.corpus import AlgorithmId, make_algorithm
+from koopeq.errors import (CardinalityMismatchError, ConfigurationError, DegenerateDataError,
+                           InsufficientDataError, InvalidObservableError, KoopeqError,
+                           NumericFailureError, ParseError)
+from koopeq.oracles import Oracle, OracleKind
+from koopeq.trajectory import RunConfig, TrajectoryStatus, iterate
 
 
 def run_cli(*args):
@@ -439,6 +443,38 @@ def test_ingest_converged_when_final_rows_coincide(tmp_path):
     assert traj.status is TrajectoryStatus.CONVERGED
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e-6])
+@pytest.mark.parametrize("rows", [None, -1], ids=["whole", "last_row_dropped"])
+def test_ingest_reads_converged_as_the_run_loop_does(tmp_path, eps, rows):
+    imap = make_algorithm(AlgorithmId.ALGO4, Oracle(OracleKind.GRAD_QUADRATIC))
+    run = iterate(imap, (1.0,), RunConfig(max_iters=400, eps=eps))
+    assert run.status is TrajectoryStatus.CONVERGED
+    states = run.states[:rows]
+    p = tmp_path / "t.csv"
+    p.write_text("k,x0\n" + "".join(f"{k},{float(x[0])!r}\n" for k, x in enumerate(states)))
+    want = TrajectoryStatus.CONVERGED if rows is None else TrajectoryStatus.BUDGET_EXHAUSTED
+    assert serialize.ingest_external_trajectory(p, eps=eps).status is want
+
+
+def test_ingest_scales_a_last_step_whose_square_underflows(tmp_path):
+    # the step's squared norm, 4e-600, underflows to 0: np.linalg.norm read
+    # this log converged at eps 1e-300, the run loop's norm reads 2e-300
+    p = tmp_path / "t.csv"
+    p.write_text("k,x0\n0,1.0\n1,2e-300\n2,0.0\n")
+    traj = serialize.ingest_external_trajectory(p, eps=1e-300)
+    assert traj.status is TrajectoryStatus.BUDGET_EXHAUSTED
+    assert serialize.ingest_external_trajectory(p, eps=3e-300).status is TrajectoryStatus.CONVERGED
+
+
+@pytest.mark.parametrize("eps", [-1, 0, math.nan, math.inf, "x"])
+def test_ingest_rejects_bad_eps(tmp_path, eps):
+    # "x" used to raise NumPy's UFuncTypeError from the norm comparison
+    p = tmp_path / "t.csv"
+    p.write_text("k,x0\n0,1.0\n1,0.5\n2,0.5\n")
+    with pytest.raises(ConfigurationError, match="eps must be finite and positive"):
+        serialize.ingest_external_trajectory(p, eps=eps)
+
+
 @pytest.mark.parametrize("text, line", [("k," + "x" * 200_000 + "\n0,1\n1,2\n", 1),
                                         ("k,x0\n0,1\n1," + "a" * 200_000 + "\n", 3)],
                          ids=["header", "body"])
@@ -608,6 +644,79 @@ def test_run_rejects_negative_discard_exit_101(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert run_cli("run", *RUN_ALGO4, "--discard", "-4", "--out", str(out)) == 101
     assert_one_error_line(capsys.readouterr().err, "configuration")
+    assert not out.exists()
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+# the README's exit-code table; every other error is a configuration error
+README_EXITS = {ParseError: ("parse", 102), NumericFailureError: ("numeric", 103),
+                DegenerateDataError: ("numeric", 103), InsufficientDataError: ("numeric", 103),
+                InvalidObservableError: ("numeric", 103), CardinalityMismatchError: ("numeric", 103)}
+
+
+def raise_from_run(monkeypatch, exc):
+    def handler(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_run", handler)
+
+
+@pytest.mark.parametrize("cls", sorted(set(subclasses(KoopeqError)), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_the_readme_code(monkeypatch, capsys, cls):
+    raise_from_run(monkeypatch, cls("boom"))
+    kind, code = README_EXITS.get(cls, ("configuration", 101))
+    assert run_cli("run") == code
+    err = capsys.readouterr().err
+    assert_one_error_line(err, kind)
+    assert err.endswith(" message=boom\n")
+
+
+@pytest.mark.parametrize("base, kind, code", [(KoopeqError, "configuration", 101),
+                                              (ParseError, "parse", 102),
+                                              (NumericFailureError, "numeric", 103)],
+                         ids=["koopeq", "parse", "numeric"])
+def test_a_new_error_class_exits_as_its_base(monkeypatch, capsys, base, kind, code):
+    # the command line names no error class: a new one takes its base's code
+    class NewError(base):
+        pass
+    raise_from_run(monkeypatch, NewError("boom"))
+    assert run_cli("run") == code
+    assert_one_error_line(capsys.readouterr().err, kind)
+
+
+@pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+def test_run_traj_rejects_bad_eps_exit_101(tmp_path, capsys, eps):
+    # --eps inf used to mark the log converged and centre it on its last row
+    csv = tmp_path / "t.csv"
+    csv.write_text("k,x0\n" + "".join(f"{k},{0.9 ** k!r}\n" for k in range(40)))
+    out = tmp_path / "s.json"
+    assert run_cli("run", "--traj", str(csv), f"--eps={eps}", "--out", str(out)) == 101
+    err = capsys.readouterr().err
+    assert_one_error_line(err, "configuration")
+    assert "eps must be finite and positive" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (RUN_ALGO4 + ("--oracle-g", "l2"), "ALGO4 takes a single oracle"),
+    (("--algo", "6", "--oracle", "l2", "--x0", "0,0,2"), "ALGO6 needs two proximal oracles"),
+    (("--traj", "{csv}", "--method", "edmd", "--dict", "log"),
+     "dictionary expects dim 1, data has 2"),
+], ids=["second_oracle_unused", "second_oracle_missing", "log_dictionary_of_two_columns"])
+def test_run_leaves_oracle_and_dictionary_checks_to_the_library_exit_101(
+        tmp_path, capsys, argv, message):
+    csv = tmp_path / "t.csv"
+    csv.write_text("k,x0,x1\n" + "".join(f"{k},{0.9 ** k!r},{0.5 ** k!r}\n" for k in range(40)))
+    out = tmp_path / "s.json"
+    assert run_cli("run", *[a.format(csv=csv) for a in argv], "--out", str(out)) == 101
+    err = capsys.readouterr().err
+    assert_one_error_line(err, "configuration")
+    assert err.endswith(f" message={message}\n")
     assert not out.exists()
 
 

@@ -501,3 +501,14 @@ def test_oracle_record():
     assert Oracle(OracleKind.GRAD_QUADRATIC, gamma=np.nan).apply(np.array([1.5])) == 3.0
     grad = Oracle(OracleKind.GRAD_QUADRATIC)
     np.testing.assert_allclose(grad.apply(np.array([2.0])), [4.0])
+
+
+@pytest.mark.parametrize("kind", [OracleKind.PROX_L2, OracleKind.PROX_NEGLOGDET])
+def test_oracle_tag_is_one_per_gamma_value(kind):
+    # a NumPy gamma used to tag as gamma=np.float64(1.0)
+    tags = {Oracle(kind, gamma=g, domain_dim=2).tag for g in (1.0, np.float64(1.0), 1)}
+    assert tags == {f"{kind.value}(gamma=1.0)"}
+    algos = {make_algorithm(AlgorithmId.ALGO6, Oracle(kind, gamma=g, domain_dim=2),
+                            Oracle(kind, gamma=g, domain_dim=2)).tag
+             for g in (0.5, np.float64(0.5))}
+    assert len(algos) == 1
