@@ -72,18 +72,20 @@ def _build_parser():
     run.add_argument("--oracle", choices=sorted(_ORACLES), help="oracle for the algorithm")
     run.add_argument("--oracle-g", choices=["l2", "logdet"], default=None,
                      help="second oracle (algorithms 6 and 7)")
-    run.add_argument("--gamma", type=float, default=1.0, help="proximal step (default 1)")
-    run.add_argument("--matrix-dim", type=int, default=2,
+    # the flags one route reads default to None, so a route can tell which
+    # of the others were given; the route applies the stated default
+    run.add_argument("--gamma", type=float, help="proximal step (default 1)")
+    run.add_argument("--matrix-dim", type=int,
                      help="side length for the log-det oracle (default 2)")
     run.add_argument("--x0", type=str, help="initial state, comma separated")
     run.add_argument("--traj", type=str, help="external trajectory CSV instead of an algorithm")
     run.add_argument("--method", choices=["dmd", "edmd"], default="dmd")
     run.add_argument("--dict", dest="dictionary", choices=["identity", "monomials", "log"],
-                     default="monomials", help="edmd dictionary (default monomials)")
-    run.add_argument("--degree", type=int, default=5, help="monomial total degree (default 5)")
-    run.add_argument("--max-iters", type=int, default=200)
+                     help="edmd dictionary (default monomials)")
+    run.add_argument("--degree", type=int, help="monomial total degree (default 5)")
+    run.add_argument("--max-iters", type=int, help="step budget (default 200)")
     run.add_argument("--eps", type=float, default=1e-12)
-    run.add_argument("--cap", type=float, default=1e8, help="overflow cap (default 1e8)")
+    run.add_argument("--cap", type=float, help="overflow cap (default 1e8)")
     run.add_argument("--centering", choices=["auto", "none", "fixed-point"], default="auto")
     run.add_argument("--discard", type=int, default=0,
                      help="leading states to drop before decomposition")
@@ -158,8 +160,22 @@ def _apply_config(parser, subparsers, argv, args):
 def _make_oracle(name, args, dim):
     """The oracle `name` on blocks of `dim` entries; log-det on --matrix-dim."""
     kind = _ORACLES[name]
-    dim = args.matrix_dim if kind is OracleKind.PROX_NEGLOGDET else dim
-    return Oracle(kind, gamma=args.gamma, domain_dim=dim)
+    if kind is OracleKind.PROX_NEGLOGDET:
+        dim = 2 if args.matrix_dim is None else args.matrix_dim
+    return Oracle(kind, domain_dim=dim, **_given(gamma=args.gamma))
+
+
+def _given(**kwargs):
+    """The keyword arguments whose flags were given; the library's defaults
+    stand for the rest."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
+def _unread(args, dests, route):
+    """Reject the first given run flag among `dests`: `route` never reads it."""
+    for action in _build_parser()[1]["run"]._actions:
+        if action.dest in dests and getattr(args, action.dest) is not None:
+            raise ConfigurationError(f"{action.option_strings[-1]} does not apply to {route}")
 
 
 def _centering_of(args):
@@ -170,11 +186,26 @@ def _centering_of(args):
 def cmd_run(args) -> int:
     if (args.traj is None) == (args.algo is None):
         raise ConfigurationError("give exactly one of --algo or --traj")
+    if args.method == "dmd":
+        _unread(args, ("dictionary", "degree"), "--method dmd")
+    elif args.dictionary not in (None, "monomials"):
+        _unread(args, ("degree",), f"--dict {args.dictionary}")
     if args.traj is not None:
+        _unread(args, ("x0", "oracle", "oracle_g", "gamma", "matrix_dim", "max_iters", "cap"),
+                "--traj")
         traj = serialize.ingest_external_trajectory(args.traj, eps=args.eps)
     else:
         if args.oracle is None:
             raise ConfigurationError("--oracle is required when --algo is given")
+        route = f"--oracle {args.oracle}"
+        kinds = {_ORACLES[args.oracle]}
+        if args.oracle_g is not None:
+            route += f" --oracle-g {args.oracle_g}"
+            kinds.add(_ORACLES[args.oracle_g])
+        if not kinds & {OracleKind.PROX_L2, OracleKind.PROX_NEGLOGDET}:
+            _unread(args, ("gamma",), route)
+        if OracleKind.PROX_NEGLOGDET not in kinds:
+            _unread(args, ("matrix_dim",), route)
         oracle_f = _make_oracle(args.oracle, args, 1)
         # make_algorithm decides whether the algorithm takes a second oracle
         oracle_g = (None if args.oracle_g is None
@@ -182,14 +213,14 @@ def cmd_run(args) -> int:
         imap = make_algorithm(AlgorithmId(args.algo), oracle_f, oracle_g)
         if args.x0 is None:
             raise ConfigurationError("--x0 is required when --algo is given")
-        cfg = RunConfig(max_iters=args.max_iters, eps=args.eps, overflow_cap=args.cap)
+        cfg = RunConfig(eps=args.eps, **_given(max_iters=args.max_iters, overflow_cap=args.cap))
         traj = iterate(imap, _parse_x0(args.x0), cfg)
     dct = None
     if args.method == "edmd":
         if args.dictionary == "identity":
             dct = Dictionary.identity(traj.dim)
-        elif args.dictionary == "monomials":
-            dct = Dictionary.monomials(traj.dim, args.degree)
+        elif args.dictionary in (None, "monomials"):
+            dct = Dictionary.monomials(traj.dim, 5 if args.degree is None else args.degree)
         else:  # scalar: its lift rejects data of any other dimension
             dct = Dictionary.custom(1, [("log", lambda s: float(np.log(s[0])))])
     settings = DecompositionSettings(method=args.method, dictionary=dct,

@@ -302,13 +302,14 @@ class DecompositionSettings:
         """`spectra` of the one trajectory: its spectrum, or its error raised."""
         return result_or_raise(self.spectra([traj])[0])
 
-    def spectra(self, trajs) -> list:
+    def spectra(self, trajs, eigenvalues_only: bool = False) -> list:
         """Drop each trajectory's transient, pair its snapshots and decompose
         them; a KoopeqError given in place of a trajectory is passed through.
         Returns, per trajectory, its KoopmanSpectrum or the KoopeqError that
         pairing or decomposing it gave. The runs of one states shape, dtype
         and centring are paired and decomposed as one stack, each cell bit
-        for bit as it would be alone."""
+        for bit as it would be alone. With eigenvalues_only, a spectrum comes
+        as its eigenvalues alone (`decompose_stack`'s)."""
         out = list(trajs)
         groups = {}
         for i, traj in enumerate(out):
@@ -322,7 +323,8 @@ class DecompositionSettings:
             except KoopeqError as exc:  # runs too short to pair
                 done = [exc] * len(cells)
             else:
-                done = decompose_stack(X, Y, tag, self.dictionary, self.rank_policy)
+                done = decompose_stack(X, Y, tag, self.dictionary, self.rank_policy,
+                                       eigenvalues_only)
             for i, res in zip(cells, done):
                 out[i] = res
         return out
@@ -347,18 +349,19 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
     `grid` is a pair of 1-D axis arrays; cell (i, j) starts map_b, which must
     act on R^2, at (axis1[i], axis2[j]). The cells of a grid row run through
     one `iterate_many` call, as one block for a columnwise map_b, and
-    decompose through one `DecompositionSettings.spectra` call. The
-    reference's principal set is extracted once. A row's decomposed cells of
-    one eigenvalue count take one `principal_sets` call and one call of the
-    scorer `classify` uses, so each cell scores bit for bit as `classify`
-    scores it: the Wasserstein distance between principal sets, or the
-    larger directed Hausdorff distance when their cardinalities differ
-    (flagged). A grid point whose data has no principal eigenvalues (it sits
-    on a fixed point) scores 0 (flagged): the vacuous limit of its
-    neighbours. Genuine per-cell failures (a decomposition that fails, a
-    distance that overflows) become NaN cells and never abort the sweep. A
-    reference without principal eigenvalues has nothing to compare against
-    and is rejected.
+    decompose through one `DecompositionSettings.spectra` call, to their
+    eigenvalues only: a cell's distance reads nothing else, so its modes and
+    training error are never formed. The reference's principal set is
+    extracted once. A row's decomposed cells of one eigenvalue count take
+    one `principal_sets` call and one call of the scorer `classify` uses, so
+    each cell scores bit for bit as `classify` scores it: the Wasserstein
+    distance between principal sets, or the larger directed Hausdorff
+    distance when their cardinalities differ (flagged). A grid point whose
+    data has no principal eigenvalues (it sits on a fixed point) scores 0
+    (flagged): the vacuous limit of its neighbours. Genuine per-cell
+    failures (a decomposition that fails, a distance that overflows) become
+    NaN cells and never abort the sweep. A reference without principal
+    eigenvalues has nothing to compare against and is rejected.
     """
     axis1 = np.asarray(grid[0], dtype=float)
     axis2 = np.asarray(grid[1], dtype=float)
@@ -379,15 +382,16 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
     for i, a in enumerate(axis1):
         starts = np.column_stack([np.full(axis2.size, a), axis2])
         groups = {}  # eigenvalue count -> the cells, their eigenvalues
-        for j, spec_b in enumerate(settings.spectra(iterate_many(map_b, starts, cfg))):
-            if isinstance(spec_b, (InsufficientDataError, DegenerateDataError)):
+        runs = iterate_many(map_b, starts, cfg)
+        for j, lam in enumerate(settings.spectra(runs, eigenvalues_only=True)):
+            if isinstance(lam, (InsufficientDataError, DegenerateDataError)):
                 flags[i, j] = CELL_FIXED_POINT  # its distance stays 0
-            elif isinstance(spec_b, KoopeqError):
+            elif isinstance(lam, KoopeqError):
                 distances[i, j], flags[i, j] = np.nan, CELL_FAILED
             else:
-                cells, lams = groups.setdefault(spec_b.eigenvalues.size, ([], []))
+                cells, lams = groups.setdefault(lam.size, ([], []))
                 cells.append(j)
-                lams.append(spec_b.eigenvalues)
+                lams.append(lam)
         for cells, lams in groups.values():
             P, size = principal_sets(np.array(lams, dtype=complex), lattice_tol, max_power,
                                      ignore_unit=True)

@@ -232,13 +232,16 @@ def _by_type(lam: np.ndarray, W: np.ndarray):
     yield part, lam[part], W[part]
 
 
-def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag) -> list:
+def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag,
+               eigenvalues_only=False) -> list:
     """Shared DMD/EDMD core over a stack of N cells: PX and PY of shape
     (N, k, m) in the decomposition space, Xstate and Ystate of shape
     (N, dim, m), and the cells' one observable tag. Returns per cell its
     reduced operator's eigentriplets and training error as a KoopmanSpectrum,
     or its KoopeqError. Non-finite data and a LAPACK failure are a
-    NumericFailureError.
+    NumericFailureError. With eigenvalues_only, a cell's result is its
+    spectrum's eigenvalues alone, the modes and training error not formed;
+    the eigenvector solve still runs, so each cell fails as it would in full.
 
     The stack takes one call each to svd, eig, solve and every matmul, one per
     rank and eigenvalue type. NumPy's stacked linalg and matmul calls run
@@ -251,7 +254,7 @@ def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag) -> lis
         if not (np.isfinite(PX).all() and np.isfinite(PY).all()):
             raise np.linalg.LinAlgError("the data holds non-finite values")
         U_full, s_full, Vh_full = np.linalg.svd(PX, full_matrices=False)
-        if method != "dmd":
+        if method != "dmd" and not eigenvalues_only:
             # least-squares recovery of the state from the lifted basis
             B_full = Xstate @ _pinv(U_full, s_full, Vh_full)
         by_rank = {}
@@ -269,12 +272,17 @@ def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag) -> lis
             for part, lam, W in _by_type(lam_all, W_all):
                 sub = cells if part is None else [cells[i] for i in part]
                 U = _take(U_full, sub)[:, :, :r]
-                B = np.eye(Xstate.shape[1]) if method == "dmd" else _take(B_full, sub)
-                modes = B @ (U @ W)
                 coeffs = np.linalg.solve(W, U.conj().swapaxes(-1, -2))
                 order = _canonical_order(lam)
                 at = np.arange(len(sub))[:, None]
-                lam, coeffs = lam[at, order], coeffs[at, order]
+                lam = lam[at, order]
+                if eigenvalues_only:
+                    for i, c in enumerate(sub):
+                        out[c] = lam[i]
+                    continue
+                B = np.eye(Xstate.shape[1]) if method == "dmd" else _take(B_full, sub)
+                modes = B @ (U @ W)
+                coeffs = coeffs[at, order]
                 # column-major per cell, as a single modes[:, order] leaves them
                 modes = modes.swapaxes(1, 2)[at, order].swapaxes(1, 2)
                 Y = _take(Ystate, sub)
@@ -291,7 +299,7 @@ def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag) -> lis
     except np.linalg.LinAlgError as exc:
         if len(PX) > 1:
             return [_decompose(PX[c:c + 1], PY[c:c + 1], Xstate[c:c + 1], Ystate[c:c + 1],
-                               policy, method, dict_tag, obs_tag)[0]
+                               policy, method, dict_tag, obs_tag, eigenvalues_only)[0]
                     for c in range(len(PX))]
         err = NumericFailureError(f"{method} failed: {exc}")
         err.__cause__ = exc
@@ -329,13 +337,16 @@ def _lifted(X: np.ndarray, Y: np.ndarray, dictionary: Dictionary):
 
 def decompose_stack(X: np.ndarray, Y: np.ndarray, tag: str,
                     dictionary: Optional[Dictionary] = None,
-                    rank_policy: RankPolicy = RankPolicy()) -> list:
+                    rank_policy: RankPolicy = RankPolicy(),
+                    eigenvalues_only: bool = False) -> list:
     """Per snapshot pair (X[i], Y[i]) of the stacks X and Y (shape
     (N, dim, m)), all in the observable `tag`: its KoopmanSpectrum, by DMD,
     or by EDMD through `dictionary` when one is given, or its KoopeqError.
     DMD decomposes the pairs as one stack; EDMD lifts each pair on its own,
     then decomposes the lifts as one stack. Each pair gets the bits of its
-    stack of one, which `dmd` and `edmd` decompose. X and Y that are not
+    stack of one, which `dmd` and `edmd` decompose. With eigenvalues_only, a
+    pair's result is its spectrum's eigenvalues, bit for bit, or the same
+    KoopeqError, without the modes and training error. X and Y that are not
     stacks of one shape raise InvalidInputError."""
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     if X.ndim != 3 or X.shape != Y.shape:
@@ -344,7 +355,7 @@ def decompose_stack(X: np.ndarray, Y: np.ndarray, tag: str,
     if X.size == 0:
         return [DegenerateDataError("empty snapshot pair") for _ in range(len(X))]
     if dictionary is None:
-        return _decompose(X, Y, X, Y, rank_policy, "dmd", "identity", tag)
+        return _decompose(X, Y, X, Y, rank_policy, "dmd", "identity", tag, eigenvalues_only)
     out = [None] * len(X)
     PX = np.empty((len(X), dictionary.output_dim, X.shape[2]))
     PY = np.empty_like(PX)
@@ -356,7 +367,7 @@ def decompose_stack(X: np.ndarray, Y: np.ndarray, tag: str,
     cells = [i for i, res in enumerate(out) if res is None]
     if cells:
         done = _decompose(_take(PX, cells), _take(PY, cells), _take(X, cells), _take(Y, cells),
-                          rank_policy, "edmd", dictionary.tag, tag)
+                          rank_policy, "edmd", dictionary.tag, tag, eigenvalues_only)
         for i, res in zip(cells, done):
             out[i] = res
     return out

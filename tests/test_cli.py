@@ -810,3 +810,91 @@ def test_sweep_with_every_cell_failed_exit_103(tmp_path, capsys, monkeypatch):
     assert run_cli("sweep", "--resolution", "2", "--outdir", str(tmp_path)) == 103
     assert_one_error_line(capsys.readouterr().err, "numeric")
     assert not (tmp_path / "fig2_quad_summary.json").exists()
+
+
+def two_column_log(tmp_path):
+    csv = tmp_path / "t.csv"
+    csv.write_text("k,x0,x1\n" + "".join(f"{k},{0.9 ** k!r},{0.5 ** k!r}\n" for k in range(40)))
+    return csv
+
+
+RUN_ALGO6_L2 = ("--algo", "6", "--oracle", "l2", "--oracle-g", "l2", "--x0", "0,0,2")
+
+# (flags, the flag named, its route): each flag is one its route never reads
+ROUTE_FOREIGN = [
+    (("--traj", "{csv}", "--x0", "5"), "--x0", "--traj"),
+    (("--traj", "{csv}", "--oracle", "quad"), "--oracle", "--traj"),
+    (("--traj", "{csv}", "--oracle-g", "l2"), "--oracle-g", "--traj"),
+    (("--traj", "{csv}", "--gamma", "-1"), "--gamma", "--traj"),
+    (("--traj", "{csv}", "--matrix-dim", "0"), "--matrix-dim", "--traj"),
+    (("--traj", "{csv}", "--max-iters", "3"), "--max-iters", "--traj"),
+    (("--traj", "{csv}", "--cap", "-1"), "--cap", "--traj"),
+    (("--traj", "{csv}", "--method", "dmd", "--dict", "log"), "--dict", "--method dmd"),
+    (("--traj", "{csv}", "--dict", "monomials"), "--dict", "--method dmd"),
+    (("--traj", "{csv}", "--degree", "-3"), "--degree", "--method dmd"),
+    (RUN_ALGO4 + ("--degree", "2"), "--degree", "--method dmd"),
+    (("--traj", "{csv}", "--method", "edmd", "--dict", "identity", "--degree", "-3"),
+     "--degree", "--dict identity"),
+    (("--traj", "{csv}", "--method", "edmd", "--dict", "log", "--degree", "2"),
+     "--degree", "--dict log"),
+    # a gradient oracle takes no proximal step, only log-det a matrix side
+    (RUN_ALGO4 + ("--gamma", "-1"), "--gamma", "--oracle quad"),
+    (RUN_ALGO4 + ("--matrix-dim", "3"), "--matrix-dim", "--oracle quad"),
+    (RUN_ALGO6_L2 + ("--matrix-dim", "0"), "--matrix-dim", "--oracle l2 --oracle-g l2"),
+]
+
+
+@pytest.mark.parametrize("config", [False, True], ids=["argv", "config"])
+@pytest.mark.parametrize("argv, flag, route", ROUTE_FOREIGN,
+                         ids=[f"{route}:{flag}" for _, flag, route in ROUTE_FOREIGN])
+def test_run_rejects_a_flag_its_route_never_reads_exit_101(tmp_path, capsys, argv, flag,
+                                                           route, config):
+    csv = two_column_log(tmp_path)
+    argv = [a.format(csv=csv) for a in argv]
+    if config:  # the foreign flag comes from the config file
+        at = argv.index(flag)
+        key = {"--dict": "dictionary"}.get(flag, flag[2:].replace("-", "_"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: argv[at + 1]}))
+        argv = argv[:at] + argv[at + 2:] + ["--config", str(cfg)]
+    out = tmp_path / "s.json"
+    assert run_cli("run", *argv, "--out", str(out)) == 101
+    err = capsys.readouterr().err
+    assert_one_error_line(err, "configuration")
+    assert err.endswith(f" message={flag} does not apply to {route}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--traj", "{csv}", "--x0", "5", "--oracle", "quad", "--max-iters", "3", "--cap", "-1"),
+    ("--traj", "{csv}", "--method", "dmd", "--dict", "log", "--degree", "-3"),
+    ("--traj", "{csv}", "--method", "edmd", "--dict", "identity", "--degree", "-3"),
+    ("--traj", "{csv}", "--gamma", "-1", "--matrix-dim", "0"),
+    RUN_ALGO4 + ("--gamma", "-1", "--matrix-dim", "0"),
+], ids=["traj_algo_flags", "dmd_dict_degree", "identity_degree", "traj_oracle_sizes",
+        "gradient_oracle_sizes"])
+def test_run_with_several_foreign_flags_exits_101_with_one_line(tmp_path, capsys, argv):
+    # each of these wrote a spectrum and exited 0, its foreign flags unread
+    csv = two_column_log(tmp_path)
+    out = tmp_path / "s.json"
+    assert run_cli("run", *[a.format(csv=csv) for a in argv], "--out", str(out)) == 101
+    assert_one_error_line(capsys.readouterr().err, "configuration")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--traj", "{csv}", "--method", "dmd"),  # the benchmark's blackbox argv
+    ("--traj", "{csv}", "--method", "edmd", "--degree", "3"),
+    ("--traj", "{csv}", "--method", "edmd", "--dict", "monomials", "--degree", "3"),
+    ("--traj", "{csv}", "--method", "edmd", "--dict", "identity"),
+    RUN_ALGO4 + ("--max-iters", "50", "--cap", "1e6"),
+    ("--algo", "6", "--oracle", "l2", "--oracle-g", "l2", "--x0", "1,2,3", "--gamma", "0.5"),
+    ("--algo", "6", "--oracle", "logdet", "--oracle-g", "l2", "--matrix-dim", "2",
+     "--gamma", "0.5", "--x0", "1,0,1,0,0,0,1,0,1"),
+], ids=["traj_dmd", "traj_edmd_degree", "traj_monomials_degree", "traj_identity",
+        "algo_run_flags", "l2_gamma", "logdet_gamma_matrix_dim"])
+def test_run_takes_the_flags_its_route_reads(tmp_path, argv):
+    csv = two_column_log(tmp_path)
+    out = tmp_path / "s.json"
+    assert run_cli("run", *[a.format(csv=csv) for a in argv], "--out", str(out)) == 0
+    assert out.exists()

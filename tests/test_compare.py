@@ -618,7 +618,7 @@ def test_sweep_scores_each_cell_as_classify_does(case):
 def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
     map_a, x0_a, map_b, axis1, axis2, cfg, settings = SWEEP_CASES[case]
     calls = {"classify": 0, "principal": 0, "sets": 0, "spectrum": 0, "cells": 0,
-             "many": 0, "groups": 0, "matching": 0}
+             "many": 0, "groups": 0, "matching": 0, "full": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -630,9 +630,11 @@ def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
     spectrum, spectra = DecompositionSettings.spectrum, DecompositionSettings.spectra
     matching = compare.optimal_matching
 
-    def counted_cells(self, trajs):
-        out = spectra(self, trajs)
-        counts = [spec.eigenvalues.size for spec in out if isinstance(spec, KoopmanSpectrum)]
+    def counted_cells(self, trajs, eigenvalues_only=False):
+        out = spectra(self, trajs, eigenvalues_only)
+        counts = [lam.size if eigenvalues_only else lam.eigenvalues.size
+                  for lam in out if not isinstance(lam, KoopeqError)]
+        calls["full"] += not eigenvalues_only
         calls["cells"] += len(counts)
         calls["many"] += sum(n > 2 for n in counts)
         calls["groups"] += len(set(counts))
@@ -647,7 +649,7 @@ def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
         out = spectrum(self, traj)
         calls["spectrum"] += 1
         # `spectrum` runs through `spectra`; the reference is no cell
-        for name in ("cells", "many", "groups"):
+        for name in ("cells", "many", "groups", "full"):
             calls[name] = counts[name]
         return out
 
@@ -661,6 +663,7 @@ def test_sweep_extracts_the_reference_principal_set_once(case, monkeypatch):
     sweep(map_a, x0_a, map_b, (axis1, axis2), cfg=cfg, settings=settings)
     assert calls["classify"] == 0
     assert calls["spectrum"] == 1  # the reference; the cells decompose by rows
+    assert calls["full"] == 0  # to their eigenvalues only
     # the reference's principal set once; the cells' sets by one call per
     # row and eigenvalue count, and the scorer in place of optimal_matching
     assert calls["principal"] == 1
@@ -800,8 +803,10 @@ def sweep_of_spectra(monkeypatch, reference, rows, method):
     spec_a = synthetic_spectrum(reference, method)
     grid_rows = iter(rows)
     monkeypatch.setattr(DecompositionSettings, "spectrum", lambda self, traj: spec_a)
-    monkeypatch.setattr(DecompositionSettings, "spectra", lambda self, trajs: [
-        synthetic_spectrum(lam, method, dtype=None) for lam in next(grid_rows)])
+    # the cells decompose to their eigenvalues only
+    monkeypatch.setattr(
+        DecompositionSettings, "spectra", lambda self, trajs, eigenvalues_only: [
+            synthetic_spectrum(lam, method, dtype=None).eigenvalues for lam in next(grid_rows)])
     imap = custom_map(lambda x: 0.5 * x, dim=2)
     grid = (np.arange(len(rows), dtype=float), np.arange(len(rows[0]), dtype=float))
     return sweep(imap, (1.0, 1.0), imap, grid, cfg=RunConfig(max_iters=2))

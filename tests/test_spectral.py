@@ -730,11 +730,12 @@ def _mixed_cells(m=20, tag="identity"):
     return cells
 
 
-def stacked(snaps, dictionary=None, policy=RankPolicy()):
+def stacked(snaps, dictionary=None, policy=RankPolicy(), eigenvalues_only=False):
     """`decompose_stack` of equal-shaped pairs in one observable."""
     tag, = {snap.observable_tag for snap in snaps}
     return spectral.decompose_stack(np.stack([snap.X for snap in snaps]),
-                                    np.stack([snap.Y for snap in snaps]), tag, dictionary, policy)
+                                    np.stack([snap.Y for snap in snaps]), tag, dictionary, policy,
+                                    eigenvalues_only)
 
 
 def test_stacked_dmd_matches_single_cells_bit_for_bit():
@@ -783,6 +784,30 @@ def test_stacked_edmd_matches_single_cells_bit_for_bit(degree):
     assert len(ranks) > 1
     kinds = {spec.eigenvalues.dtype for spec in got if not isinstance(spec, Exception)}
     assert kinds == {np.dtype(float), np.dtype(complex)}
+
+
+@pytest.mark.filterwarnings("ignore:only .* snapshot pairs")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e308 cell overflows
+@pytest.mark.parametrize("degree", [None, 1, 3])
+@pytest.mark.parametrize("policy", [RankPolicy(), RankPolicy.fixed(1)], ids=["auto", "rank_1"])
+def test_eigenvalues_only_gives_each_cells_eigenvalues_or_its_error(degree, policy, monkeypatch):
+    dct = None if degree is None else Dictionary.monomials(2, degree)
+    cells = _mixed_cells(m=30)
+    cells["on_axis"] = _linear_pair(np.diag([0.8, 0.4]), (0.9, 0.0), 30)
+    snaps = list(cells.values())
+    full = stacked(snaps, dct, policy)
+    # the modes, and EDMD's recovery of the state that they take, are never formed
+    monkeypatch.setattr(spectral, "_pinv", None)
+    got = stacked(snaps, dct, policy, eigenvalues_only=True)
+    assert len(got) == len(full)
+    for name, spec, lam in zip(cells, full, got):
+        if isinstance(spec, Exception):
+            assert type(lam) is type(spec) and str(lam) == str(spec), name
+        else:
+            assert lam.dtype == spec.eigenvalues.dtype, name
+            assert lam.tobytes() == spec.eigenvalues.tobytes(), name
+    if degree is None and policy.rank is None:  # the solve still tells a failed cell
+        assert isinstance(dict(zip(cells, got))["singular_eigenvectors"], NumericFailureError)
 
 
 def test_stacked_cells_of_other_shapes_and_settings():
