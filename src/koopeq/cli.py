@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, serialize
+from . import serialize
 from .compare import DecompositionSettings, classify
 from .corpus import AlgorithmId, make_algorithm
 from .errors import ConfigurationError, KoopeqError, ParseError
@@ -118,7 +118,7 @@ def _build_parser():
     subparsers["sweep"] = sw
 
     rep = sub.add_parser("reproduce", help="run experiment presets")
-    rep.add_argument("figure", choices=list(experiments.PRESET_NAMES) + ["all"])
+    rep.add_argument("figure", help="a preset name, or all")
     rep.add_argument("--outdir", type=str, default=None)
     rep.add_argument("--resolution", type=int, default=None,
                      help="override the sweep grid resolution (fig2)")
@@ -255,6 +255,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import experiments  # the presets and their plots: sweep and reproduce only
     outdir = args.outdir or _default_outdir()
     part = experiments.run_sweep_preset(args.resolution, args.oracle, outdir)
     s = part["summary"]
@@ -264,6 +265,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from . import experiments
     outdir = args.outdir or _default_outdir()
     names = experiments.PRESET_NAMES if args.figure == "all" else (args.figure,)
     for name in names:

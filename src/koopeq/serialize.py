@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .compare import SpectrumComparison
-from .errors import NumericFailureError, ParseError
+from .errors import NumericFailureError, ParseError, count
 from .spectral import KoopmanSpectrum, principal_eigenvalues
 from .trajectory import RunConfig, Trajectory, TrajectoryStatus, _stop
 
@@ -74,12 +74,16 @@ def spectrum_from_dict(d: dict) -> KoopmanSpectrum:
                               dtype=complex)
         else:
             coeffs = np.empty((lam.size, 0), dtype=complex)
-        rank = int(d["rank"])
         err = float(d["reconstruction_error"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed spectrum file: {exc}") from exc
+    rank = count("spectrum file field 'rank'", d["rank"], 1, ParseError)
     if modes.size and modes.shape[1] != lam.size:
         raise ParseError("modes do not match the eigenvalue count")
+    if coeffs.shape[0] != lam.size:
+        raise ParseError("eigfn_coeffs do not hold one row per eigenvalue")
+    if not isinstance(d["dictionary"], str):
+        raise ParseError("spectrum file field 'dictionary' must hold a string")
     for key, values in (("eigenvalues", lam), ("modes", modes),
                         ("eigfn_coeffs", coeffs), ("reconstruction_error", err)):
         if not np.all(np.isfinite(values)):

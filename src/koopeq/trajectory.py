@@ -138,8 +138,8 @@ def _raising():
             for kind, how in np.geterr().items()}
 
 
-# steps a run takes between two screens: it runs at most _CHUNK - 1 steps
-# past its stop, and none of those states reaches a result
+# steps of a run's first chunk; chunk ends then double (see _run), so a run
+# that stops at step s is stepped at most max(_CHUNK, 2 s) times
 _CHUNK = 16
 # relative margin of the screen, far above the rounding of a sum of squares
 # taken in another order; its bounds stay inside [_TINY, 1 / _TINY] (_HUGE
@@ -184,15 +184,6 @@ def _stops(T: np.ndarray, cfg: RunConfig):
                 break
 
 
-def _room(H: np.ndarray, end: int, cfg: RunConfig) -> np.ndarray:
-    """The history buffer H, doubled up to the budget's states when it has
-    no row for state `end`."""
-    if end < len(H):
-        return H
-    more = min(len(H), cfg.max_iters + 1 - len(H))
-    return np.concatenate([H, np.empty((more,) + H.shape[1:])])
-
-
 def _state(xn, shape: tuple) -> np.ndarray:
     """A step's output as a state of the given shape; a 0-d output is the
     state of a one-dimensional map."""
@@ -212,10 +203,10 @@ def iterate(imap: IterativeMap, x0, cfg: RunConfig = RunConfig()) -> Trajectory:
     (DIVERGED; the crossing state is retained since growing modes are data).
     A NaN mid-run raises NumericFailureError carrying the partial trajectory.
 
-    A step may run up to `_CHUNK - 1` times past the stop (`step` must be
-    pure). An exception a step raises there is discarded; one raised before
-    any stop propagates, and a floating-point event before it warns or
-    raises as the caller's settings say.
+    A run that stops at step s is stepped to its chunk's end, at most
+    max(16, 2 s) times (`step` must be pure); an exception a step raises
+    there is discarded. One raised before any stop propagates, and a
+    floating-point event before it warns or raises by the caller's settings.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.ndim != 1:
@@ -258,27 +249,29 @@ def _run(step, X0: np.ndarray, cfg: RunConfig) -> list:
     """The result (`_result`) of the run from each finite start X0[c] (X0 of
     shape (n, dim)), the starts stepped together as the columns of one block.
 
-    The block takes `_CHUNK` steps between screens under `_raising`'s
-    errstate, and `_stops` finds each column's stop among them. A block of
-    one steps its state flat, `step(x)` with `_state`'s shape check; a larger
-    block calls `step` on the (dim, running columns) block. When a step
-    raises, the steps before it are resolved the same way, and the block goes
-    on without the columns they stopped. If they stopped none, a block of one
-    takes a floating-point event's step again under the caller's settings and
-    re-raises any other exception, and a larger block gives None for each
-    column still running. A block of one whose step so taken again raises
-    InvalidInputError ends in _NON_FINITE: an oracle rejected the non-finite
-    value that the step made from a finite state."""
+    The history starts with room for `_CHUNK` steps; each chunk steps the
+    block to its end under `_raising`'s errstate, `_stops` finds each
+    column's stop there, and the full history doubles, up to the budget. A
+    block of one steps its state flat, `step(x)` with `_state`'s shape
+    check; a larger block calls `step` on the (dim, running columns) block.
+    When a step raises, the steps before it are resolved the same way, and
+    the block goes on without the columns they stopped. If they stopped
+    none, a block of one takes a floating-point event's step again under the
+    caller's settings and re-raises any other exception, and a larger block
+    gives None for each column still running. A block of one whose step so
+    taken again raises InvalidInputError ends in _NON_FINITE: an oracle
+    rejected the non-finite value that the step made from a finite state."""
     n, dim = X0.shape
     # H[k, :, c]: state k of start c
-    H = np.empty((min(cfg.max_iters, 63) + 1, dim, n))
+    H = np.empty((min(cfg.max_iters, _CHUNK) + 1, dim, n))
     H[0] = X0.T
     x, shape, raising = X0[0], (dim,), _raising()
     out, run = [None] * n, np.arange(n)
     k = k0 = 0  # states H[:k + 1] taken, those past H[k0] not yet screened
     while k0 < cfg.max_iters:
-        end = min(k0 + _CHUNK, cfg.max_iters)
-        H = _room(H, end, cfg)
+        if k0 == len(H) - 1:  # full: double, up to the budget
+            H = np.concatenate([H, np.empty((min(k0, cfg.max_iters - k0),) + H.shape[1:])])
+        end = len(H) - 1
         # B[j]: state k0 + j of the running columns; H itself while all run
         full = run.size == n
         B = H[k0:end + 1] if full else np.empty((end - k0 + 1, dim, run.size))

@@ -120,18 +120,42 @@ def test_runtime_without_scipy(tmp_path):
     assert (tmp_path / "fig2" / "fig2_negcos_summary.json").exists()
 
 
-@pytest.mark.parametrize("argv,code", [
-    (["--traj", "{big}", "--method", "edmd", "--degree", "2"], 103),
-    (["--algo", "4", "--oracle", "quad", "--x0", "1e308"], 103),
+def test_presets_load_only_for_the_commands_that_run_them(tmp_path):
+    # the presets and their SVG plots are imported by sweep and reproduce
+    # alone; an unknown preset is the presets' own configuration error
+    src = str(Path(koopeq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys\n"
+            "import koopeq.cli\n"
+            "print(sorted(m for m in ('koopeq.experiments', 'koopeq.svgplot') "
+            "if m in sys.modules))\n"
+            "sys.exit(koopeq.cli.main(['reproduce', 'fig9', '--outdir', sys.argv[1]]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.stdout == "[]\n"
+    assert proc.returncode == 101
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: kind=configuration "), proc.stderr
+    assert "unknown preset 'fig9'" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["--traj", "{big}", "--method", "edmd", "--degree", "2"], 103, "kind=numeric"),
+    (["--algo", "4", "--oracle", "quad", "--x0", "1e308"], 103, "kind=numeric"),
     # the step overflows, and its next oracle rejects the non-finite value:
     # a numeric failure of the run, not a bad configuration
-    (["--algo", "1", "--oracle", "negcos", "--x0", "1e308,1e308"], 103),
+    (["--algo", "1", "--oracle", "negcos", "--x0", "1e308,1e308"], 103, "kind=numeric"),
     # the log-det prox of a block near the float limit is not finite, and the
     # l2 prox it feeds rejects it
     (["--algo", "6", "--oracle", "logdet", "--oracle-g", "l2", "--matrix-dim", "3",
-      "--x0", ",".join(["0"] * 12 + ["1e308"] * 6)], 103),
-], ids=["edmd_lift_overflow", "quad_overflow", "negcos_overflow", "logdet_limit"])
-def test_overflow_prints_only_the_error_line(tmp_path, argv, code):
+      "--x0", ",".join(["0"] * 12 + ["1e308"] * 6)], 103, "kind=numeric"),
+    # a relative threshold above 1 drops every singular value
+    (["--algo", "4", "--oracle", "quad", "--x0", "1.0", "--svd-tol", "2"], 103,
+     "every singular value falls below the threshold"),
+], ids=["edmd_lift_overflow", "quad_overflow", "negcos_overflow", "logdet_limit",
+        "svd_tol_above_every_value"])
+def test_overflow_prints_only_the_error_line(tmp_path, argv, code, message):
     # NumPy's RuntimeWarning lines go to stderr apart from pytest's capture,
     # so only a separate process shows them
     big = tmp_path / "big.csv"
@@ -145,6 +169,7 @@ def test_overflow_prints_only_the_error_line(tmp_path, argv, code):
     assert proc.returncode == code
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert message in lines[0]
 
 
 def test_spectrum_round_trip_full_precision(tmp_path):
@@ -198,6 +223,12 @@ def test_compare_schema_violation_exit_102(tmp_path, capsys):
         "modes": [[[1.0, 0.0]]], "principal": [[0.5, 0.0]]})
     assert run_cli("compare", str(bad), str(good)) == 102
     assert "kind=parse" in capsys.readouterr().err
+    array = tmp_path / "array.json"
+    array.write_text("[]")
+    assert run_cli("compare", str(array), str(good)) == 102
+    assert_one_error_line(capsys.readouterr().err, "parse")
+    assert run_cli("compare", str(good), str(good), "--config", str(array)) == 102
+    assert_one_error_line(capsys.readouterr().err, "parse")
 
 
 @pytest.mark.parametrize("key, index, value", [
@@ -230,6 +261,11 @@ def test_usage_error_exit_101(capsys):
     assert run_cli("run") == 101  # neither --algo nor --traj
     assert run_cli("run", "--algo", "4", "--oracle", "quad") == 101  # no x0
     assert run_cli("compare", "/no/such/a.json", "/no/such/b.json") == 101
+    assert run_cli("run", "--algo", "4", "--oracle", "quad", "--x0", "abc") == 101
+    assert run_cli("run", "--algo", "4", "--x0", "1") == 101  # no --oracle
+    assert run_cli("run", "--config", "/no/such/cfg.json") == 101
+    err = capsys.readouterr().err
+    assert err.count("error: kind=configuration ") == err.count("\n") == 6
 
 
 def test_config_file_strict(tmp_path, capsys):
@@ -560,7 +596,17 @@ def test_non_utf8_file_exit_102(tmp_path, capsys, argv):
     lambda d: d.update(eigenvalues=[[0.6]]),
     lambda d: d["modes"][0].__setitem__(0, [1.0, 0.0, 0.0]),
     lambda d: d.update(eigenvalues=[{"re": 0.6, "im": 0.0}, 1]),
-], ids=["rank_overflow", "meta_list", "pair_of_3", "pair_of_1", "mode_pair_of_3", "not_pairs"])
+    lambda d: d.update(rank=2.7),  # int() read it as 2
+    lambda d: d.update(rank=True),
+    lambda d: d.update(rank=-3),
+    lambda d: d.update(rank="2"),
+    lambda d: d.update(eigenvalues=[[0.6, 0.0], [0.5, 0.0]], modes=[[[1.0, 0.0]]] * 2,
+                       eigfn_coeffs=[[[1.0, 0.0]]] * 3),
+    lambda d: d.update(dictionary=5),
+    lambda d: d["modes"].append(d["modes"][0]),
+], ids=["rank_overflow", "meta_list", "pair_of_3", "pair_of_1", "mode_pair_of_3", "not_pairs",
+        "rank_fraction", "rank_bool", "rank_negative", "rank_string", "coeff_rows_3_of_2",
+        "dictionary_number", "modes_2_of_1"])
 def test_malformed_spectrum_exit_102(tmp_path, capsys, edit):
     a = tmp_path / "a.json"
     run_cli("run", *RUN_ALGO4, "--out", str(a))
@@ -707,7 +753,10 @@ def test_run_traj_rejects_bad_eps_exit_101(tmp_path, capsys, eps):
     (("--algo", "6", "--oracle", "l2", "--x0", "0,0,2"), "ALGO6 needs two proximal oracles"),
     (("--traj", "{csv}", "--method", "edmd", "--dict", "log"),
      "dictionary expects dim 1, data has 2"),
-], ids=["second_oracle_unused", "second_oracle_missing", "log_dictionary_of_two_columns"])
+    (("--algo", "6", "--oracle", "l2", "--oracle-g", "logdet", "--x0", "0,0,1"),
+     "oracle_f and oracle_g act on blocks of different size"),
+], ids=["second_oracle_unused", "second_oracle_missing", "log_dictionary_of_two_columns",
+        "prox_blocks_of_different_size"])
 def test_run_leaves_oracle_and_dictionary_checks_to_the_library_exit_101(
         tmp_path, capsys, argv, message):
     csv = tmp_path / "t.csv"

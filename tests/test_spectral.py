@@ -208,27 +208,31 @@ def test_monomial_dictionary_shape():
     assert ident.tag == "identity"
 
 
-@pytest.mark.parametrize("build, field", [
-    (lambda: Dictionary.monomials(2, 2.5), "max_degree"),
-    (lambda: Dictionary.monomials(2, True), "max_degree"),
-    (lambda: Dictionary.monomials(2, 0), "max_degree"),
-    (lambda: Dictionary.monomials(2, None), "max_degree"),
-    (lambda: Dictionary.monomials(0, 2), "dim"),
-    (lambda: Dictionary.monomials(2.0, 2), "dim"),
-    (lambda: Dictionary.identity(0), "dim"),
-    (lambda: Dictionary.identity(True), "dim"),
-    (lambda: Dictionary.custom(0, [("one", lambda s: 1.0)]), "dim"),
-    (lambda: Dictionary.monomials(2, "3"), "max_degree"),
-    (lambda: Dictionary.monomials(2, np.nan), "max_degree"),
-    (lambda: Dictionary.monomials(np.inf, 2), "dim"),
-    (lambda: Dictionary.identity("3"), "dim")],
+MAX_DEGREE, DIM = "max_degree must be a positive integer", "dim must be a positive integer"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Dictionary.monomials(2, 2.5), MAX_DEGREE),
+    (lambda: Dictionary.monomials(2, True), MAX_DEGREE),
+    (lambda: Dictionary.monomials(2, 0), MAX_DEGREE),
+    (lambda: Dictionary.monomials(2, None), MAX_DEGREE),
+    (lambda: Dictionary.monomials(0, 2), DIM),
+    (lambda: Dictionary.monomials(2.0, 2), DIM),
+    (lambda: Dictionary.identity(0), DIM),
+    (lambda: Dictionary.identity(True), DIM),
+    (lambda: Dictionary.custom(0, [("one", lambda s: 1.0)]), DIM),
+    (lambda: Dictionary.monomials(2, "3"), MAX_DEGREE),
+    (lambda: Dictionary.monomials(2, np.nan), MAX_DEGREE),
+    (lambda: Dictionary.monomials(np.inf, 2), DIM),
+    (lambda: Dictionary.identity("3"), DIM),
+    (lambda: Dictionary.custom(1, []), "custom dictionary needs at least one function")],
     ids=["degree_2.5", "degree_True", "degree_0", "degree_None", "dim_0", "dim_2.0",
          "identity_0", "identity_True", "custom_0", "degree_str", "degree_nan", "dim_inf",
-         "identity_str"])
-def test_dictionary_checks_its_sizes_when_built(build, field):
+         "identity_str", "custom_empty"])
+def test_dictionary_checks_its_sizes_when_built(build, message):
     # a fractional degree used to build, then raise TypeError in lift; True
     # gave the tag degree=True; dim 0 built an empty lift
-    with pytest.raises(ConfigurationError, match=f"{field} must be a positive integer"):
+    with pytest.raises(ConfigurationError, match=message):
         build()
 
 

@@ -510,7 +510,8 @@ RATE_CFG = dict(eps=2.0 ** -30, overflow_cap=2.0 ** 14)
 C = trajectory._CHUNK
 
 
-@pytest.mark.parametrize("max_iters", [2, 3, C - 1, C, C + 1, 63, 64, 65, 200])
+@pytest.mark.parametrize("max_iters", [2, 3, C - 1, C, C + 1, 31, 32, 33, 63, 64, 65,
+                                       127, 128, 129, 200])
 def test_chunked_block_matches_iterate(max_iters):
     cfg = RunConfig(max_iters=max_iters, **RATE_CFG)
     imap = _block_map(_rates, 2)
@@ -527,6 +528,58 @@ def test_chunked_block_matches_iterate(max_iters):
         axis = np.linspace(-2.0, 2.0, 9)
         X0 = np.column_stack([np.repeat(axis, 9), np.tile(axis, 9)])
         assert_same_bits_each(iterate_many(imap, X0, cfg), looped_iterate(imap, X0, cfg))
+
+
+def test_a_first_chunk_longer_than_its_history_matches_iterate(monkeypatch):
+    # a first chunk of 256 steps used to outrun a history of 64 rows and
+    # raise IndexError or ValueError; the history now starts with room for
+    # the first chunk
+    monkeypatch.setattr(trajectory, "_CHUNK", 256)
+    for max_iters in (2, 200, 300, 600):
+        cfg = RunConfig(max_iters=max_iters, **RATE_CFG)
+        for imap in (_block_map(_rates, 2), custom_map(_rates, 2)):
+            assert_same_bits_each(iterate_many(imap, RATE_STARTS, cfg),
+                                  looped_iterate(imap, RATE_STARTS, cfg))
+
+
+def _chunk_end(s, max_iters):
+    """The steps a run stopping at step s takes: the first chunk end (C,
+    2 C, 4 C, ...) at or past s, within the budget."""
+    end = C
+    while end < s:
+        end *= 2
+    return min(end, max_iters)
+
+
+@pytest.mark.parametrize("max_iters", [40, 200])
+@pytest.mark.parametrize("block", [True, False], ids=["block", "single"])
+def test_a_converging_run_is_stepped_to_the_chunk_end_past_its_stop(block, max_iters):
+    # halving from 2**j takes a step of 2**(j - s) at step s, so eps = 2**-s
+    # stops the runs from 1, 2 and 4 at steps s, s + 1 and s + 2; the block
+    # steps until the chunk that holds its last stop ends
+    for s in (1, 2, 14, 15, 16, 17, 30, 31, 32, 33, 38, 39, 40, 64, 65, 100, 198):
+        calls = []
+
+        def step(x):
+            calls.append(1)
+            return x / 2
+
+        cfg = RunConfig(max_iters=max_iters, eps=2.0 ** -s)
+        if block:
+            X0 = np.array([[1.0], [2.0], [4.0]])
+            got = iterate_many(_block_map(step, 1), X0, cfg)
+        else:
+            X0 = np.array([[1.0]])
+            got = [iterate(custom_map(step, 1), 1.0, cfg)]
+        stops = [s + j for j in range(len(X0))]
+        last = min(stops[-1], max_iters)
+        assert len(calls) == _chunk_end(last, max_iters) <= max(C, 2 * last)
+        for t, stop in zip(got, stops):
+            if stop <= max_iters:
+                assert t.status is TrajectoryStatus.CONVERGED and len(t) == stop + 1
+            else:
+                assert t.status is TrajectoryStatus.BUDGET_EXHAUSTED
+                assert len(t) == max_iters + 1
 
 
 @pytest.fixture
