@@ -15,6 +15,11 @@ class InvalidInputError(KoopeqError):
     """An argument violates a precondition (non-finite, wrong domain, ...)."""
 
 
+class NonFiniteInputError(InvalidInputError):
+    """An argument holds a NaN or an infinity. An oracle that raises it
+    inside a step from a finite state was handed a value the step made."""
+
+
 class ConfigurationError(KoopeqError):
     """Inconsistent configuration: bad oracle/algorithm pairing, dimension
     mismatch, unknown option."""

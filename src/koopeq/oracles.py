@@ -11,9 +11,10 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .errors import (ConfigurationError, InvalidInputError, NumericFailureError, count,
-                     tolerance)
+from .errors import (ConfigurationError, InvalidInputError, NonFiniteInputError,
+                     NumericFailureError, count, tolerance)
 
 
 class OracleKind(Enum):
@@ -37,7 +38,7 @@ _SCREENED = 16
 
 
 def _check_finite(x, what="input"):
-    """Raise InvalidInputError unless every entry of the float array x is
+    """Raise NonFiniteInputError unless every entry of the float array x is
     finite. A block of at most _SCREENED entries passes with no NumPy call
     when the Python sum of its entries is finite, as it is only when every
     entry is; a sum that is not (a non-finite entry, or finite entries whose
@@ -45,7 +46,7 @@ def _check_finite(x, what="input"):
     if x.size <= _SCREENED and math.isfinite(sum(x.ravel().tolist())):
         return
     if np.count_nonzero(np.isfinite(x)) != x.size:
-        raise InvalidInputError(f"{what} contains non-finite entries")
+        raise NonFiniteInputError(f"{what} contains non-finite entries")
 
 
 def _finite(x):
@@ -53,7 +54,7 @@ def _finite(x):
     since NumPy gives it the same bits and type as its 0-d array."""
     if type(x) is np.float64:
         if not math.isfinite(x):
-            raise InvalidInputError("input contains non-finite entries")
+            raise NonFiniteInputError("input contains non-finite entries")
         return x
     x = np.asarray(x, dtype=float)
     _check_finite(x)
@@ -117,17 +118,28 @@ def prox_neglogdet(V, gamma):
     return R
 
 
+def _eigh_failed(err, flag):
+    # np.linalg.eigh's handler: the gufunc flags a failed solve as invalid
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 def _prox_neglogdet(V, gamma):
     """The log-det prox of a finite, square, exactly symmetric V with finite
     gamma > 0, unchecked and not yet symmetrised: each caller makes V
     symmetric and takes (R + R.T) / 2 in its own shape. eigh failing to
     converge, as on entries near the float limit, is a NumericFailureError.
 
+    V goes straight to the LAPACK gufunc behind np.linalg.eigh, under the
+    errstate eigh sets: for such a V, eigh's checks, type casts and result
+    tuple do nothing but add time to every call.
+
     The eigenvalue map runs on Python floats, NumPy's IEEE operations in its
     order; an eigenvalue whose square overflows maps to inf with no
     floating-point event of its own, and R is then not finite."""
     try:
-        w, Q = np.linalg.eigh(V)
+        with np.errstate(call=_eigh_failed, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            w, Q = _umath_linalg.eigh_lo(V, signature="d->dd")
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"log-det prox failed: {exc}") from None
     g4 = 4.0 * gamma

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .compare import SpectrumComparison
-from .errors import NumericFailureError, ParseError, count
+from .errors import NumericFailureError, ParseError, count, tolerance
 from .spectral import KoopmanSpectrum, principal_eigenvalues
 from .trajectory import RunConfig, Trajectory, TrajectoryStatus, _stop
 
@@ -64,8 +64,11 @@ def spectrum_from_dict(d: dict) -> KoopmanSpectrum:
         raise ParseError(f"spectrum file missing keys: {sorted(missing)}")
     if d["method"] not in ("dmd", "edmd"):
         raise ParseError(f"unknown method {d['method']!r}")
+    if not isinstance(d["principal"], list):
+        raise ParseError("spectrum file field 'principal' must hold a list of [re, im] pairs")
     try:
         lam = np.array([_pair2c(p) for p in d["eigenvalues"]], dtype=complex)
+        principal = np.array([_pair2c(p) for p in d["principal"]], dtype=complex)
         modes = np.array([[_pair2c(p) for p in col] for col in d["modes"]],
                          dtype=complex).T if d["modes"] else np.empty((0, 0), complex)
         coeffs_raw = d.get("eigfn_coeffs")
@@ -84,18 +87,23 @@ def spectrum_from_dict(d: dict) -> KoopmanSpectrum:
         raise ParseError("eigfn_coeffs do not hold one row per eigenvalue")
     if not isinstance(d["dictionary"], str):
         raise ParseError("spectrum file field 'dictionary' must hold a string")
-    for key, values in (("eigenvalues", lam), ("modes", modes),
+    for key, values in (("eigenvalues", lam), ("principal", principal), ("modes", modes),
                         ("eigfn_coeffs", coeffs), ("reconstruction_error", err)):
         if not np.all(np.isfinite(values)):
             raise ParseError(f"spectrum file holds a non-finite value in {key!r}")
+    # float() above reads true as 1.0 and "1" as 1.0
+    tolerance("spectrum file field 'reconstruction_error'", d["reconstruction_error"],
+              ParseError)
     meta = d.get("meta", {})
     if not isinstance(meta, dict):
         raise ParseError("spectrum file field 'meta' must hold a JSON object")
+    centering = meta.get("centering", "identity")
+    if not isinstance(centering, str):
+        raise ParseError("spectrum file field 'meta.centering' must hold a string")
     return KoopmanSpectrum(eigenvalues=lam, modes=modes, eigfn_coeffs=coeffs,
                            method=d["method"], rank=rank,
                            dictionary_tag=d["dictionary"],
-                           reconstruction_error=err,
-                           centering_tag=meta.get("centering", "identity"))
+                           reconstruction_error=err, centering_tag=centering)
 
 
 def write_text(path, text: str) -> bytes:

@@ -11,7 +11,8 @@ import numpy as np
 
 from .corpus import IterativeMap
 from .errors import (ConfigurationError, InsufficientDataError, InvalidInputError,
-                     KoopeqError, NumericFailureError, count, result_or_raise, tolerance)
+                     KoopeqError, NonFiniteInputError, NumericFailureError, count,
+                     result_or_raise, tolerance)
 
 
 class TrajectoryStatus(Enum):
@@ -256,11 +257,13 @@ def _run(step, X0: np.ndarray, cfg: RunConfig) -> list:
     check; a larger block calls `step` on the (dim, running columns) block.
     When a step raises, the steps before it are resolved the same way, and
     the block goes on without the columns they stopped. If they stopped
-    none, a block of one takes a floating-point event's step again under the
-    caller's settings and re-raises any other exception, and a larger block
-    gives None for each column still running. A block of one whose step so
-    taken again raises InvalidInputError ends in _NON_FINITE: an oracle
-    rejected the non-finite value that the step made from a finite state."""
+    none, a larger block gives None for each column still running, and a
+    block of one ends in _NON_FINITE when the step raised
+    NonFiniteInputError: an oracle rejected a non-finite value that the step
+    made from a finite state with no floating-point event (an inf out of
+    LAPACK, say). It takes a floating-point event's step again under the
+    caller's settings, ending in _NON_FINITE too when that raises
+    InvalidInputError, and re-raises any other exception."""
     n, dim = X0.shape
     # H[k, :, c]: state k of start c
     H = np.empty((min(cfg.max_iters, _CHUNK) + 1, dim, n))
@@ -306,6 +309,8 @@ def _run(step, X0: np.ndarray, cfg: RunConfig) -> list:
         if error is not None and not stopped:
             if n > 1:
                 return out
+            if isinstance(error, NonFiniteInputError):
+                return [_result(H[:k + 1, :, 0].copy(), _NON_FINITE)]
             if not isinstance(error, FloatingPointError):
                 raise error
             try:

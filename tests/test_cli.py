@@ -140,6 +140,9 @@ def test_presets_load_only_for_the_commands_that_run_them(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+NON_FINITE_LINE = "error: kind=numeric message=non-finite value produced mid-run"
+
+
 @pytest.mark.parametrize("argv,code,message", [
     (["--traj", "{big}", "--method", "edmd", "--degree", "2"], 103, "kind=numeric"),
     (["--algo", "4", "--oracle", "quad", "--x0", "1e308"], 103, "kind=numeric"),
@@ -147,14 +150,17 @@ def test_presets_load_only_for_the_commands_that_run_them(tmp_path):
     # a numeric failure of the run, not a bad configuration
     (["--algo", "1", "--oracle", "negcos", "--x0", "1e308,1e308"], 103, "kind=numeric"),
     # the log-det prox of a block near the float limit is not finite, and the
-    # l2 prox it feeds rejects it
+    # l2 prox it feeds rejects it: after a floating-point event (3x3), or
+    # with none, LAPACK's eigenvalue being inf (2x2)
     (["--algo", "6", "--oracle", "logdet", "--oracle-g", "l2", "--matrix-dim", "3",
-      "--x0", ",".join(["0"] * 12 + ["1e308"] * 6)], 103, "kind=numeric"),
+      "--x0", ",".join(["0"] * 12 + ["1e308"] * 6)], 103, NON_FINITE_LINE),
+    (["--algo", "6", "--oracle", "logdet", "--oracle-g", "l2", "--matrix-dim", "2",
+      "--x0", ",".join(["0"] * 6 + ["1e308"] * 3)], 103, NON_FINITE_LINE),
     # a relative threshold above 1 drops every singular value
     (["--algo", "4", "--oracle", "quad", "--x0", "1.0", "--svd-tol", "2"], 103,
      "every singular value falls below the threshold"),
 ], ids=["edmd_lift_overflow", "quad_overflow", "negcos_overflow", "logdet_limit",
-        "svd_tol_above_every_value"])
+        "logdet_limit_2x2", "svd_tol_above_every_value"])
 def test_overflow_prints_only_the_error_line(tmp_path, argv, code, message):
     # NumPy's RuntimeWarning lines go to stderr apart from pytest's capture,
     # so only a separate process shows them
@@ -604,9 +610,19 @@ def test_non_utf8_file_exit_102(tmp_path, capsys, argv):
                        eigfn_coeffs=[[[1.0, 0.0]]] * 3),
     lambda d: d.update(dictionary=5),
     lambda d: d["modes"].append(d["modes"][0]),
+    lambda d: d.update(reconstruction_error=True),  # float() read it as 1.0
+    lambda d: d.update(reconstruction_error=-1),
+    lambda d: d.update(reconstruction_error="0.5"),
+    lambda d: d.update(meta={"centering": 5}),
+    lambda d: d.update(principal=5),
+    lambda d: d.update(principal={}),
+    lambda d: d.update(principal=[[0.6]]),
+    lambda d: d.update(principal=[[math.inf, 0.0]]),
 ], ids=["rank_overflow", "meta_list", "pair_of_3", "pair_of_1", "mode_pair_of_3", "not_pairs",
         "rank_fraction", "rank_bool", "rank_negative", "rank_string", "coeff_rows_3_of_2",
-        "dictionary_number", "modes_2_of_1"])
+        "dictionary_number", "modes_2_of_1", "error_bool", "error_negative", "error_string",
+        "centering_number", "principal_number", "principal_object", "principal_pair_of_1",
+        "principal_overflow"])
 def test_malformed_spectrum_exit_102(tmp_path, capsys, edit):
     a = tmp_path / "a.json"
     run_cli("run", *RUN_ALGO4, "--out", str(a))

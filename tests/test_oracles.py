@@ -1,6 +1,8 @@
 """Oracle tests. Derived expectations are checked against brute-force
 grid/scan minimizers of the defining objectives, never against the closed
 forms themselves."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from koopeq import (AlgorithmId, Oracle, OracleKind, grad_negcos, grad_quadratic
                     make_algorithm, prox_l2, prox_neglogdet, sym_flatten, sym_unflatten)
 from koopeq.cli import main
 from koopeq.errors import ConfigurationError, InvalidInputError, NumericFailureError
+from koopeq.oracles import _prox_neglogdet
 from koopeq.trajectory import RunConfig, TrajectoryStatus, iterate
 
 
@@ -445,6 +448,55 @@ def test_oracle_apply_rejects_non_finite_blocks_as_the_reference(kind, block):
     with pytest.raises(InvalidInputError) as got:
         oracle.apply(block)
     assert str(got.value) == str(expected.value) == "input contains non-finite entries"
+
+
+def eigh_prox(V, gamma):
+    """_prox_neglogdet as it read with np.linalg.eigh, the wrapper around the
+    LAPACK gufunc the oracle calls."""
+    try:
+        w, Q = np.linalg.eigh(V)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"log-det prox failed: {exc}") from None
+    g4 = 4.0 * gamma
+    m = np.array([(t + math.sqrt(t * t + g4)) / 2.0 for t in w.tolist()])
+    return (Q * m) @ Q.T
+
+
+def prox_outcome(prox, V, gamma):
+    with np.errstate(all="ignore"):
+        try:
+            return bits(prox(V, gamma)).tobytes()
+        except NumericFailureError as exc:
+            return str(exc)
+
+
+def test_the_log_det_eigensolver_gives_eigh_bits():
+    # the oracle calls eigh's gufunc under eigh's errstate: the same bits on
+    # definite, indefinite, -0.0 and near-limit blocks, and the same failure
+    # where eigh does not converge; a NumPy that changes the gufunc fails here
+    rng = np.random.default_rng(29)
+    blocks = []
+    for n in (1, 2, 3, 4):
+        for shift in (2.0, 0.0, -2.0):
+            A = rng.standard_normal((n, n))
+            V = (A + A.T) / 2 + shift * np.eye(n)
+            zeros = np.triu(rng.random((n, n)) < 0.4)
+            blocks += [V, np.where(zeros | zeros.T, -0.0, V),
+                       V / np.abs(V).max() * BELOW_LIMIT]
+        blocks += [np.diag(([BELOW_LIMIT, -BELOW_LIMIT] * 2)[:n]), np.full((n, n), -0.0)]
+    # what Oracle.apply and the public prox hand it for a block near the limit
+    blocks += [np.full((3, 3), 1e308), np.full((3, 3), np.inf)]
+    outcomes = []
+    for V in blocks:
+        assert V.flags.c_contiguous and (V == V.T).all()
+        for gamma in (0.3, 1.0):
+            got = prox_outcome(_prox_neglogdet, V, gamma)
+            assert got == prox_outcome(eigh_prox, V, gamma)
+            outcomes.append(got)
+    assert "log-det prox failed: Eigenvalues did not converge" in outcomes
+    with pytest.raises(NumericFailureError) as info:
+        prox_neglogdet(np.full((3, 3), 1e308), 1.0)
+    assert str(info.value) == "log-det prox failed: Eigenvalues did not converge"
 
 
 def run_outcome(imap, x0):

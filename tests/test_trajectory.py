@@ -11,7 +11,8 @@ from koopeq import (AlgorithmId, Centering, Oracle, OracleKind, RunConfig,
 from koopeq import serialize, trajectory
 from koopeq.compare import CELL_FAILED, sweep
 from koopeq.errors import (ConfigurationError, InsufficientDataError,
-                           InvalidInputError, KoopeqError, NumericFailureError)
+                           InvalidInputError, KoopeqError, NonFiniteInputError,
+                           NumericFailureError)
 from koopeq.experiments import FIG2_DEFAULTS, FIG2_RANGE, FIG2_X0_A
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
@@ -131,6 +132,12 @@ def stepwise_iterate(imap, x0, cfg):
     for _ in range(cfg.max_iters):
         try:
             xn = np.asarray(imap.step(x), dtype=float)
+        except NonFiniteInputError:
+            # an oracle rejected a non-finite value that the step made from
+            # this finite state
+            partial = Trajectory(np.array(states), TrajectoryStatus.BUDGET_EXHAUSTED)
+            raise NumericFailureError("non-finite value produced mid-run",
+                                      partial=partial) from None
         except InvalidInputError:
             # an oracle rejected a non-finite value: the run's own, when the
             # step meets a floating-point event
@@ -262,6 +269,8 @@ def test_iterate_many_block_step_error_falls_back():
 
 LOGDET_3 = Oracle(OracleKind.PROX_NEGLOGDET, gamma=1.0, domain_dim=3)
 L2_6 = Oracle(OracleKind.PROX_L2, gamma=1.0, domain_dim=6)
+LOGDET_2 = Oracle(OracleKind.PROX_NEGLOGDET, gamma=1.0, domain_dim=2)
+L2_3 = Oracle(OracleKind.PROX_L2, gamma=1.0, domain_dim=3)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -271,8 +280,10 @@ L2_6 = Oracle(OracleKind.PROX_L2, gamma=1.0, domain_dim=6)
     # 2 * 1.6e308 overflows in the second step
     (make_algorithm(AlgorithmId.ALGO1, NEGCOS), (8e307, 0.0), 2),
     # the log-det prox of a block near the float limit is not finite
-    (make_algorithm(AlgorithmId.ALGO6, LOGDET_3, L2_6), (0.0,) * 12 + (1e308,) * 6, 1)],
-    ids=["negcos_at_start", "negcos_mid_run", "logdet_limit"])
+    (make_algorithm(AlgorithmId.ALGO6, LOGDET_3, L2_6), (0.0,) * 12 + (1e308,) * 6, 1),
+    # the same at n = 2, where LAPACK's eigenvalue is inf with no event
+    (make_algorithm(AlgorithmId.ALGO6, LOGDET_2, L2_3), (0.0,) * 6 + (1e308,) * 3, 1)],
+    ids=["negcos_at_start", "negcos_mid_run", "logdet_limit", "logdet_limit_2x2"])
 def test_a_step_that_overflows_ends_the_run_as_a_numeric_failure(imap, x0, states, errstate):
     # the step makes a non-finite value from a finite state and its next
     # oracle rejects it: the run fails numerically, with its states so far
