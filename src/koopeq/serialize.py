@@ -64,14 +64,21 @@ def spectrum_from_dict(d: dict) -> KoopmanSpectrum:
         raise ParseError(f"spectrum file missing keys: {sorted(missing)}")
     if d["method"] not in ("dmd", "edmd"):
         raise ParseError(f"unknown method {d['method']!r}")
-    if not isinstance(d["principal"], list):
-        raise ParseError("spectrum file field 'principal' must hold a list of [re, im] pairs")
+    coeffs_raw = d.get("eigfn_coeffs")
+    # iterated, a string or an object reads as a sequence, and a falsy
+    # `modes` as no modes
+    for key, value, items in (("principal", d["principal"], "[re, im] pairs"),
+                              ("eigenvalues", d["eigenvalues"], "[re, im] pairs"),
+                              ("modes", d["modes"], "columns of [re, im] pairs"),
+                              ("eigfn_coeffs", [] if coeffs_raw is None else coeffs_raw,
+                               "rows of [re, im] pairs, or null")):
+        if not isinstance(value, list):
+            raise ParseError(f"spectrum file field {key!r} must hold a list of {items}")
     try:
         lam = np.array([_pair2c(p) for p in d["eigenvalues"]], dtype=complex)
         principal = np.array([_pair2c(p) for p in d["principal"]], dtype=complex)
         modes = np.array([[_pair2c(p) for p in col] for col in d["modes"]],
                          dtype=complex).T if d["modes"] else np.empty((0, 0), complex)
-        coeffs_raw = d.get("eigfn_coeffs")
         if coeffs_raw is not None:
             coeffs = np.array([[_pair2c(p) for p in row] for row in coeffs_raw],
                               dtype=complex)
@@ -204,52 +211,73 @@ def ingest_external_trajectory(path, eps: float = 1e-12) -> Trajectory:
     test under `eps`, which RunConfig checks, else BUDGET_EXHAUSTED.
     """
     cfg = RunConfig(eps=eps, overflow_cap=math.inf)
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh))
-            body = fh.read()
-    except StopIteration:
-        raise ParseError("empty trajectory file", line=1) from None
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}", line=1) from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"trajectory file is not valid UTF-8: {exc}") from None
-    header = [h.strip() for h in header]
-    if len(header) < 2 or header[0] != "k":
-        raise ParseError("header must be of the form k,x0,x1,...", line=1)
-    expected = ["x" + str(i) for i in range(len(header) - 1)]
-    if header[1:] != expected:
-        raise ParseError(f"state columns must be named {','.join(expected)}", line=1)
-    states = _states_by_loadtxt(body, len(expected))
-    if states is None:
-        states = _states_by_row(body, len(expected))
+    with open(path, "rb") as raw:
+        if not raw.seekable():
+            # a pipe is read whole: the row loop may have to read it again
+            raw = io.BytesIO(raw.read())
+        states = _states_by_loadtxt(raw)
+        if states is None:
+            raw.seek(0)
+            fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+            try:
+                header = _header(fh)
+                body = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"trajectory file is not valid UTF-8: {exc}") from None
+            # the header is checked after the body is decoded: a file that
+            # is not UTF-8 says so, whatever its header holds
+            states = _states_by_row(body, _state_count(header))
     status = TrajectoryStatus.BUDGET_EXHAUSTED
     if _stop(states[-1], states[-2], cfg) is TrajectoryStatus.CONVERGED:
         status = TrajectoryStatus.CONVERGED
     return Trajectory(states=states, status=status)
 
 
-def _states_by_loadtxt(body: str, dim: int) -> Optional[np.ndarray]:
-    """The state block of a trajectory body in one NumPy parse, or None when
-    the row loop has to decide. NumPy reads a subset of what `int()` and
-    `float()` read, to the same values, so every body accepted here is one
-    `_states_by_row` accepts with the same states."""
-    if not body.strip("\r\n"):
-        return None  # loadtxt warns on input without data
-    if not body.isascii():
-        # numpy 2.4.6's structured-dtype parse can crash the interpreter on a
-        # character above U+FFFF; the row loop reads every non-ASCII body
-        return None
+def _header(fh) -> list:
+    """The header row of a trajectory file, read with the csv module."""
     try:
+        return next(csv.reader(fh))
+    except StopIteration:
+        raise ParseError("empty trajectory file", line=1) from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=1) from None
+
+
+def _state_count(header: list) -> int:
+    """The number of state columns a `k,x0,x1,...` header names."""
+    header = [h.strip() for h in header]
+    if len(header) < 2 or header[0] != "k":
+        raise ParseError("header must be of the form k,x0,x1,...", line=1)
+    expected = ["x" + str(i) for i in range(len(header) - 1)]
+    if header[1:] != expected:
+        raise ParseError(f"state columns must be named {','.join(expected)}", line=1)
+    return len(expected)
+
+
+def _states_by_loadtxt(raw) -> Optional[np.ndarray]:
+    """The state block of a trajectory file in one NumPy parse of its text,
+    streamed from the binary file `raw`, or None when the row loop has to
+    decide. NumPy reads a subset of what `int()` and `float()` read, to the
+    same values, so every file accepted here is one `_states_by_row` accepts
+    with the same states."""
+    # numpy 2.4.6's structured-dtype parse can crash the interpreter on a
+    # character above U+FFFF: the ASCII decoder fails the 8 KB chunk holding
+    # any non-ASCII byte before NumPy sees it, and the row loop reads the file
+    fh = io.TextIOWrapper(raw, encoding="ascii", newline="")
+    try:
+        dim = _state_count(_header(fh))
         # a warning is an error here: NumPy releases that still read an
-        # integer through a float ("1.0", "-0.0", "1.9") only warn, then truncate
+        # integer through a float ("1.0", "-0.0", "1.9") only warn, then
+        # truncate; loadtxt also warns on input without data
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # comments=None: the loop rejects a `#` row, loadtxt would skip it
-            table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
                                dtype=[("k", np.int64), ("x", np.float64, (dim,))])
     except Exception:  # any failure is the row loop's to report, with its line
         return None
+    finally:
+        fh.detach()  # leaves `raw` open for the row loop
     states = table["x"]
     if (len(table) < 2 or not np.array_equal(table["k"], np.arange(len(table)))
             or not np.isfinite(states).all()):

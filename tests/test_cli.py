@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -547,6 +549,80 @@ def test_ingest_round_trip_takes_the_fast_path(tmp_path, monkeypatch):
     assert traj.states.flags.c_contiguous
 
 
+def write_log(path, states, bad_row=None):
+    """A trajectory log of `states`; the k cell of `bad_row` gets U+BA58B."""
+    lines = [b"k," + ",".join(f"x{i}" for i in range(states.shape[1])).encode()]
+    for k, row in enumerate(states):
+        cell = f"{k}".encode() + (b"\xf2\xba\x96\x8b\xc2\x94&" if k == bad_row else b"")
+        lines.append(b",".join([cell, *(repr(float(v)).encode() for v in row)]))
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+
+def test_ingest_memory_is_about_twice_the_states(tmp_path):
+    # the log is streamed into the parse: neither it nor its text is held whole
+    states = np.random.default_rng(3).standard_normal((20_000, 3))
+    p = tmp_path / "t.csv"
+    write_log(p, states)
+    tracemalloc.start()
+    try:
+        traj = serialize.ingest_external_trajectory(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(traj.states, states)
+    assert peak < 3 * states.nbytes + 1_000_000
+
+
+def test_ingest_non_ascii_past_the_first_chunk_takes_the_row_loop(tmp_path, monkeypatch):
+    # the ASCII decoder fails the chunk holding the byte, so the parse stops
+    # before any of its lines, and the row loop reports the row
+    seen = []
+    real_loadtxt = np.loadtxt
+
+    def recording_loadtxt(fname, **kwargs):
+        def lines():
+            for line in fname:
+                seen.append(line.isascii())
+                yield line
+        return real_loadtxt(lines(), **kwargs)
+
+    monkeypatch.setattr(serialize.np, "loadtxt", recording_loadtxt)
+    p = tmp_path / "t.csv"
+    write_log(p, np.linspace(1.0, 0.0, 6000)[:, None], bad_row=5000)
+    with pytest.raises(ParseError, match="non-numeric cell in row 5002") as exc:
+        serialize.ingest_external_trajectory(p)
+    assert exc.value.line == 5002
+    assert len(seen) > 1000 and all(seen)
+
+
+def test_ingest_reads_a_fifo_as_its_file(tmp_path, capsys):
+    states = np.random.default_rng(4).standard_normal((3000, 2))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def feed(bad_row=None):
+        log = tmp_path / "log.csv"
+        write_log(log, states, bad_row)
+        writer = threading.Thread(target=fifo.write_bytes, args=(log.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        return log, writer
+
+    log, writer = feed()
+    traj = serialize.ingest_external_trajectory(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    want = serialize.ingest_external_trajectory(log)
+    np.testing.assert_array_equal(traj.states.view(np.uint64), want.states.view(np.uint64))
+    assert traj.status is want.status
+    log, writer = feed(bad_row=7)
+    assert run_cli("run", "--traj", str(fifo), "--out", str(tmp_path / "s.json")) == 102
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    err = capsys.readouterr().err
+    assert err.startswith("error: kind=parse line=9 ") and err.count("\n") == 1
+
+
 def test_main_twice_in_one_process_parses_each_call(tmp_path, capsys):
     # the parser is built once per process; no state may leak between calls
     s = tmp_path / "s.json"
@@ -618,11 +694,20 @@ def test_non_utf8_file_exit_102(tmp_path, capsys, argv):
     lambda d: d.update(principal={}),
     lambda d: d.update(principal=[[0.6]]),
     lambda d: d.update(principal=[[math.inf, 0.0]]),
+    lambda d: d.update(modes=None),  # modes were only iterated, or tested for truth
+    lambda d: d.update(modes=0),
+    lambda d: d.update(modes=False),
+    lambda d: d.update(modes={}),
+    lambda d: d.update(modes=""),
+    lambda d: d.update(eigenvalues={}, modes=[], eigfn_coeffs=None),
+    lambda d: d.update(eigenvalues="", modes=[], eigfn_coeffs=None),
+    lambda d: d.update(eigenvalues=[], modes=[], principal=[], eigfn_coeffs={}),
 ], ids=["rank_overflow", "meta_list", "pair_of_3", "pair_of_1", "mode_pair_of_3", "not_pairs",
         "rank_fraction", "rank_bool", "rank_negative", "rank_string", "coeff_rows_3_of_2",
         "dictionary_number", "modes_2_of_1", "error_bool", "error_negative", "error_string",
         "centering_number", "principal_number", "principal_object", "principal_pair_of_1",
-        "principal_overflow"])
+        "principal_overflow", "modes_null", "modes_zero", "modes_false", "modes_object",
+        "modes_string", "eigenvalues_object", "eigenvalues_string", "coeffs_object"])
 def test_malformed_spectrum_exit_102(tmp_path, capsys, edit):
     a = tmp_path / "a.json"
     run_cli("run", *RUN_ALGO4, "--out", str(a))
