@@ -25,32 +25,43 @@ SPECTRUM_REQUIRED_KEYS = {"method", "dictionary", "rank", "reconstruction_error"
                           "eigenvalues", "modes", "principal"}
 
 
-def _c2pair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _cvec(v) -> list:
-    return [_c2pair(z) for z in np.asarray(v).ravel()]
+    """A complex array as [re, im] pairs, nested one list per axis."""
+    v = np.asarray(v)
+    return np.stack((v.real, v.imag), -1, dtype=float).tolist()
 
 
-def _pair2c(p) -> complex:
-    re, im = p  # TypeError or ValueError unless p is a pair
-    return complex(re, im)
+def _complex(d: dict, key: str, depth: int) -> np.ndarray:
+    """Field `key` of a spectrum dict as a complex array of `depth` axes, read
+    from `depth` nested lists of finite [re, im] number pairs; `[]` is none."""
+    rule = (f"spectrum file field {key!r} must hold a list of "
+            + "equal-length lists of " * (depth - 1) + "finite [re, im] number pairs")
+    try:
+        a = np.array(d[key])
+    except ValueError:  # ragged lists
+        raise ParseError(rule) from None
+    if a.shape == (0,):
+        return np.empty((0,) * depth, complex)
+    if (a.dtype.kind not in "biuf" or a.ndim != depth + 1 or a.shape[-1] != 2
+            or not np.isfinite(a).all()):
+        raise ParseError(rule)
+    return a.astype(float).view(complex)[..., 0]  # complex(re, im)'s bits
 
 
 def spectrum_to_dict(spec: KoopmanSpectrum) -> dict:
     """JSON-ready form of a spectrum. Eigenvalues are [re, im] pairs to avoid
     complex-number format ambiguity; `principal` is the extraction with the
-    module defaults."""
+    module defaults. Absent modes are written `[]` and a coefficient block of
+    width 0 `null`, as `spectrum_from_dict` reads them."""
     return {
         "method": spec.method,
         "dictionary": spec.dictionary_tag,
         "rank": int(spec.rank),
         "reconstruction_error": float(spec.reconstruction_error),
         "eigenvalues": _cvec(spec.eigenvalues),
-        "modes": [_cvec(spec.modes[:, r]) for r in range(spec.eigenvalues.size)],
+        "modes": _cvec(spec.modes.T) if spec.modes.size else [],
         "principal": _cvec(principal_eigenvalues(spec)),
-        "eigfn_coeffs": [_cvec(spec.eigfn_coeffs[r]) for r in range(spec.eigenvalues.size)],
+        "eigfn_coeffs": _cvec(spec.eigfn_coeffs) if spec.eigfn_coeffs.size else None,
         "meta": {"centering": spec.centering_tag},
     }
 
@@ -64,43 +75,23 @@ def spectrum_from_dict(d: dict) -> KoopmanSpectrum:
         raise ParseError(f"spectrum file missing keys: {sorted(missing)}")
     if d["method"] not in ("dmd", "edmd"):
         raise ParseError(f"unknown method {d['method']!r}")
-    coeffs_raw = d.get("eigfn_coeffs")
-    # iterated, a string or an object reads as a sequence, and a falsy
-    # `modes` as no modes
-    for key, value, items in (("principal", d["principal"], "[re, im] pairs"),
-                              ("eigenvalues", d["eigenvalues"], "[re, im] pairs"),
-                              ("modes", d["modes"], "columns of [re, im] pairs"),
-                              ("eigfn_coeffs", [] if coeffs_raw is None else coeffs_raw,
-                               "rows of [re, im] pairs, or null")):
-        if not isinstance(value, list):
-            raise ParseError(f"spectrum file field {key!r} must hold a list of {items}")
-    try:
-        lam = np.array([_pair2c(p) for p in d["eigenvalues"]], dtype=complex)
-        principal = np.array([_pair2c(p) for p in d["principal"]], dtype=complex)
-        modes = np.array([[_pair2c(p) for p in col] for col in d["modes"]],
-                         dtype=complex).T if d["modes"] else np.empty((0, 0), complex)
-        if coeffs_raw is not None:
-            coeffs = np.array([[_pair2c(p) for p in row] for row in coeffs_raw],
-                              dtype=complex)
-        else:
-            coeffs = np.empty((lam.size, 0), dtype=complex)
-        err = float(d["reconstruction_error"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed spectrum file: {exc}") from exc
+    lam = _complex(d, "eigenvalues", 1)
+    _complex(d, "principal", 1)  # checked but not read: compare extracts its own
+    modes = _complex(d, "modes", 2).T
+    coeffs = (np.empty((lam.size, 0), complex) if d.get("eigfn_coeffs") is None
+              else _complex(d, "eigfn_coeffs", 2))
+    if modes.shape[1] not in (0, lam.size) or coeffs.shape[0] != lam.size:
+        raise ParseError("modes and eigfn_coeffs must hold one column and one row "
+                         "per eigenvalue, or none")
     rank = count("spectrum file field 'rank'", d["rank"], 1, ParseError)
-    if modes.size and modes.shape[1] != lam.size:
-        raise ParseError("modes do not match the eigenvalue count")
-    if coeffs.shape[0] != lam.size:
-        raise ParseError("eigfn_coeffs do not hold one row per eigenvalue")
     if not isinstance(d["dictionary"], str):
         raise ParseError("spectrum file field 'dictionary' must hold a string")
-    for key, values in (("eigenvalues", lam), ("principal", principal), ("modes", modes),
-                        ("eigfn_coeffs", coeffs), ("reconstruction_error", err)):
-        if not np.all(np.isfinite(values)):
-            raise ParseError(f"spectrum file holds a non-finite value in {key!r}")
-    # float() above reads true as 1.0 and "1" as 1.0
     tolerance("spectrum file field 'reconstruction_error'", d["reconstruction_error"],
               ParseError)
+    try:
+        err = float(d["reconstruction_error"])
+    except OverflowError:  # an integer past float range
+        raise ParseError("spectrum file field 'reconstruction_error' overflows") from None
     meta = d.get("meta", {})
     if not isinstance(meta, dict):
         raise ParseError("spectrum file field 'meta' must hold a JSON object")

@@ -1,4 +1,5 @@
 """Command-line interface: commands, exit-status contract, file schemas."""
+import dataclasses
 import functools
 import json
 import math
@@ -14,16 +15,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import koopeq
 from koopeq import cli, serialize
 from koopeq.cli import main
+from koopeq.compare import DecompositionSettings
 from koopeq.corpus import AlgorithmId, make_algorithm
 from koopeq.errors import (CardinalityMismatchError, ConfigurationError, DegenerateDataError,
                            InsufficientDataError, InvalidObservableError, KoopeqError,
                            NumericFailureError, ParseError)
 from koopeq.oracles import Oracle, OracleKind
-from koopeq.trajectory import RunConfig, TrajectoryStatus, iterate
+from koopeq.spectral import Dictionary
+from koopeq.trajectory import Centering, RunConfig, Trajectory, TrajectoryStatus, iterate
 
 
 def run_cli(*args):
@@ -188,6 +192,100 @@ def test_spectrum_round_trip_full_precision(tmp_path):
     spec = serialize.spectrum_from_dict(d)
     d2 = serialize.spectrum_to_dict(spec)
     assert d == d2  # shortest round-trip floats survive a parse/serialize loop
+
+
+@st.composite
+def decomposed_spectra(draw):
+    """DMD or EDMD spectra of a seeded linear map's states: real-typed when
+    every eigenvalue is real, complex otherwise, with -0.0 entries on demand."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 3))
+    A = np.diag(rng.uniform(-0.95, 0.95, dim))
+    if dim > 1 and draw(st.booleans()):  # a rotation block: a complex pair
+        r, t = rng.uniform(0.3, 0.95), rng.uniform(0.2, 3.0)
+        A[:2, :2] = r * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    states = [rng.uniform(-1.0, 1.0, dim)]
+    for _ in range(30):
+        states.append(A @ states[-1])
+    traj = Trajectory(states=np.array(states), status=TrajectoryStatus.BUDGET_EXHAUSTED)
+    method = draw(st.sampled_from(["dmd", "edmd"]))
+    dct = Dictionary.monomials(dim, 2) if method == "edmd" else None
+    spec = DecompositionSettings(method=method, dictionary=dct,
+                                 centering=Centering.NONE).spectrum(traj)
+    if draw(st.booleans()):
+        arrays = {}
+        for name in ("eigenvalues", "modes", "eigfn_coeffs"):
+            a = getattr(spec, name).copy()
+            for part in (a.real, a.imag) if np.iscomplexobj(a) else (a,):
+                part[rng.random(part.shape) < 0.3] = -0.0
+            arrays[name] = a
+        spec = dataclasses.replace(spec, **arrays)
+    return spec
+
+
+PAIRS = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(list), max_size=4)
+
+
+@st.composite
+def bare_spectrum_dicts(draw):
+    """Reader-accepted spectrum dicts without modes or coefficients."""
+    d = {"method": draw(st.sampled_from(["dmd", "edmd"])), "dictionary": "identity",
+         "rank": draw(st.integers(1, 4)), "reconstruction_error": draw(st.floats(0.0, 1.0)),
+         "eigenvalues": draw(PAIRS), "modes": [], "principal": draw(PAIRS)}
+    if draw(st.booleans()):
+        d["eigfn_coeffs"] = None
+    return d
+
+
+def assert_same_spectrum(a, b):
+    for name in ("eigenvalues", "modes", "eigfn_coeffs", "reconstruction_error"):
+        x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+        assert x.shape == y.shape
+        assert np.array_equal(np.ascontiguousarray(x, complex).view(np.uint64),
+                              np.ascontiguousarray(y, complex).view(np.uint64))
+    assert (a.method, a.rank, a.dictionary_tag, a.centering_tag) == \
+        (b.method, b.rank, b.dictionary_tag, b.centering_tag)
+
+
+def through_json(spec):
+    return serialize.spectrum_from_dict(json.loads(json.dumps(serialize.spectrum_to_dict(spec))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(decomposed_spectra())
+def test_spectrum_json_round_trip_is_bitwise(spec):
+    assert_same_spectrum(spec, through_json(spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bare_spectrum_dicts())
+def test_bare_spectrum_json_round_trip_is_bitwise(d):
+    spec = serialize.spectrum_from_dict(d)
+    assert spec.modes.shape == (0, 0) and spec.eigfn_coeffs.shape == (spec.eigenvalues.size, 0)
+    assert_same_spectrum(spec, through_json(spec))
+
+
+def reference_spectrum_dict(spec):
+    """The writer's former per-pair form: one [re, im] pair per entry, modes
+    column by column and coefficients row by row."""
+    def vec(v):
+        return [[float(np.real(z)), float(np.imag(z))] for z in np.asarray(v).ravel()]
+    n = spec.eigenvalues.size
+    return {"method": spec.method, "dictionary": spec.dictionary_tag, "rank": int(spec.rank),
+            "reconstruction_error": float(spec.reconstruction_error),
+            "eigenvalues": vec(spec.eigenvalues),
+            "modes": [vec(spec.modes[:, r]) for r in range(n)],
+            "principal": vec(koopeq.principal_eigenvalues(spec)),
+            "eigfn_coeffs": [vec(spec.eigfn_coeffs[r]) for r in range(n)],
+            "meta": {"centering": spec.centering_tag}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(decomposed_spectra())
+def test_spectrum_writer_bytes_match_the_per_pair_form(spec):
+    def dumps(d):
+        return json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
+    assert dumps(serialize.spectrum_to_dict(spec)) == dumps(reference_spectrum_dict(spec))
 
 
 def test_compare_self_is_conjugate(tmp_path):
@@ -702,12 +800,22 @@ def test_non_utf8_file_exit_102(tmp_path, capsys, argv):
     lambda d: d.update(eigenvalues={}, modes=[], eigfn_coeffs=None),
     lambda d: d.update(eigenvalues="", modes=[], eigfn_coeffs=None),
     lambda d: d.update(eigenvalues=[], modes=[], principal=[], eigfn_coeffs={}),
+    lambda d: d.update(modes=[[]]),  # read as no modes: a (0, 1) array
+    lambda d: d.update(modes=[{}]),
+    lambda d: d.update(eigfn_coeffs=[[]]),  # read as one row of width 0
+    lambda d: d.update(eigenvalues=[[0.6, 0.0], [0.5, 0.0]],
+                       modes=[[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], eigfn_coeffs=None),
+    lambda d: d.update(eigenvalues=[["0.6", "0.0"]]),
+    lambda d: d.update(eigenvalues=[[2 ** 64, 0]]),  # complex() read it; NumPy holds an object
+    lambda d: d.update(reconstruction_error=10 ** 400),  # float() overflows
 ], ids=["rank_overflow", "meta_list", "pair_of_3", "pair_of_1", "mode_pair_of_3", "not_pairs",
         "rank_fraction", "rank_bool", "rank_negative", "rank_string", "coeff_rows_3_of_2",
         "dictionary_number", "modes_2_of_1", "error_bool", "error_negative", "error_string",
         "centering_number", "principal_number", "principal_object", "principal_pair_of_1",
         "principal_overflow", "modes_null", "modes_zero", "modes_false", "modes_object",
-        "modes_string", "eigenvalues_object", "eigenvalues_string", "coeffs_object"])
+        "modes_string", "eigenvalues_object", "eigenvalues_string", "coeffs_object",
+        "modes_empty_column", "modes_object_column", "coeffs_empty_row", "modes_ragged",
+        "pair_of_strings", "pair_past_int64", "error_past_float"])
 def test_malformed_spectrum_exit_102(tmp_path, capsys, edit):
     a = tmp_path / "a.json"
     run_cli("run", *RUN_ALGO4, "--out", str(a))
@@ -718,6 +826,16 @@ def test_malformed_spectrum_exit_102(tmp_path, capsys, edit):
     capsys.readouterr()
     assert run_cli("compare", str(a), str(bad), "--out", str(tmp_path / "c.json")) == 102
     assert_one_error_line(capsys.readouterr().err, "parse")
+
+
+def test_spectrum_without_modes_or_coeffs_compares(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    run_cli("run", *RUN_ALGO4, "--out", str(a))
+    d = json.loads(a.read_text())
+    d.update(modes=[], eigfn_coeffs=None)
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(d))
+    assert run_cli("compare", str(a), str(b), "--out", str(tmp_path / "c.json")) == 0
 
 
 @pytest.mark.parametrize("eigenvalues, against", [
