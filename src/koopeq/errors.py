@@ -82,20 +82,32 @@ def result_or_raise(result):
     return result
 
 
+def _shown(value) -> str:
+    """repr(value), or a stand-in for an integer too long for Python to print."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"<{type(value).__name__} too long to print>"
+
+
 def count(name, value, least, error):
     """`value` as a Python int; raises `error` unless it is a Python or NumPy
     integer, not a bool, of at least `least`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         rule = {0: "a non-negative integer", 1: "a positive integer"}.get(
             least, f"an integer of at least {least}")
-        raise error(f"{name} must be {rule}, got {value!r}")
+        raise error(f"{name} must be {rule}, got {_shown(value)}")
     return int(value)
 
 
 def tolerance(name, value, error, positive=False):
-    """Raise `error` unless `value` is a finite real number, not a bool, that
-    is > 0 when `positive` and >= 0 otherwise."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (0 < value < math.inf if positive else 0 <= value < math.inf)):
+    """Raise `error` unless `value` is a real number, not a bool, that is
+    finite as a float and is > 0 when `positive` and >= 0 otherwise."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value) and (value > 0 if positive else value >= 0))
+    except OverflowError:  # an integer past float range
+        ok = False
+    if not ok:
         rule = "positive" if positive else "non-negative"
-        raise error(f"{name} must be finite and {rule}, got {value!r}")
+        raise error(f"{name} must be finite and {rule}, got {_shown(value)}")

@@ -12,14 +12,16 @@ import json
 import math
 import os
 import warnings
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .compare import SpectrumComparison
 from .errors import NumericFailureError, ParseError, count, tolerance
 from .spectral import KoopmanSpectrum, principal_eigenvalues
 from .trajectory import RunConfig, Trajectory, TrajectoryStatus, _stop
+
+if TYPE_CHECKING:
+    from .compare import SpectrumComparison
 
 SPECTRUM_REQUIRED_KEYS = {"method", "dictionary", "rank", "reconstruction_error",
                           "eigenvalues", "modes", "principal"}
@@ -88,10 +90,7 @@ def spectrum_from_dict(d: dict) -> KoopmanSpectrum:
         raise ParseError("spectrum file field 'dictionary' must hold a string")
     tolerance("spectrum file field 'reconstruction_error'", d["reconstruction_error"],
               ParseError)
-    try:
-        err = float(d["reconstruction_error"])
-    except OverflowError:  # an integer past float range
-        raise ParseError("spectrum file field 'reconstruction_error' overflows") from None
+    err = float(d["reconstruction_error"])
     meta = d.get("meta", {})
     if not isinstance(meta, dict):
         raise ParseError("spectrum file field 'meta' must hold a JSON object")

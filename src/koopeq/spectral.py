@@ -1,9 +1,10 @@
 """Finite Koopman mode decompositions from snapshot data.
 
-`dmd` fits a linear operator to the raw snapshots; `edmd` first lifts them
-through a dictionary of observables. Both return a KoopmanSpectrum holding
-triplets (eigenvalue, mode, eigenfunction coefficients) such that the state
-at step k is approximated by
+`decompose_stack`, which a trajectory reaches through
+`DecompositionSettings.spectrum`, fits a linear operator to each snapshot
+pair (DMD) or to its lift through a dictionary of observables (EDMD). Each
+result is a KoopmanSpectrum holding triplets (eigenvalue, mode, eigenfunction
+coefficients) such that the state at step k is approximated by
 
     sum_r  lambda_r**k * (coeffs_r . psi(x_0)) * mode_r
 
@@ -344,10 +345,10 @@ def decompose_stack(X: np.ndarray, Y: np.ndarray, tag: str,
     or by EDMD through `dictionary` when one is given, or its KoopeqError.
     DMD decomposes the pairs as one stack; EDMD lifts each pair on its own,
     then decomposes the lifts as one stack. Each pair gets the bits of its
-    stack of one, which `dmd` and `edmd` decompose. With eigenvalues_only, a
-    pair's result is its spectrum's eigenvalues, bit for bit, or the same
-    KoopeqError, without the modes and training error. X and Y that are not
-    stacks of one shape raise InvalidInputError."""
+    stack of one. With eigenvalues_only, a pair's result is its spectrum's
+    eigenvalues, bit for bit, or the same KoopeqError, without the modes and
+    training error. X and Y that are not stacks of one shape raise
+    InvalidInputError."""
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     if X.ndim != 3 or X.shape != Y.shape:
         raise InvalidInputError("a snapshot pair's X and Y must be 2-D and of one shape, "
@@ -374,20 +375,16 @@ def decompose_stack(X: np.ndarray, Y: np.ndarray, tag: str,
 
 
 def dmd(snap: SnapshotPair, rank_policy: RankPolicy = RankPolicy()) -> KoopmanSpectrum:
-    """Dynamic mode decomposition of the snapshot pair.
-
-    SVD-truncates X per rank_policy, eigendecomposes the reduced operator and
-    lifts eigenvectors back to state-space modes.
-    """
+    """The benchmark's stack-of-one DMD alias of `DecompositionSettings.spectrum`,
+    its error raised; it goes with ROADMAP item 9."""
     X, Y = np.asarray(snap.X)[None], np.asarray(snap.Y)[None]
     return result_or_raise(decompose_stack(X, Y, snap.observable_tag, None, rank_policy)[0])
 
 
 def edmd(snap: SnapshotPair, dictionary: Dictionary,
          rank_policy: RankPolicy = RankPolicy()) -> KoopmanSpectrum:
-    """Extended DMD: lift the snapshots through `dictionary`, fit the
-    least-squares Koopman matrix in the lifted space, and recover state-space
-    modes by projecting the identity observable onto the eigenvectors."""
+    """The benchmark's stack-of-one EDMD alias of `DecompositionSettings.spectrum`,
+    its error raised; it goes with ROADMAP item 9."""
     if dictionary is None:
         raise InvalidInputError("edmd needs a dictionary")
     X, Y = np.asarray(snap.X)[None], np.asarray(snap.Y)[None]
@@ -481,16 +478,3 @@ def principal_eigenvalues(spectrum, lattice_tol: float = 1e-6, max_power: int = 
     lam = np.asarray(getattr(spectrum, "eigenvalues", spectrum), dtype=complex).ravel()
     P, size = principal_sets(lam[None], lattice_tol, max_power, ignore_unit)
     return P[0, :size[0]]
-
-
-def reconstruct(spectrum: KoopmanSpectrum, x0_lifted, k: int) -> np.ndarray:
-    """Predict the (possibly lifted) initial condition k steps ahead:
-    sum_r lambda_r**k * phi_r(x0) * mode_r."""
-    x0 = np.asarray(x0_lifted)
-    if x0.size != spectrum.eigfn_coeffs.shape[1]:
-        raise InvalidInputError(
-            f"x0_lifted has length {x0.size}, decomposition space is "
-            f"{spectrum.eigfn_coeffs.shape[1]}")
-    count("k", k, 0, InvalidInputError)
-    amps = spectrum.eigfn_coeffs @ x0
-    return (spectrum.modes * spectrum.eigenvalues ** k) @ amps

@@ -73,7 +73,8 @@ def _first_kept(length: int, k: int) -> int:
 @dataclass
 class SnapshotPair:
     """Column-paired data matrices: column j of Y is the one-step image of
-    column j of X under the map, in the identity observable."""
+    column j of X under the map. Only `snapshots`, `multi_snapshots`, `dmd`
+    and `edmd` pass it; it goes with them (ROADMAP item 9)."""
 
     X: np.ndarray  # shape (dim, m)
     Y: np.ndarray
@@ -350,29 +351,26 @@ def snapshot_stack(states: np.ndarray, centre: bool, discard: int = 0):
 
 
 def snapshots(traj: Trajectory, centering: Optional[Centering] = None) -> SnapshotPair:
-    """Pair consecutive states into (X, Y) columns: `snapshot_stack` of the
-    one run.
-
-    FIXED_POINT subtracts the final state from every column; centering=None
-    does so for a converged run and leaves any other run uncentred.
-    """
+    """The benchmark's stack-of-one alias of `snapshot_stack`, the pairing
+    behind `DecompositionSettings.spectrum`; it goes with ROADMAP item 9."""
     X, Y, tag = snapshot_stack(traj.states[None], centred(traj, centering))
     return SnapshotPair(X=X[0], Y=Y[0], observable_tag=tag)
 
 
 def multi_snapshots(trajs, centering: Optional[Centering] = None) -> SnapshotPair:
-    """Column-concatenate per-trajectory snapshot pairs.
-
-    Pairing never crosses trajectory boundaries; `snapshots` centres each
-    trajectory on its own final state.
-    """
+    """The benchmark's pool of `snapshots` of each run, column-concatenated;
+    it goes with ROADMAP item 9. Runs of mixed dimensions, or of which some
+    are centred and some not, raise ConfigurationError."""
     trajs = list(trajs)
     if not trajs:
         raise InsufficientDataError("no trajectories given")
     dims = {t.dim for t in trajs}
     if len(dims) != 1:
         raise ConfigurationError(f"trajectories have mixed dimensions {sorted(dims)}")
-    parts = [snapshots(t, centering) for t in trajs]
-    return SnapshotPair(X=np.hstack([p.X for p in parts]),
-                        Y=np.hstack([p.Y for p in parts]),
-                        observable_tag=parts[0].observable_tag)
+    centre = {centred(t, centering) for t in trajs}
+    if len(centre) != 1:
+        raise ConfigurationError("trajectories mix centred and uncentred runs; "
+                                 "give a centering")
+    X, Y, tag = zip(*(snapshot_stack(t.states[None], *centre) for t in trajs))
+    return SnapshotPair(X=np.concatenate(X, 2)[0], Y=np.concatenate(Y, 2)[0],
+                        observable_tag=tag[0])

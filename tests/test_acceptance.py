@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from koopeq import (AlgorithmId, Centering, Dictionary,
+from koopeq import (AlgorithmId, Centering, DecompositionSettings, Dictionary,
                     Oracle, OracleKind, RankPolicy, RunConfig, Verdict,
-                    classify, conjugacy_map, custom_map, dmd, edmd, iterate,
-                    make_algorithm, principal_eigenvalues, snapshots, sweep,
+                    classify, conjugacy_map, custom_map, iterate,
+                    make_algorithm, principal_eigenvalues, sweep,
                     sym_flatten, verify_commutation, wasserstein_distance)
 from koopeq.experiments import FIG2_DEFAULTS, FIG2_X0_A, largest_component, run_all
 
@@ -26,7 +26,7 @@ def spectrum(algo_id, oracle, x0, iters, centering=Centering.NONE, **kw):
     imap = make_algorithm(algo_id, oracle) if not isinstance(oracle, tuple) else \
         make_algorithm(algo_id, *oracle)
     traj = iterate(imap, x0, RunConfig(max_iters=iters))
-    return dmd(snapshots(traj, centering), **kw)
+    return DecompositionSettings(centering=centering, **kw).spectrum(traj)
 
 
 def report(n, label, t0, budget):
@@ -105,7 +105,8 @@ def test_criterion_5_nonlinear_conjugacy():
     dmd_value = s4.eigenvalues[np.argmax(np.abs(s4.eigenvalues))].real
     imap5 = make_algorithm(AlgorithmId.ALGO5, QUAD)
     traj5 = iterate(imap5, (np.e,), RunConfig(max_iters=60))
-    s5 = edmd(snapshots(traj5, Centering.NONE), Dictionary.monomials(1, 5))
+    s5 = DecompositionSettings(method="edmd", dictionary=Dictionary.monomials(1, 5),
+                               centering=Centering.NONE).spectrum(traj5)
     nonunit = s5.eigenvalues[np.abs(s5.eigenvalues - 1.0) > 5e-2]
     dominant = nonunit[np.argmax(np.abs(nonunit))]
     assert abs(dominant - dmd_value) < 5e-3
@@ -132,8 +133,10 @@ def test_criterion_6_shift_equivalence():
         traj6 = iterate(T, x0, cfg)
         traj7 = iterate(S, cmap.h(x0, T.step(x0)), cfg)
         policy = RankPolicy.fixed(2)
-        s6 = dmd(snapshots(traj6.discard_prefix(discard[0]), Centering.FIXED_POINT), policy)
-        s7 = dmd(snapshots(traj7.discard_prefix(discard[1]), Centering.FIXED_POINT), policy)
+        s6 = DecompositionSettings(rank_policy=policy, centering=Centering.FIXED_POINT,
+                                   discard=discard[0]).spectrum(traj6)
+        s7 = DecompositionSettings(rank_policy=policy, centering=Centering.FIXED_POINT,
+                                   discard=discard[1]).spectrum(traj7)
         cmp = classify(s6, s7)
         assert cmp.verdict is Verdict.CONJUGATE, f"{label}: {cmp.verdict}"
     report(6, "shift equivalence", t0, 5.0)
@@ -149,15 +152,16 @@ def test_criterion_7_decomposition_oracle():
         M *= 0.9 / max(abs(np.linalg.eigvals(M)))
         imap = custom_map(lambda x, M=M: M @ x, dim=d)
         traj = iterate(imap, rng.standard_normal(d), RunConfig(max_iters=3 * d + 12))
-        spec = dmd(snapshots(traj, Centering.NONE))
+        spec = DecompositionSettings(centering=Centering.NONE).spectrum(traj)
         err = np.max(np.abs(np.sort_complex(spec.eigenvalues)
                             - np.sort_complex(np.linalg.eigvals(M))))
         worst = max(worst, float(err))
     assert worst < 1e-8
     pow06 = custom_map(lambda x: x ** 0.6, dim=1)
     traj = iterate(pow06, np.e, RunConfig(max_iters=40))
-    spec = edmd(snapshots(traj, Centering.NONE),
-                Dictionary.custom(1, [("log", lambda s: float(np.log(s[0])))]))
+    spec = DecompositionSettings(
+        method="edmd", dictionary=Dictionary.custom(1, [("log", lambda s: float(np.log(s[0])))]),
+        centering=Centering.NONE).spectrum(traj)
     assert abs(spec.eigenvalues[0] - 0.6) < 1e-10
     report(7, "decomposition oracle", t0, 30.0)
 
@@ -169,7 +173,8 @@ def test_criterion_8_principal_extraction():
         rate = float(rng.uniform(0.1, 0.95))
         imap = custom_map(lambda x, r=rate: r * x, dim=1)
         traj = iterate(imap, 1.0, RunConfig(max_iters=30))
-        spec = edmd(snapshots(traj, Centering.NONE), Dictionary.monomials(1, 3))
+        spec = DecompositionSettings(method="edmd", dictionary=Dictionary.monomials(1, 3),
+                                     centering=Centering.NONE).spectrum(traj)
         principal = principal_eigenvalues(spec, ignore_unit=True)
         assert principal.size == 1, f"rate {rate}: got {principal}"
         assert abs(principal[0] - rate) < 1e-6

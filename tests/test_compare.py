@@ -8,18 +8,19 @@ import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 from koopeq import (AlgorithmId, Centering, DecompositionSettings, Oracle,
-                    OracleKind, RunConfig, SnapshotPair, Trajectory, TrajectoryStatus,
+                    OracleKind, RunConfig, Trajectory, TrajectoryStatus,
                     Verdict, classify,
-                    conjugacy_map, custom_map, directed_hausdorff, dmd, iterate,
-                    make_algorithm, snapshots, sweep, wasserstein_distance)
+                    conjugacy_map, custom_map, directed_hausdorff, iterate,
+                    make_algorithm, sweep, wasserstein_distance)
 from koopeq import compare, spectral
 from koopeq.compare import CELL_FAILED, CELL_FIXED_POINT, CELL_HAUSDORFF, CELL_OK
 from koopeq.errors import (CardinalityMismatchError, DegenerateDataError,
                            InsufficientDataError, InvalidInputError, KoopeqError,
                            NumericFailureError)
 from koopeq.spectral import (PAIR_TOL, KoopmanSpectrum, RankPolicy, _canonical_order,
-                             _lattice_free, decompose_stack, edmd, principal_eigenvalues,
-                             principal_sets)
+                             _lattice_free, decompose_stack, dmd, edmd,
+                             principal_eigenvalues, principal_sets)
+from koopeq.trajectory import SnapshotPair, snapshots
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
 NEGCOS = Oracle(OracleKind.GRAD_NEGCOS)
@@ -172,7 +173,7 @@ def test_directed_hausdorff_overflow_is_numeric_failure(A, B):
 def spectrum_of(algo_id, oracle, x0, iters, centering=Centering.NONE):
     imap = make_algorithm(algo_id, oracle)
     traj = iterate(imap, x0, RunConfig(max_iters=iters))
-    return dmd(snapshots(traj, centering))
+    return DecompositionSettings(centering=centering).spectrum(traj)
 
 
 def test_classify_algo1_algo2_conjugate():

@@ -7,8 +7,9 @@ import pytest
 
 from koopeq import (AlgorithmId, Centering, Oracle, OracleKind, RunConfig,
                     Trajectory, TrajectoryStatus, custom_map, iterate,
-                    iterate_many, make_algorithm, multi_snapshots, snapshots)
+                    iterate_many, make_algorithm)
 from koopeq import serialize, trajectory
+from koopeq.trajectory import multi_snapshots, snapshots
 from koopeq.compare import CELL_FAILED, sweep
 from koopeq.errors import (ConfigurationError, InsufficientDataError,
                            InvalidInputError, KoopeqError, NonFiniteInputError,
@@ -891,6 +892,25 @@ def test_multi_snapshots():
     bad = Trajectory(np.zeros((3, 2)), TrajectoryStatus.BUDGET_EXHAUSTED)
     with pytest.raises(ConfigurationError):
         multi_snapshots([t1, bad])
+
+
+def test_multi_snapshots_rejects_a_pool_of_centred_and_uncentred_runs():
+    # under the default centring a converged run is centred and a running one
+    # is not; such a pool took its first run's tag, whichever order it came in
+    imap = make_algorithm(AlgorithmId.ALGO4, QUAD)
+    converged = iterate(imap, 1.0)
+    running = iterate(imap, 1.0, RunConfig(max_iters=20))
+    assert converged.status is TrajectoryStatus.CONVERGED
+    assert running.status is TrajectoryStatus.BUDGET_EXHAUSTED
+    for pool in ([converged, running], [running, converged]):
+        with pytest.raises(ConfigurationError, match="centred and uncentred"):
+            multi_snapshots(pool)
+        for centering in Centering:  # a centring given decides for every run
+            snap = multi_snapshots(pool, centering)
+            assert snap.X.shape[1] == len(converged) + len(running) - 2
+            assert snap.observable_tag == snapshots(converged, centering).observable_tag
+    for pool in ([converged, converged], [running, running]):
+        assert multi_snapshots(pool).observable_tag == snapshots(pool[0]).observable_tag
 
 
 def test_snapshot_columns_are_step_images():
