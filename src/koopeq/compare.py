@@ -128,6 +128,8 @@ def _score(P: np.ndarray, size: np.ndarray, pa: np.ndarray):
     with np.errstate(all="ignore"):
         for n in sorted(set(size.tolist()) - {0}) if m else ():
             at = np.flatnonzero(size == n)
+            if at.size == N:  # every set: slices, not copies
+                at = slice(None)
             cost = np.abs(pa[None, :, None] - P[at, None, :n])
             finite = np.isfinite(cost).all(axis=(1, 2))
             ab, ba = cost.min(axis=2).max(axis=1), cost.min(axis=1).max(axis=1)
@@ -135,16 +137,20 @@ def _score(P: np.ndarray, size: np.ndarray, pa: np.ndarray):
             if n != m:
                 distance[at], flags[at] = np.maximum(ab, ba), CELL_HAUSDORFF
             else:
+                picked = cols[at]
                 if n == 2:
-                    cols[at, 0] = _swapped(*cost.reshape(-1, 4).T)
-                    cols[at, 1] = 1 - cols[at, 0]
+                    picked[:, 0] = _swapped(*cost.reshape(-1, 4).T)
+                    picked[:, 1] = 1 - picked[:, 0]
                 elif n > 2:
                     for k in np.flatnonzero(finite).tolist():
-                        cols[at[k]] = _assignment(cost[k].tolist())
+                        picked[k] = _assignment(cost[k].tolist())
+                cols[at] = picked
                 # NumPy's sum of the matched costs in row order, per set
-                matched = cost[np.arange(len(at))[:, None], np.arange(n), cols[at]]
+                matched = cost[np.arange(len(cost))[:, None], np.arange(n), picked]
                 distance[at], flags[at] = matched.sum(axis=1) / n, CELL_OK
-            distance[at[~finite]], flags[at[~finite]] = np.nan, CELL_FAILED
+            if not finite.all():
+                failed = np.arange(N)[at][~finite]
+                distance[failed], flags[failed] = np.nan, CELL_FAILED
     return flags, distance, dab, dba, cols
 
 
@@ -314,12 +320,12 @@ class DecompositionSettings:
         groups = {}
         for i, traj in enumerate(out):
             if not isinstance(traj, KoopeqError):
-                key = (traj.states.shape, traj.states.dtype, centred(traj, self.centering))
+                states = traj.states
+                key = (states.shape, states.dtype, centred(traj, self.centering))
                 groups.setdefault(key, []).append(i)
         for (_, _, centre), cells in groups.items():
             try:
-                X, Y, tag = snapshot_stack(np.stack([out[i].states for i in cells]), centre,
-                                           self.discard)
+                X, Y, tag = snapshot_stack([out[i].states for i in cells], centre, self.discard)
             except KoopeqError as exc:  # runs too short to pair
                 done = [exc] * len(cells)
             else:
@@ -388,10 +394,11 @@ def sweep(map_a: IterativeMap, x0_a, map_b: IterativeMap, grid,
                 flags[i, j] = CELL_FIXED_POINT  # its distance stays 0
             elif isinstance(lam, KoopeqError):
                 distances[i, j], flags[i, j] = np.nan, CELL_FAILED
+            elif lam.size in groups:
+                groups[lam.size][0].append(j)
+                groups[lam.size][1].append(lam)
             else:
-                cells, lams = groups.setdefault(lam.size, ([], []))
-                cells.append(j)
-                lams.append(lam)
+                groups[lam.size] = [j], [lam]
         for cells, lams in groups.values():
             P, size = principal_sets(np.array(lams, dtype=complex), lattice_tol, max_power,
                                      ignore_unit=True)

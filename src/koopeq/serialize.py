@@ -136,7 +136,8 @@ def read_json(path) -> dict:
             return json.load(fh)
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # a plain ValueError: an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
 
 

@@ -22,6 +22,7 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (ConfigurationError, DegenerateDataError, InvalidInputError,
                      InvalidObservableError, KoopeqError, NumericFailureError, count,
@@ -187,19 +188,23 @@ def _canonical_order(lam: np.ndarray, *first) -> np.ndarray:
     return np.lexsort((-lam.imag, -lam.real, -np.abs(lam)) + first)
 
 
-def _ranks(s: np.ndarray, policy: RankPolicy) -> list:
-    """How many of each row of singular values `s` (descending) policy keeps,
-    or the KoopeqError for a row it cannot keep any of."""
+def _by_rank(s: np.ndarray, policy: RankPolicy, out: list) -> dict:
+    """The cells of each rank that policy keeps of the rows of singular
+    values `s` (descending); a row it cannot keep any of gets its KoopeqError
+    in `out`. Rows that all keep one count are one group, found at once."""
     kept = (s > policy.rel_tol * s[:, :1]).sum(axis=1)
-    out = []
-    for top, r in zip(s[:, 0].tolist(), kept.tolist()):
+    if kept.min() == kept.max() > 0 and s[:, 0].min() > 0.0:
+        r = int(kept[0])
+        return {r if policy.rank is None else min(policy.rank, r): list(range(len(s)))}
+    by_rank = {}
+    for c, (top, r) in enumerate(zip(s[:, 0].tolist(), kept.tolist())):
         if top <= 0.0:
-            out.append(DegenerateDataError("all singular values vanish; no dynamics in the data"))
+            out[c] = DegenerateDataError("all singular values vanish; no dynamics in the data")
         elif r == 0:
-            out.append(DegenerateDataError("every singular value falls below the threshold"))
+            out[c] = DegenerateDataError("every singular value falls below the threshold")
         else:
-            out.append(r if policy.rank is None else min(policy.rank, r))
-    return out
+            by_rank.setdefault(r if policy.rank is None else min(policy.rank, r), []).append(c)
+    return by_rank
 
 
 def _pinv(U: np.ndarray, s: np.ndarray, Vh: np.ndarray) -> np.ndarray:
@@ -217,20 +222,41 @@ def _take(a: np.ndarray, cells: list) -> np.ndarray:
     return a if len(cells) == len(a) else a[cells]
 
 
-def _by_type(lam: np.ndarray, W: np.ndarray):
-    """Split a stacked eig's eigenvalues and eigenvectors into the cells whose
-    eigenvalues are all real, as real arrays, and the rest, as a single eig
-    returns them; a stacked eig returns real arrays only when every cell's
-    eigenvalues are real. Yields (positions in the stack, or None for all of
-    it, lam, W)."""
-    real = np.all(lam.imag == 0, axis=1) if lam.dtype.kind == "c" and len(lam) > 1 else None
-    if real is None or not real.any():
+def _eig_failed(err, flag):
+    # np.linalg.eig's handler: the gufunc flags a failed solve as invalid
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _singular(err, flag):
+    # np.linalg.solve's handler, likewise
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# the errstate np.linalg.eig and np.linalg.solve set around their gufuncs
+_LAPACK = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _eig_by_type(reduced: np.ndarray):
+    """np.linalg.eig of each real matrix of the stack `reduced`, split into
+    the cells whose eigenvalues are all real, as real arrays, and the rest,
+    complex, each as a single eig returns them. The LAPACK gufunc behind eig
+    runs under eig's errstate, past its checks, casts and result tuple;
+    non-finite input raises eig's LinAlgError. Yields (positions in the
+    stack, or None for all of it, lam, W)."""
+    if not np.isfinite(reduced).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    with np.errstate(call=_eig_failed, **_LAPACK):
+        lam, W = _umath_linalg.eig(reduced, signature="d->DD")
+    real = (lam.imag == 0).all(axis=1)
+    if real.all():
+        yield None, lam.real, W.real
+    elif not real.any():
         yield None, lam, W
-        return
-    part = np.flatnonzero(real)
-    yield part, lam[part].real, W[part].real
-    part = np.flatnonzero(~real)
-    yield part, lam[part], W[part]
+    else:
+        part = np.flatnonzero(real)
+        yield part, lam[part].real, W[part].real
+        part = np.flatnonzero(~real)
+        yield part, lam[part], W[part]
 
 
 def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag,
@@ -258,28 +284,24 @@ def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag,
         if method != "dmd" and not eigenvalues_only:
             # least-squares recovery of the state from the lifted basis
             B_full = Xstate @ _pinv(U_full, s_full, Vh_full)
-        by_rank = {}
-        for c, r in enumerate(_ranks(s_full, policy)):
-            if isinstance(r, KoopeqError):
-                out[c] = r
-            else:
-                by_rank.setdefault(r, []).append(c)
-        for r, cells in by_rank.items():
+        for r, cells in _by_rank(s_full, policy, out).items():
             U = _take(U_full, cells)[:, :, :r]
             Vh = _take(Vh_full, cells)[:, :r]
             reduced = (U.conj().swapaxes(-1, -2) @ _take(PY, cells)
                        @ Vh.conj().swapaxes(-1, -2) / _take(s_full, cells)[:, None, :r])
-            lam_all, W_all = np.linalg.eig(reduced)
-            for part, lam, W in _by_type(lam_all, W_all):
+            for part, lam, W in _eig_by_type(reduced):
                 sub = cells if part is None else [cells[i] for i in part]
                 U = _take(U_full, sub)[:, :, :r]
-                coeffs = np.linalg.solve(W, U.conj().swapaxes(-1, -2))
+                with np.errstate(call=_singular, **_LAPACK):  # np.linalg.solve's call
+                    coeffs = _umath_linalg.solve(W, U.conj().swapaxes(-1, -2),
+                                                 signature="DD->D" if W.dtype.kind == "c"
+                                                 else "dd->d")
                 order = _canonical_order(lam)
                 at = np.arange(len(sub))[:, None]
                 lam = lam[at, order]
                 if eigenvalues_only:
-                    for i, c in enumerate(sub):
-                        out[c] = lam[i]
+                    for c, row in zip(sub, lam):
+                        out[c] = row
                     continue
                 B = np.eye(Xstate.shape[1]) if method == "dmd" else _take(B_full, sub)
                 modes = B @ (U @ W)
@@ -392,12 +414,40 @@ def edmd(snap: SnapshotPair, dictionary: Dictionary,
                                            rank_policy)[0])
 
 
+# relative margin of the walk's bound, far above the rounding of a product
+# of max_power factors and of its modulus
+_REACH_MARGIN = 1e-9
+
+
+def _reach_floors(lam: np.ndarray, lattice_tol: float, max_power: int) -> list:
+    """floor[d], the modulus below which a product of d eigenvalues of the
+    row `lam` matches none of them, nor does any product built on it with
+    up to max_power - d more factors of the row (see _lattice_free)."""
+    moduli = [abs(z) for z in lam.tolist()]  # a row holds a few
+    grow = max(1.0, max(moduli)) * (1 + _REACH_MARGIN)
+    floor = [0.0] * (max_power + 1)
+    floor[max_power] = (1 - _REACH_MARGIN) * min(moduli) - lattice_tol
+    for d in range(max_power - 1, 0, -1):  # a Python float division cannot overflow
+        floor[d] = floor[d + 1] / grow
+    return floor
+
+
 def _lattice_free(lam: np.ndarray, lattice_tol: float, max_power: int) -> np.ndarray:
     """The walk of principal_sets over one row `lam`, in canonical order
-    and rid of its unit eigenvalues: the row's principal set."""
+    and rid of its unit eigenvalues: the row's principal set.
+
+    A product of d factors that takes up to max_power - d more, each of
+    modulus at most M, the largest, stays below |p| max(1, M)**(max_power - d);
+    when that falls short of the smallest modulus less lattice_tol, neither
+    it nor any product built on it can match an eigenvalue of the row, so it
+    is dropped and not extended (`_reach_floors`, with a margin). The
+    products kept are multiplied as they were without the bound, and every
+    test decides as it did."""
     decided = np.zeros(lam.size, dtype=bool)
     keep = np.zeros(lam.size, dtype=bool)
-    # levels[d]: every product of d retained eigenvalues; `joining` enters at the next test
+    floor = None  # set when the first products are formed
+    # levels[d]: every product of d retained eigenvalues that can still
+    # match; `joining` enters at the next test
     levels = [[1.0 + 0.0j]] + [[] for _ in range(max_power)]
     joining: list[complex] = []
     products = np.empty(0, dtype=complex)
@@ -411,8 +461,10 @@ def _lattice_free(lam: np.ndarray, lattice_tol: float, max_power: int) -> np.nda
                     group.append(j)
                     break
         if joining:
+            floor = floor or _reach_floors(lam, lattice_tol, max_power)
             for r, d in itertools.product(joining, range(1, max_power + 1)):
-                levels[d] += [p * r for p in levels[d - 1]]
+                # a NaN product, which matches nothing, goes too
+                levels[d] += [q for p in levels[d - 1] if abs(q := p * r) >= floor[d]]
             joining = []
             products = np.array([p for level in levels[2:] for p in level], dtype=complex)
         # a NaN product (an overflowing pair's square) is near nothing and

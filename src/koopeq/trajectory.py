@@ -84,6 +84,7 @@ class SnapshotPair:
 _NAN = "NaN produced mid-run"  # _stop's verdict on a state that holds a NaN
 _NON_FINITE = "non-finite value produced mid-run"  # see _run
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
+_FLOAT = np.dtype(float)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -178,6 +179,8 @@ def _stops(T: np.ndarray, cfg: RunConfig):
     column order. `_screen` clears the steps far from both thresholds; the
     others take `_stop`'s exact tests in order."""
     clear = _screen(T, cfg)
+    if clear.all():
+        return
     for i in np.flatnonzero(~clear.all(axis=0)):
         for j in np.flatnonzero(~clear[:, i]):
             stop = _stop(T[j + 1, :, i], T[j, :, i], cfg)
@@ -254,8 +257,11 @@ def _run(step, X0: np.ndarray, cfg: RunConfig) -> list:
     The history starts with room for `_CHUNK` steps; each chunk steps the
     block to its end under `_raising`'s errstate, `_stops` finds each
     column's stop there, and the full history doubles, up to the budget. A
-    block of one steps its state flat, `step(x)` with `_state`'s shape
-    check; a larger block calls `step` on the (dim, running columns) block.
+    block of one steps its state flat, `step(x)`, an output other than a
+    float64 array of the state's shape going through `_state`'s conversion
+    and shape check; a larger block calls `step` on the (dim, running
+    columns) block the history stores. Each output is copied into the
+    history as it comes.
     When a step raises, the steps before it are resolved the same way, and
     the block goes on without the columns they stopped. If they stopped
     none, a larger block gives None for each column still running, and a
@@ -287,8 +293,12 @@ def _run(step, X0: np.ndarray, cfg: RunConfig) -> list:
                 if n == 1:
                     h = H[:, :, 0]
                     while k < end:
-                        x = _state(step(x), shape)
-                        h[k + 1] = x
+                        xn = step(x)
+                        # a float64 ndarray of the state's shape is _state's own
+                        if not (type(xn) is np.ndarray and xn.dtype is _FLOAT
+                                and xn.shape == shape):
+                            xn = _state(xn, shape)
+                        h[k + 1] = x = xn
                         k += 1
                 else:
                     while k < end:
@@ -320,8 +330,10 @@ def _run(step, X0: np.ndarray, cfg: RunConfig) -> list:
                 return [_result(H[:k + 1, :, 0].copy(), _NON_FINITE)]
             h[k + 1] = x
             k += 1
-    for c in run:
-        out[c] = _result(H[:k + 1, :, c].copy(), None)
+    # one copy gives each running column its states, C-contiguous
+    T = H[:k + 1].transpose(2, 0, 1)
+    for c, states in zip(run.tolist(), T.copy() if run.size == n else T[run]):
+        out[c] = _result(states, None)
     return out
 
 
@@ -333,27 +345,33 @@ def centred(traj: Trajectory, centering: Optional[Centering] = None) -> bool:
     return centering is Centering.FIXED_POINT
 
 
-def snapshot_stack(states: np.ndarray, centre: bool, discard: int = 0):
-    """The snapshot pairs of a stack of runs, built in one pass over their
-    states (shape (N, L, dim)): drop each run's first `discard` states as
-    `Trajectory.discard_prefix` does, subtract its final state when
-    `centre`, and pair consecutive states. Returns X and Y of shape
-    (N, dim, m), each cell C-contiguous, and their observable tag."""
-    length = states.shape[1]
+def snapshot_stack(runs, centre: bool, discard: int = 0):
+    """The snapshot pairs of runs of one states shape (L, dim), built in one
+    pass: drop each run's first `discard` states as
+    `Trajectory.discard_prefix` does, stack the states kept, subtract each
+    run's final state when `centre`, and pair consecutive states. Returns X
+    and Y of shape (N, dim, m), each cell C-contiguous, and their observable
+    tag."""
+    length, dim = runs[0].shape
     if length < 3:
         raise InsufficientDataError(f"need at least 3 states, got {length}")
-    data = states[:, _first_kept(length, discard):]
+    first = _first_kept(length, discard)
+    # one copy of the states kept, seen in the (N, dim, L) layout
+    data = np.concatenate([states[first:] for states in runs])
+    data = data.reshape(len(runs), length - first, dim).transpose(0, 2, 1)
     tag = "identity"
     if centre:
-        data = data - data[:, -1:]
+        # in that layout the subtraction runs along each run, not along a
+        # state's few entries
+        data = np.subtract(data, data[:, :, -1:], out=np.empty(data.shape, data.dtype))
         tag = "identity(centered)"
-    return data[:, :-1].transpose(0, 2, 1).copy(), data[:, 1:].transpose(0, 2, 1).copy(), tag
+    return data[:, :, :-1].copy(), data[:, :, 1:].copy(), tag
 
 
 def snapshots(traj: Trajectory, centering: Optional[Centering] = None) -> SnapshotPair:
     """The benchmark's stack-of-one alias of `snapshot_stack`, the pairing
     behind `DecompositionSettings.spectrum`; it goes with ROADMAP item 9."""
-    X, Y, tag = snapshot_stack(traj.states[None], centred(traj, centering))
+    X, Y, tag = snapshot_stack([traj.states], centred(traj, centering))
     return SnapshotPair(X=X[0], Y=Y[0], observable_tag=tag)
 
 
@@ -371,6 +389,6 @@ def multi_snapshots(trajs, centering: Optional[Centering] = None) -> SnapshotPai
     if len(centre) != 1:
         raise ConfigurationError("trajectories mix centred and uncentred runs; "
                                  "give a centering")
-    X, Y, tag = zip(*(snapshot_stack(t.states[None], *centre) for t in trajs))
+    X, Y, tag = zip(*(snapshot_stack([t.states], *centre) for t in trajs))
     return SnapshotPair(X=np.concatenate(X, 2)[0], Y=np.concatenate(Y, 2)[0],
                         observable_tag=tag[0])

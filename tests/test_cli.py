@@ -868,6 +868,35 @@ def test_deeply_nested_json_exit_102(tmp_path, capsys, config):
     assert_one_error_line(capsys.readouterr().err, "parse")
 
 
+def test_compare_integer_past_the_digit_limit_exit_102(tmp_path, capsys):
+    # json.load raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal longer than Python's int-to-string digit limit
+    s = tmp_path / "s.json"
+    run_cli("run", *RUN_ALGO4, "--out", str(s))
+    d = json.loads(s.read_text())
+    d["reconstruction_error"] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d).replace('"@"', "9" * 5001))
+    capsys.readouterr()
+    out = tmp_path / "c.json"
+    assert run_cli("compare", str(s), str(bad), "--out", str(out)) == 102
+    err = capsys.readouterr().err
+    assert_one_error_line(err, "parse")
+    assert "not valid JSON" in err
+    assert not out.exists()
+
+
+def test_run_config_integer_past_the_digit_limit_exit_102(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text('{"max_iters": ' + "1" * 5000 + "}")
+    out = tmp_path / "s.json"
+    assert run_cli("run", *RUN_ALGO4, "--config", str(config), "--out", str(out)) == 102
+    err = capsys.readouterr().err
+    assert_one_error_line(err, "parse")
+    assert "config file is not valid JSON" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [("--eps-conj", "nan"), ("--eps-conj=inf",),
                                    ("--eps-semi", "-0.1"), ("--lattice-tol", "nan"),
                                    ("--lattice-tol=-1e-3",), ("--max-power", "0"),

@@ -4,6 +4,8 @@ triplets. The stack-of-one aliases `dmd`, `edmd`, `snapshots` and
 import functools
 import itertools
 import operator
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -545,12 +547,82 @@ def test_principal_sets_of_longer_rows_match_principal_eigenvalues(lattice_tol, 
 
 
 def test_principal_keeps_thirty_independent_eigenvalues():
-    # 15 conjugate pairs, none a product of the others, all kept at max power 6
+    # 15 conjugate pairs, none a product of the others, all kept at max power
+    # 6. Every product of two or more lies below the smallest modulus, so the
+    # walk keeps none of them: it held all C(36, 6) of them, over 100 MB
     z = np.linspace(0.9, 0.99, 15) * np.exp(1j * np.linspace(0.2, 2.9, 15))
     lam = np.concatenate([z, np.conj(z)])
-    p = principal_eigenvalues(lam, max_power=6)
+    tracemalloc.start()
+    try:
+        p = principal_eigenvalues(lam, max_power=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert p.size == 30
     np.testing.assert_array_equal(np.sort_complex(p), np.sort_complex(lam))
+    assert peak < 2_000_000
+
+
+def _unbounded_walk(lam, lattice_tol, max_power):
+    """`_lattice_free` as it walked before its bound, kept as the
+    reference: every product of up to max_power retained eigenvalues."""
+    decided = np.zeros(lam.size, dtype=bool)
+    keep = np.zeros(lam.size, dtype=bool)
+    levels = [[1.0 + 0.0j]] + [[] for _ in range(max_power)]
+    joining = []
+    products = np.empty(0, dtype=complex)
+    for i in range(lam.size):
+        if decided[i]:
+            continue
+        group = [i]
+        if abs(lam[i].imag) > spectral.PAIR_TOL:
+            for j in range(i + 1, lam.size):
+                if not decided[j] and abs(lam[j] - np.conj(lam[i])) <= spectral.PAIR_TOL:
+                    group.append(j)
+                    break
+        if joining:
+            for r, d in itertools.product(joining, range(1, max_power + 1)):
+                levels[d] += [p * r for p in levels[d - 1]]
+            joining = []
+            products = np.array([p for level in levels[2:] for p in level], dtype=complex)
+        is_product = products.size > 0 and (np.abs(products - lam[i]) <= lattice_tol).any()
+        for j in group:
+            decided[j] = True
+            keep[j] = not is_product
+        if not is_product:
+            joining.extend(lam[j] for j in group)
+    return lam[keep]
+
+
+def _generic_row(rng):
+    """One to nine eigenvalues or pairs of moduli spread over two decades,
+    some near the products of others."""
+    lam = []
+    for _ in range(rng.integers(1, 10)):
+        z = 10 ** rng.uniform(-1.5, 0.5) * np.exp(1j * rng.choice([0.0, np.pi,
+                                                                  rng.uniform(0.1, 3.0)]))
+        lam += [z.real + 0j] if abs(z.imag) < 1e-9 else [z, np.conj(z)]
+    if len(lam) > 1 and rng.random() < 0.5:
+        lam.append(lam[0] * lam[-1] * (1 + rng.normal(0.0, 1e-4)))
+    return np.array(lam)
+
+
+def test_bounded_walk_decides_as_the_unbounded_walk():
+    # the bound drops only products that can match nothing: each row's
+    # principal set is bit for bit the unbounded walk's
+    rng = np.random.default_rng(3034)
+    pruned = 0
+    with np.errstate(all="ignore"):
+        for _ in range(600):
+            lam = _random_lattice_spectrum(rng) if rng.random() < 0.5 else _generic_row(rng)
+            lam = lam[spectral._canonical_order(lam)]
+            lattice_tol = 10 ** rng.uniform(-6, np.log10(0.05))
+            max_power = int(rng.integers(1, 7))
+            got = spectral._lattice_free(lam, lattice_tol, max_power)
+            want = _unbounded_walk(lam, lattice_tol, max_power)
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes(), lam
+            pruned += got.size < lam.size
+    assert pruned > 100
 
 
 # ---------------------------------------------------------------------------
@@ -828,12 +900,16 @@ def test_stacked_cells_of_other_shapes_and_settings():
 
 
 def test_one_stack_takes_one_svd_eig_and_solve(monkeypatch):
+    # svd through np.linalg; eig and solve through the LAPACK gufuncs behind
+    # np.linalg's, which the core calls past their wrappers
     calls = {"svd": 0, "eig": 0, "solve": 0}
-    for name in calls:
-        def counting(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+    gufuncs = types.SimpleNamespace(**vars(spectral._umath_linalg))
+    for name, module in (("svd", np.linalg), ("eig", gufuncs), ("solve", gufuncs)):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(spectral, "_umath_linalg", gufuncs)
     cells = _mixed_cells()
     # one rank and eigenvalue type: one call each; a second type adds eig's
     # split, not a second eig
@@ -842,6 +918,48 @@ def test_one_stack_takes_one_svd_eig_and_solve(monkeypatch):
     stacked([cells["complex"], cells["real"], cells["complex_2"], cells["real_2"],
              cells["rank_1"]])
     assert calls == {"svd": 2, "eig": 3, "solve": 4}
+
+
+def _overflowing_reduced(m=20, tag="identity"):
+    """Finite data whose reduced operator overflows: X is 1e-300 times the
+    first two unit vectors, so the operator is Y's first two columns over
+    1e-300."""
+    X, Y = np.zeros((2, m)), np.zeros((2, m))
+    X[:, :2] = 1e-300 * np.eye(2)
+    Y[:, :2] = [[5e8, 1e8], [2e8, 4e8]]
+    return SnapshotPair(X=X, Y=Y, observable_tag=tag)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing cells
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+def test_lapack_past_the_wrappers_matches_numpy_linalg(kind):
+    # the core calls the eig and solve gufuncs past np.linalg's wrappers:
+    # each cell's eigenvalues, modes, coefficients and error are bit for bit
+    # the reference's, built on np.linalg.eig and np.linalg.solve, real
+    # where all its eigenvalues are real; a cell whose reduced operator is
+    # not finite, or whose eigenvectors are singular, fails on its own
+    cells = _mixed_cells()
+    names = {"real": ["real", "real_2", "rank_1"], "complex": ["complex", "complex_2"],
+             "mixed": ["real", "complex", "rank_1", "complex_2", "real_2"]}[kind]
+    snaps = [cells[name] for name in names]
+    for traps in ([], [_overflowing_reduced(), cells["singular_eigenvectors"]]):
+        got = stacked(snaps + traps)
+        want = reference(snaps + traps)
+        assert_same_cells(got, want)
+        assert {spec.eigenvalues.dtype.kind for spec in got[:len(snaps)]} == {
+            "real": {"f"}, "complex": {"c"}, "mixed": {"f", "c"}}[kind]
+        lams = stacked(snaps + traps, eigenvalues_only=True)
+        for lam, spec in zip(lams, want):
+            if isinstance(spec, Exception):
+                assert type(lam) is type(spec) and str(lam) == str(spec)
+            else:
+                assert lam.view(np.uint64).tobytes() == spec.eigenvalues.view(np.uint64).tobytes()
+        if traps:
+            overflow, singular = got[-2:]
+            assert isinstance(overflow, NumericFailureError)
+            assert str(overflow) == "dmd failed: Array must not contain infs or NaNs"
+            assert isinstance(singular, NumericFailureError)
+            assert str(singular) == "dmd failed: Singular matrix"
 
 
 def test_stacked_norms_sum_as_single_norms():

@@ -1,5 +1,6 @@
 """Iteration harness and snapshot assembly."""
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -113,6 +114,64 @@ def test_a_0d_step_output_is_a_state_of_a_one_dimensional_map():
     traj = iterate(imap, 1.0, RunConfig(max_iters=3))
     assert traj.states.shape == (4, 1)
     assert traj.states[:, 0].tolist() == [1.0, 0.5, 0.25, 0.125]
+
+
+STEP_OUTPUTS = {
+    "list": lambda x: [0.5 * v for v in x],
+    # float32 arithmetic would round 0.1 otherwise than the float64 state's
+    "float32": lambda x: (0.5 * x + 0.1).astype(np.float32),
+    "fortran_order": lambda x: np.asfortranarray(0.5 * x),
+    "reversed_view": lambda x: (0.5 * x[::-1])[::-1],
+    "subclass": lambda x: np.ma.masked_array(0.5 * x),
+    "wrong_shape": lambda x: np.concatenate([0.5 * x, x[:1]]),
+}
+
+
+@pytest.mark.parametrize("output", list(STEP_OUTPUTS))
+def test_a_step_output_other_than_a_float64_state_takes_the_old_path(output):
+    # a block of one takes a float64 array of the state's shape as the state;
+    # any other output is converted, or rejected, as it always was, there and
+    # in a larger block of a columnwise map (a 0-d output:
+    # test_a_0d_step_output_is_a_state_of_a_one_dimensional_map)
+    step = STEP_OUTPUTS[output]
+    imap = dataclasses.replace(make_algorithm(AlgorithmId.ALGO1, QUAD), step=step)
+    assert imap.columnwise
+    X0 = np.array([[0.7, -0.3], [1.5, 0.25], [-2.0, 1e-3]])
+    cfg = RunConfig(max_iters=40)
+    want = looped_iterate(imap, X0, cfg)
+    assert_same_results([_run_one(imap, x0, cfg) for x0 in X0], want)
+    assert_same_results(iterate_many(imap, X0, cfg), want)
+    if output == "wrong_shape":
+        assert all(isinstance(r, ConfigurationError) for r in want)
+    else:
+        assert all(isinstance(r, Trajectory) for r in want)
+
+
+def _run_one(imap, x0, cfg):
+    try:
+        return iterate(imap, x0, cfg)
+    except KoopeqError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(max_iters=40), RunConfig(max_iters=300, eps=1e-6)],
+                         ids=["budget", "mixed_stops"])
+def test_the_runs_of_one_block_share_no_memory(cfg):
+    # each run's states come out of one copy of the block's history, as
+    # disjoint, writable, C-contiguous arrays
+    imap = make_algorithm(AlgorithmId.ALGO2, NEGCOS)
+    X0 = np.column_stack([np.full(6, 0.4), np.linspace(-1.5, 1.5, 6)])
+    got = iterate_many(imap, X0, cfg)
+    assert (len({len(t) for t in got}) > 1) == (cfg.max_iters > 40)
+    for a, b in itertools.combinations(got, 2):
+        assert not np.shares_memory(a.states, b.states)
+    for t in got:
+        assert t.states.flags.c_contiguous and t.states.flags.writeable
+        assert not np.shares_memory(t.states, X0)
+    want = [t.states.copy() for t in got]
+    got[0].states[:] = np.nan
+    for t, w in zip(got[1:], want[1:]):
+        np.testing.assert_array_equal(t.states, w)
 
 
 # ---------------------------------------------------------------------------
