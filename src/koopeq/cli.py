@@ -20,7 +20,7 @@ import numpy as np
 from . import serialize
 from .compare import DecompositionSettings, classify
 from .corpus import AlgorithmId, make_algorithm
-from .errors import ConfigurationError, KoopeqError, ParseError
+from .errors import ConfigurationError, KoopeqError, ParseError, count
 from .oracles import Oracle, OracleKind
 from .spectral import Dictionary, RankPolicy
 from .trajectory import Centering, RunConfig, iterate
@@ -266,6 +266,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_reproduce(args) -> int:
     from . import experiments
+    if args.resolution is not None:  # checked before any preset writes a file
+        if args.figure in experiments.PRESET_NAMES and args.figure != "fig2":
+            raise ConfigurationError(f"--resolution does not apply to {args.figure}")
+        count("resolution", args.resolution, 2, ConfigurationError)
     outdir = args.outdir or _default_outdir()
     names = experiments.PRESET_NAMES if args.figure == "all" else (args.figure,)
     for name in names:

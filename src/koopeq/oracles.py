@@ -118,9 +118,17 @@ def prox_neglogdet(V, gamma):
     return R
 
 
-def _eigh_failed(err, flag):
-    # np.linalg.eigh's handler: the gufunc flags a failed solve as invalid
+def _eig_failed(err, flag):
+    # np.linalg.eig's and eigh's handler: the gufunc flags a failed solve as
+    # invalid
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _lapack(call):
+    """The errstate np.linalg's eig, eigh and solve set around their
+    gufuncs, `call` their handler of a failed solve."""
+    return np.errstate(call=call, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
 
 
 def _prox_neglogdet(V, gamma):
@@ -137,8 +145,7 @@ def _prox_neglogdet(V, gamma):
     order; an eigenvalue whose square overflows maps to inf with no
     floating-point event of its own, and R is then not finite."""
     try:
-        with np.errstate(call=_eigh_failed, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):
+        with _lapack(_eig_failed):
             w, Q = _umath_linalg.eigh_lo(V, signature="d->dd")
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"log-det prox failed: {exc}") from None

@@ -27,6 +27,7 @@ from numpy.linalg import _umath_linalg
 from .errors import (ConfigurationError, DegenerateDataError, InvalidInputError,
                      InvalidObservableError, KoopeqError, NumericFailureError, count,
                      result_or_raise, tolerance)
+from .oracles import _eig_failed, _lapack
 from .trajectory import SnapshotPair, _norm
 
 PAIR_TOL = 1e-10  # conjugate-partner detection
@@ -222,18 +223,9 @@ def _take(a: np.ndarray, cells: list) -> np.ndarray:
     return a if len(cells) == len(a) else a[cells]
 
 
-def _eig_failed(err, flag):
-    # np.linalg.eig's handler: the gufunc flags a failed solve as invalid
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
 def _singular(err, flag):
-    # np.linalg.solve's handler, likewise
+    # np.linalg.solve's handler, as oracles._eig_failed is eig's
     raise np.linalg.LinAlgError("Singular matrix")
-
-
-# the errstate np.linalg.eig and np.linalg.solve set around their gufuncs
-_LAPACK = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 def _eig_by_type(reduced: np.ndarray):
@@ -245,7 +237,7 @@ def _eig_by_type(reduced: np.ndarray):
     stack, or None for all of it, lam, W)."""
     if not np.isfinite(reduced).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    with np.errstate(call=_eig_failed, **_LAPACK):
+    with _lapack(_eig_failed):
         lam, W = _umath_linalg.eig(reduced, signature="d->DD")
     real = (lam.imag == 0).all(axis=1)
     if real.all():
@@ -292,7 +284,7 @@ def _decompose(PX, PY, Xstate, Ystate, policy, method, dict_tag, obs_tag,
             for part, lam, W in _eig_by_type(reduced):
                 sub = cells if part is None else [cells[i] for i in part]
                 U = _take(U_full, sub)[:, :, :r]
-                with np.errstate(call=_singular, **_LAPACK):  # np.linalg.solve's call
+                with _lapack(_singular):  # np.linalg.solve's call
                     coeffs = _umath_linalg.solve(W, U.conj().swapaxes(-1, -2),
                                                  signature="DD->D" if W.dtype.kind == "c"
                                                  else "dd->d")

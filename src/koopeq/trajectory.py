@@ -229,8 +229,10 @@ def iterate_many(imap: IterativeMap, X0, cfg: RunConfig = RunConfig()) -> list:
     Returns, per row, the Trajectory that `iterate` returns or the KoopeqError
     it raises, bit for bit. A columnwise map's finite starts, when there are
     two or more, run as one `_run` block, whose history buffer grows with the
-    longest run, not with `cfg.max_iters`. Every other row, and each row that
-    a raising block step leaves unresolved, runs through `iterate`.
+    longest run, not with `cfg.max_iters`: each run steps its own last output,
+    as in `iterate`, and a run that stops leaves the block's history. Every
+    other row, and each row that a raising block step leaves unresolved, runs
+    through `iterate`.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2:
@@ -256,12 +258,12 @@ def _run(step, X0: np.ndarray, cfg: RunConfig) -> list:
 
     The history starts with room for `_CHUNK` steps; each chunk steps the
     block to its end under `_raising`'s errstate, `_stops` finds each
-    column's stop there, and the full history doubles, up to the budget. A
-    block of one steps its state flat, `step(x)`, an output other than a
-    float64 array of the state's shape going through `_state`'s conversion
-    and shape check; a larger block calls `step` on the (dim, running
-    columns) block the history stores. Each output is copied into the
-    history as it comes.
+    column's stop there, and the full history doubles, up to the budget. The
+    step takes its own last output, flat for a block of one and (dim,
+    running columns) otherwise; an output other than a float64 array of the
+    state's shape goes through `_state`'s conversion and shape check, and
+    the history stores a copy of each. A column that stops leaves the
+    block's history, its output and its steps.
     When a step raises, the steps before it are resolved the same way, and
     the block goes on without the columns they stopped. If they stopped
     none, a larger block gives None for each column still running, and a
@@ -272,50 +274,37 @@ def _run(step, X0: np.ndarray, cfg: RunConfig) -> list:
     caller's settings, ending in _NON_FINITE too when that raises
     InvalidInputError, and re-raises any other exception."""
     n, dim = X0.shape
-    # H[k, :, c]: state k of start c
+    # H[k, :, i]: state k of the running column i, the start run[i]
     H = np.empty((min(cfg.max_iters, _CHUNK) + 1, dim, n))
     H[0] = X0.T
-    x, shape, raising = X0[0], (dim,), _raising()
+    x, raising = (H[0, :, 0] if n == 1 else H[0]).copy(), _raising()
     out, run = [None] * n, np.arange(n)
     k = k0 = 0  # states H[:k + 1] taken, those past H[k0] not yet screened
     while k0 < cfg.max_iters:
         if k0 == len(H) - 1:  # full: double, up to the budget
             H = np.concatenate([H, np.empty((min(k0, cfg.max_iters - k0),) + H.shape[1:])])
-        end = len(H) - 1
-        # B[j]: state k0 + j of the running columns; H itself while all run
-        full = run.size == n
-        B = H[k0:end + 1] if full else np.empty((end - k0 + 1, dim, run.size))
-        if not full:
-            B[0] = H[k0][:, run]
+        end, h, shape = len(H) - 1, H[:, :, 0] if n == 1 else H, x.shape
         error = None
         try:
             with np.errstate(**raising):
-                if n == 1:
-                    h = H[:, :, 0]
-                    while k < end:
-                        xn = step(x)
-                        # a float64 ndarray of the state's shape is _state's own
-                        if not (type(xn) is np.ndarray and xn.dtype is _FLOAT
-                                and xn.shape == shape):
-                            xn = _state(xn, shape)
-                        h[k + 1] = x = xn
-                        k += 1
-                else:
-                    while k < end:
-                        B[k + 1 - k0] = step(B[k - k0])
-                        k += 1
+                while k < end:
+                    xn = step(x)
+                    # a float64 ndarray of the state's shape is _state's own
+                    if not (type(xn) is np.ndarray and xn.dtype is _FLOAT
+                            and xn.shape == shape):
+                        xn = _state(xn, shape)
+                    h[k + 1] = x = xn
+                    k += 1
         except Exception as exc:
             error = exc
-        if not full:
-            H[k0 + 1:k + 1, :, run] = B[1:k + 1 - k0]
         stopped = []
-        for i, kept, stop in _stops(B[:k + 1 - k0], cfg):
-            out[run[i]] = _result(H[:k0 + kept, :, run[i]].copy(), stop)
+        for i, kept, stop in _stops(H[k0:k + 1], cfg):
+            out[run[i]] = _result(H[:k0 + kept, :, i].copy(), stop)
             stopped.append(i)
         if len(stopped) == run.size:
             return out
         if stopped:
-            run = np.delete(run, stopped)
+            H, run, x = (np.delete(a, stopped, axis=-1) for a in (H, run, x))
         k0 = k
         if error is not None and not stopped:
             if n > 1:
@@ -331,8 +320,7 @@ def _run(step, X0: np.ndarray, cfg: RunConfig) -> list:
             h[k + 1] = x
             k += 1
     # one copy gives each running column its states, C-contiguous
-    T = H[:k + 1].transpose(2, 0, 1)
-    for c, states in zip(run.tolist(), T.copy() if run.size == n else T[run]):
+    for c, states in zip(run.tolist(), H[:k + 1].transpose(2, 0, 1).copy()):
         out[c] = _result(states, None)
     return out
 

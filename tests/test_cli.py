@@ -447,6 +447,26 @@ def test_reproduce_fig2_custom_resolution(tmp_path):
     assert len(rows) == 1 + 16
 
 
+@pytest.mark.parametrize("figure, resolution, config, message", [
+    ("all", 1, False, "resolution must be an integer of at least 2, got 1"),
+    ("fig1", 5, False, "--resolution does not apply to fig1"),
+    ("fig1", 5, True, "--resolution does not apply to fig1"),
+    ("fig3", 1, False, "--resolution does not apply to fig3")],
+    ids=["all", "fig1", "fig1_config", "fig3"])
+def test_reproduce_checks_resolution_before_any_preset_runs(tmp_path, capsys, figure,
+                                                            resolution, config, message):
+    # a bad fig2 resolution stops `all` before fig1 writes a file, and a
+    # preset with no grid rejects the flag instead of leaving it unread
+    flags = ("--resolution", str(resolution))
+    if config:
+        flags = ("--config", str(tmp_path / "cfg.json"))
+        (tmp_path / "cfg.json").write_text(json.dumps({"resolution": resolution}))
+    out = tmp_path / "out"
+    assert run_cli("reproduce", figure, *flags, "--outdir", str(out)) == 101
+    assert capsys.readouterr().err == f"error: kind=configuration message={message}\n"
+    assert not out.exists()
+
+
 def test_sweep_command(tmp_path, capsys):
     assert run_cli("sweep", "--oracle", "quad", "--resolution", "3",
                    "--outdir", str(tmp_path)) == 0

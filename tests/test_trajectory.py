@@ -284,6 +284,30 @@ def test_iterate_many_mixed_stops_in_one_block():
     assert isinstance(got[3], InvalidInputError) and isinstance(got[4], InvalidInputError)
 
 
+def test_iterate_many_matches_iterate_for_a_step_that_writes_its_input():
+    # each run steps its own last output, so a step that halves its input in
+    # place leaves the stored states alone; the 0.0 start stops at once, and
+    # the others run on as a partial block; `iterate`, not the stepwise
+    # reference, which keeps its last state in the list it returns
+    def step(x):
+        x *= 0.5
+        return x.copy()
+
+    imap = dataclasses.replace(make_algorithm(AlgorithmId.ALGO4, QUAD), step=step)
+    X0 = np.array([[1.0], [0.0], [2.0]])
+    cfg = RunConfig(max_iters=40)
+    got = iterate_many(imap, X0, cfg)
+    for a, x0 in zip(got, X0):
+        b = iterate(imap, x0, cfg)
+        assert a.status is b.status
+        assert a.states.shape == b.states.shape
+        assert a.states.tobytes() == b.states.tobytes()
+    assert [t.status for t in got] == [TrajectoryStatus.CONVERGED,
+                                       TrajectoryStatus.CONVERGED,
+                                       TrajectoryStatus.BUDGET_EXHAUSTED]
+    assert [len(t) for t in got] == [41, 2, 41]
+
+
 def test_iterate_many_history_grows_with_the_run_not_the_budget():
     # a budget whose full history would not fit in memory: starts that stop
     # early must not pay for it, and a run past the first buffer still matches
