@@ -312,17 +312,26 @@ class DecompositionSettings:
         """Drop each trajectory's transient, pair its snapshots and decompose
         them; a KoopeqError given in place of a trajectory is passed through.
         Returns, per trajectory, its KoopmanSpectrum or the KoopeqError that
-        pairing or decomposing it gave. The runs of one states shape, dtype
+        pairing or decomposing it gave, an InvalidInputError when its states
+        are not a 2-D integer or float ndarray. The runs of one states shape, dtype
         and centring are paired and decomposed as one stack, each cell bit
         for bit as it would be alone. With eigenvalues_only, a spectrum comes
         as its eigenvalues alone (`decompose_stack`'s)."""
         out = list(trajs)
         groups = {}
         for i, traj in enumerate(out):
-            if not isinstance(traj, KoopeqError):
-                states = traj.states
-                key = (states.shape, states.dtype, centred(traj, self.centering))
-                groups.setdefault(key, []).append(i)
+            if isinstance(traj, KoopeqError):
+                continue
+            states = traj.states
+            if not (isinstance(states, np.ndarray) and states.ndim == 2
+                    and states.dtype.kind in "iuf"):
+                got = (f"a {states.ndim}-D {states.dtype} array"
+                       if isinstance(states, np.ndarray) else f"a {type(states).__name__}")
+                out[i] = InvalidInputError("a trajectory's states must be a 2-D array of "
+                                           f"real numbers (integer or float), got {got}")
+                continue
+            key = (states.shape, states.dtype, centred(traj, self.centering))
+            groups.setdefault(key, []).append(i)
         for (_, _, centre), cells in groups.items():
             try:
                 X, Y, tag = snapshot_stack([out[i].states for i in cells], centre, self.discard)

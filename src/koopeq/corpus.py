@@ -238,13 +238,13 @@ def verify_commutation(cmap: ConjugacyMap, T: IterativeMap, S: IterativeMap,
     """Check h(T(x)) == S(h(x)) over sample states, reporting the worst deviation.
 
     SHIFT maps are index relations, so for them the check runs both
-    algorithms and verifies that the target iterates reproduce the shifted
-    source blocks for `horizon` steps.
+    algorithms and verifies that target iterate k is h(source k, source k+1)
+    for `horizon` steps. Empty `samples` raise InvalidInputError: a pass needs
+    evidence.
     """
     worst = 0.0
     n = 0
     if cmap.kind is ConjugacyKind.SHIFT:
-        m = T.dim // 3
         for x0 in samples:
             src = [np.asarray(x0, dtype=float)]
             for _ in range(horizon + 1):
@@ -253,8 +253,7 @@ def verify_commutation(cmap: ConjugacyMap, T: IterativeMap, S: IterativeMap,
             for _ in range(horizon):
                 tgt.append(S.step(tgt[-1]))
             for k in range(horizon):
-                dev = max(np.max(np.abs(tgt[k][:m] - src[k][2 * m:])),
-                          np.max(np.abs(tgt[k][m:] - src[k + 1][:m])))
+                dev = np.max(np.abs(tgt[k] - cmap.h(src[k], src[k + 1])))
                 worst = max(worst, float(dev))
             n += 1
     else:
@@ -268,5 +267,7 @@ def verify_commutation(cmap: ConjugacyMap, T: IterativeMap, S: IterativeMap,
             rhs = S.step(hx)
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
             n += 1
+    if n == 0:
+        raise InvalidInputError("verify_commutation needs at least one sample state")
     return CommutationReport(max_deviation=worst, tol=tol, passed=worst <= tol,
                              n_samples=n, kind=cmap.kind)

@@ -182,8 +182,10 @@ def run_preset(name: str, outdir, resolution: Optional[int] = None) -> dict:
 
         stem = f"{name}_{variant.label}"
         files += [
-            _written(outdir, f"{stem}_trajectories.csv", "trajectory",
-                     serialize.write_trajectory_csv, [(a_tag, traj_a), (b_tag, traj_b)]),
+            _written(outdir, f"{stem}_trajectory_{a_tag}.csv", "trajectory",
+                     serialize.write_trajectory_csv, traj_a.states),
+            _written(outdir, f"{stem}_trajectory_{b_tag}.csv", "trajectory",
+                     serialize.write_trajectory_csv, traj_b.states),
             _written(outdir, f"{stem}_spectrum_{a_tag}.json", "spectrum",
                      serialize.write_json, serialize.spectrum_to_dict(spec_a)),
             _written(outdir, f"{stem}_spectrum_{b_tag}.json", "spectrum",

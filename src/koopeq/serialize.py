@@ -156,25 +156,11 @@ def comparison_to_dict(cmp: SpectrumComparison) -> dict:
     }
 
 
-def write_trajectory_csv(path, labeled_trajectories) -> bytes:
-    """One CSV holding several aligned trajectories: column blocks
-    `<label>_<i>` per trajectory, rows indexed by iteration k. Shorter
-    trajectories leave trailing cells empty."""
-    labeled = [(label, np.asarray(t.states if isinstance(t, Trajectory) else t))
-               for label, t in labeled_trajectories]
-    header = ["k"]
-    for label, states in labeled:
-        header += [f"{label}_{i}" for i in range(states.shape[1])]
-    n_rows = max(states.shape[0] for _, states in labeled)
-    rows = [header]
-    for k in range(n_rows):
-        row = [str(k)]
-        for _, states in labeled:
-            if k < states.shape[0]:
-                row += [repr(float(v)) for v in states[k]]
-            else:
-                row += [""] * states.shape[1]
-        rows.append(row)
+def write_trajectory_csv(path, states) -> bytes:
+    """One run's states, shape (K+1, dim), as the log
+    `ingest_external_trajectory` reads: header `k,x0,...`, one row per state."""
+    rows = [["k", *(f"x{i}" for i in range(np.shape(states)[1]))]]
+    rows += [[str(k), *(repr(float(v)) for v in row)] for k, row in enumerate(states)]
     return _write_csv(path, rows)
 
 

@@ -135,7 +135,7 @@ class Dictionary:
                 try:
                     with np.errstate(all="raise"):
                         vals = np.array([float(fn(c)) for c in states.T])
-                except (FloatingPointError, ValueError, ArithmeticError) as exc:
+                except (FloatingPointError, ValueError, TypeError, ArithmeticError) as exc:
                     raise InvalidObservableError(f"observable {name!r} failed: {exc}") from exc
                 rows.append(vals)
             out = np.array(rows)

@@ -437,7 +437,7 @@ def test_reproduce_fig1(tmp_path, capsys):
     assert run_cli("reproduce", "fig1", "--outdir", str(tmp_path)) == 0
     assert "fig1" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "fig1_manifest.json").read_text())
-    assert len(manifest["files"]) == 10
+    assert len(manifest["files"]) == 12  # six per variant: two logs, two spectra, comparison, plot
 
 
 def test_reproduce_fig2_custom_resolution(tmp_path):
@@ -655,8 +655,7 @@ def test_ingest_round_trip_takes_the_fast_path(tmp_path, monkeypatch):
     rng = np.random.default_rng(7)
     states = rng.standard_normal((50, 3))
     p = tmp_path / "t.csv"
-    serialize.write_trajectory_csv(p, [("x", states)])
-    p.write_text(p.read_text().replace("x_", "x"))
+    serialize.write_trajectory_csv(p, states)
 
     def row_loop(body, dim):
         raise AssertionError("the row loop ran on a clean file")
@@ -1068,10 +1067,9 @@ WRITERS = {
     "write_text": (serialize.write_text, "k\n", b"k\n", "\ud800"),
     "write_json": (serialize.write_json, {"a": 1.5}, b'{\n  "a": 1.5\n}\n',
                    {"a": object()}),
-    "write_trajectory_csv": (serialize.write_trajectory_csv,
-                             [("x", np.array([[1.0], [2.0]]))],
-                             b"k,x_0\r\n0,1.0\r\n1,2.0\r\n",
-                             [("x", np.array([[1.0], [object()]], dtype=object))]),
+    "write_trajectory_csv": (serialize.write_trajectory_csv, np.array([[1.0], [2.0]]),
+                             b"k,x0\r\n0,1.0\r\n1,2.0\r\n",
+                             np.array([[1.0], [object()]], dtype=object)),
     "write_grid_csv": (serialize.write_grid_csv, _grid([0.5, 0.25]),
                        b"xi1_0,xi2_0,distance,flag\r\n0.0,0.0,0.5,0\r\n1.0,0.0,0.25,0\r\n",
                        _grid([0.5, object()])),

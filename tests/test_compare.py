@@ -15,8 +15,8 @@ from koopeq import (AlgorithmId, Centering, DecompositionSettings, Oracle,
 from koopeq import compare, spectral
 from koopeq.compare import CELL_FAILED, CELL_FIXED_POINT, CELL_HAUSDORFF, CELL_OK
 from koopeq.errors import (CardinalityMismatchError, DegenerateDataError,
-                           InsufficientDataError, InvalidInputError, KoopeqError,
-                           NumericFailureError)
+                           InsufficientDataError, InvalidInputError,
+                           InvalidObservableError, KoopeqError, NumericFailureError)
 from koopeq.spectral import (PAIR_TOL, KoopmanSpectrum, RankPolicy, _canonical_order,
                              _lattice_free, decompose_stack, dmd, edmd,
                              principal_eigenvalues, principal_sets)
@@ -888,6 +888,53 @@ def test_settings_spectra_match_spectrum_per_trajectory():
                                       np.ascontiguousarray(b).view(np.uint64))
             assert spec.reconstruction_error == want.reconstruction_error
             assert spec.centering_tag == want.centering_tag
+
+
+BAD_STATES = {
+    "list": [[1.0, 0.5], [0.9, 0.4], [0.8, 0.3], [0.7, 0.2]],
+    "1d": 0.9 ** np.arange(6.0),
+    "3d": np.ones((1, 6, 2)),
+    "complex": np.ones((4, 2), complex),
+    "bool": np.ones((4, 2), bool),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STATES))
+def test_spectrum_of_states_not_a_2d_real_array_is_invalid_input(name):
+    # a list lacked `.shape`, 1-D and 3-D states failed to unpack it, and
+    # complex states gave the spectrum of their real part with a warning
+    traj = Trajectory(BAD_STATES[name], TrajectoryStatus.CONVERGED)
+    for settings in (DecompositionSettings(),
+                     DecompositionSettings(method="edmd",
+                                           dictionary=compare.Dictionary.monomials(2, 2))):
+        with pytest.raises(InvalidInputError, match="2-D array of real numbers"):
+            settings.spectrum(traj)
+
+
+def test_spectra_give_bad_states_their_error_and_the_rest_their_spectra():
+    imap = make_algorithm(AlgorithmId.ALGO2, NEGCOS)
+    good = [iterate(imap, x0, RunConfig(max_iters=60)) for x0 in [(0.3, -1.2), (1.1, 0.4)]]
+    bad = [Trajectory(BAD_STATES[name], TrajectoryStatus.BUDGET_EXHAUSTED)
+           for name in ("list", "1d", "complex")]
+    settings = DecompositionSettings(centering=Centering.FIXED_POINT)
+    got = settings.spectra([good[0], *bad, good[1]])
+    for res in got[1:4]:
+        assert isinstance(res, InvalidInputError)
+    assert "got a list" in str(got[1]) and "got a 1-D float64 array" in str(got[2])
+    assert "got a 2-D complex128 array" in str(got[3])
+    assert_same_spectrum(got[0], settings.spectrum(good[0]))
+    assert_same_spectrum(got[4], settings.spectrum(good[1]))
+
+
+def test_observable_returning_a_non_number_is_invalid_observable():
+    # float(fn(c)) raised a bare TypeError for None, a complex and an array
+    states = np.array([[1.0, 0.5], [0.9, 0.4], [0.8, 0.3], [0.7, 0.2], [0.6, 0.1]])
+    traj = Trajectory(states, TrajectoryStatus.BUDGET_EXHAUSTED)
+    for fn in (lambda x: None, lambda x: 1j * x[0], lambda x: x):
+        settings = DecompositionSettings(method="edmd",
+                                         dictionary=compare.Dictionary.custom(2, [("bad", fn)]))
+        with pytest.raises(InvalidObservableError, match="observable 'bad' failed"):
+            settings.spectrum(traj)
 
 
 def reference_snapshots(traj, centering, discard):

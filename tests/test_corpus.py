@@ -5,7 +5,7 @@ import pytest
 
 from koopeq import (AlgorithmId, ConjugacyKind, Oracle, OracleKind,
                     conjugacy_map, make_algorithm, verify_commutation)
-from koopeq.errors import ConfigurationError, UnsupportedPairError
+from koopeq.errors import ConfigurationError, InvalidInputError, UnsupportedPairError
 
 QUAD = Oracle(OracleKind.GRAD_QUADRATIC)
 NEGCOS = Oracle(OracleKind.GRAD_NEGCOS)
@@ -153,6 +153,18 @@ def test_shift_identity_logdet():
     x0 = np.concatenate([np.zeros(6), sym_flatten(np.diag([2.0, 3.0]))])
     rep = verify_commutation(cmap, T, S, [x0], tol=0.0, horizon=20)
     assert rep.max_deviation == 0.0
+
+
+@pytest.mark.parametrize("src, tgt, T, S", [
+    (AlgorithmId.ALGO1, AlgorithmId.ALGO2, algo(1), algo(2)),
+    (AlgorithmId.ALGO6, AlgorithmId.ALGO7, algo(6, L2, L2), algo(7, L2, L2)),
+], ids=["linear", "shift"])
+@pytest.mark.parametrize("samples", [[], np.empty((0, 2)), iter(())],
+                         ids=["list", "array", "iterator"])
+def test_commutation_without_samples_is_rejected(src, tgt, T, S, samples):
+    # passed=True on no evidence would read as a verified conjugacy
+    with pytest.raises(InvalidInputError, match="at least one sample"):
+        verify_commutation(conjugacy_map(src, tgt), T, S, samples)
 
 
 def test_commutation_dimension_mismatch():

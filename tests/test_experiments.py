@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from koopeq import experiments
+from koopeq import cli, experiments
 from koopeq.errors import ConfigurationError
+from koopeq.spectral import DictionaryKind
+from koopeq.trajectory import Centering
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +22,7 @@ def fig1(tmp_path_factory):
 def test_fig1_file_counts(fig1):
     manifest, out = fig1
     kinds = [f["kind"] for f in manifest["files"]]
-    assert kinds.count("trajectory") == 2  # one combined series file per variant
+    assert kinds.count("trajectory") == 4  # one log per run
     assert kinds.count("spectrum") == 4
     assert kinds.count("comparison") == 2
     assert kinds.count("plot") == 2
@@ -41,11 +43,61 @@ def test_fig1_verdicts_and_parameters(fig1):
 
 def test_fig1_trajectory_csv_layout(fig1):
     manifest, out = fig1
-    lines = (out / "fig1_quad_trajectories.csv").read_text().splitlines()
-    assert lines[0] == "k,algo1_0,algo1_1,algo2_0,algo2_1"
-    assert len(lines) == 62  # header + 61 states (60 iterations)
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[1]) == 0.1
+    for algo, x0_b in (("algo1", "0.1"), ("algo2", "0.0")):
+        lines = (out / f"fig1_quad_trajectory_{algo}.csv").read_text().splitlines()
+        assert lines[0] == "k,x0,x1"
+        assert len(lines) == 62  # header + 61 states (60 iterations)
+        assert lines[1] == f"0,0.1,{x0_b}"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(61))
+
+
+def run_flags(settings, run_cfg) -> list:
+    """The `koopeq run --traj` flags that decompose a log as `settings` do;
+    `--eps` is the run's, so a log reads converged as the run stopped."""
+    flags = ["--method", settings.method, "--eps", repr(run_cfg.eps),
+             "--svd-tol", repr(settings.rank_policy.rel_tol),
+             "--centering", {None: "auto", Centering.NONE: "none",
+                             Centering.FIXED_POINT: "fixed-point"}[settings.centering],
+             "--discard", str(settings.discard)]
+    if settings.rank_policy.rank is not None:
+        flags += ["--rank", str(settings.rank_policy.rank)]
+    dct = settings.dictionary
+    if dct is None:
+        return flags
+    if dct.kind is DictionaryKind.MONOMIALS:
+        return flags + ["--dict", "monomials", "--degree", str(dct.max_degree)]
+    if dct.kind is DictionaryKind.IDENTITY:
+        return flags + ["--dict", "identity"]
+    raise AssertionError(f"no koopeq run flags express the dictionary {dct.tag}")
+
+
+@pytest.mark.parametrize("name", sorted(experiments.PRESETS))
+def test_black_box_route_reproduces_every_preset(tmp_path, name):
+    # each run's log, read back by `koopeq run --traj`, gives the preset's
+    # spectrum file byte for byte, and `koopeq compare` the preset's verdict
+    preset = experiments.PRESETS[name]
+    written = tmp_path / "preset"
+    manifest = experiments.run_preset(name, written)
+    tags = (preset.algo_a.name.lower(), preset.algo_b.name.lower())
+    for variant in preset.variants:
+        stem = f"{name}_{variant.label}"
+        spectra = []
+        for tag, settings in zip(tags, (variant.settings_a, variant.settings_b)):
+            out = tmp_path / f"{variant.label}_{tag}.json"
+            assert cli.main(["run", "--traj", str(written / f"{stem}_trajectory_{tag}.csv"),
+                             *run_flags(settings, variant.run_cfg), "--out", str(out)]) == 0
+            assert out.read_bytes() == (written / f"{stem}_spectrum_{tag}.json").read_bytes()
+            spectra.append(str(out))
+        if variant.compare_swapped:
+            spectra.reverse()
+        verdict = manifest["verdicts"][variant.label]
+        out = tmp_path / f"{variant.label}_comparison.json"
+        assert cli.main(["compare", *spectra, "--out", str(out)]) == cli._VERDICT_EXIT[verdict]
+        got = json.loads(out.read_text())
+        want = json.loads((written / f"{stem}_comparison.json").read_text())
+        notes = got.pop("notes")
+        assert want.pop("notes")[:len(notes)] == notes  # the preset may append its own
+        assert got == want and got["verdict"] == verdict
 
 
 def test_fig3_semi_conjugate(tmp_path):
